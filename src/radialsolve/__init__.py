@@ -16,6 +16,7 @@ from .potentials import (  # noqa: F401
     UnitSystem,
     effective_minimum,
     eval_effective,
+    eval_effective_array,
     eval_potential,
     spin_orbit_constant,
 )

@@ -109,6 +109,16 @@ def parse_n_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def parse_bracket(text: str) -> tuple[float, float]:
+    """Parse an energy bracket ``lo:hi``."""
+    parts = text.split(":")
+    try:
+        lo, hi = (float(x) for x in parts)
+    except ValueError as exc:
+        raise UsageError(f"bad bracket {text!r}; expected lo:hi") from exc
+    return lo, hi
+
+
 def _load_config(path: str) -> dict[str, str]:
     out = {}
     with open(path, encoding="utf-8") as fh:
@@ -241,8 +251,8 @@ def cmd_oracle(args) -> None:
     elif args.oracle_kind == "numerov":
         spec = parse_potential(args.potential)
         U = EffectivePotential(spec, l=args.l, units=units)
-        lo, hi = (float(x) for x in args.bracket.split(":"))
-        vals = [numerov_bound_state(U, args.nodes, (lo, hi), units, grid=args.grid)]
+        bracket = parse_bracket(args.bracket)
+        vals = [numerov_bound_state(U, args.nodes, bracket, units, grid=args.grid)]
     else:
         raise UsageError(f"unknown oracle {args.oracle_kind!r}")
     lines = [f"{v.source} n={v.n} l={v.l} E={v.value!r}" for v in vals]

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .potentials import (
     INFINITE,
     NATURAL,
@@ -23,6 +23,7 @@ from .potentials import (
     InfiniteSphericalWell,
     UnitSystem,
     eval_effective,
+    eval_effective_array,
     validate_jls,
 )
 
@@ -34,6 +35,7 @@ class OracleEnergy:
     n: int
     l: int
     j: Optional[float] = None
+    sweeps: Optional[int] = None  # Numerov integrations spent; None for closed forms
 
 
 def spherical_bessel(l: int, x: float) -> float:
@@ -160,33 +162,77 @@ def bohr_energy(
     return OracleEnergy(source="bohr", value=value, n=n_principal, l=0)
 
 
-def _numerov_nodes(f: np.ndarray, h: float, l: int, r: np.ndarray) -> tuple[int, float]:
-    """Outward Numerov sweep; returns (interior sign changes, boundary value).
+# Largest grid the Numerov oracle builds: each array over it then takes 8 MB.
+MAX_GRID_POINTS = 1_000_000
+# |u| above which an overflowing sweep is rescaled.
+_RESCALE = 1e250
+# Stride of the grid points that estimate max |u| over the allowed region.
+_AMPLITUDE_STRIDE = 8
+# The r_max search gives up this many length scales out.
+_MAX_R_SCALES = 1e6
+# Sweeps one eigenvalue may take; isolating and converging need about 5-40.
+_MAX_SWEEPS = 200
 
-    f holds (2m/hbar^2)(E - U) on the grid. The solution is rescaled
-    whenever it grows large, which preserves node count and boundary sign.
+
+def _numerov_sweep(a: memoryview, u0: float, u1: float) -> tuple[list[float], bool]:
+    """Every u_i of the recurrence u_{i+1} = a_i u_i - u_{i-1}, from (u0, u1).
+
+    Iterating a memoryview of the float64 coefficients yields plain floats,
+    so the loop runs on Python floats without building a list of them. The
+    plain loop runs first. If it overflows, the sweep is redone dividing
+    u by 1e250 whenever |u| passes that: every u_i keeps its sign, which is
+    all the node count needs, but the u_i no longer share one scale, which
+    the returned flag reports.
     """
-    w = 1.0 + h * h / 12.0 * f
-    y0 = r[0] ** (l + 1)
-    y1 = r[1] ** (l + 1)
-    u0 = y0 * w[0]
-    u1 = y1 * w[1]
-    nodes = 0
-    prev_sign = math.copysign(1.0, y1) if y1 != 0 else 1.0
-    h2 = h * h
-    for i in range(1, len(f) - 1):
-        u2 = 2.0 * u1 - u0 - h2 * f[i] * (u1 / w[i])
-        y2 = u2 / w[i + 1]
-        if y2 != 0.0:
-            sign = math.copysign(1.0, y2)
-            if sign != prev_sign:
-                nodes += 1
-                prev_sign = sign
-        if abs(u2) > 1e250:
-            u1 /= 1e250
-            u2 /= 1e250
-        u0, u1 = u1, u2
-    return nodes, u1
+    us = [u0, u1]
+    append = us.append
+    for ai in a:
+        u0, u1 = u1, ai * u1 - u0
+        append(u1)
+    if math.isfinite(u1):
+        return us, False
+    u0, u1 = us[0], us[1]
+    us = [u0, u1]
+    append = us.append
+    for ai in a:
+        u0, u1 = u1, ai * u1 - u0
+        if not -_RESCALE < u1 < _RESCALE:
+            u0 /= _RESCALE
+            u1 /= _RESCALE
+        append(u1)
+    return us, True
+
+
+def _node_count(us: list[float], w: np.ndarray) -> int:
+    """Interior sign changes of y = u / w, zeros skipped.
+
+    The sign of y is taken as sign(u) sign(w), because w = 1 + h^2 f / 12 is
+    negative near r_min when the centrifugal term is large. y_1 = r_1^(l+1)
+    counts as positive, as in the start of the sweep.
+    """
+    sign = np.sign(np.asarray(us[1:])) * np.sign(w[1:])
+    sign[0] = 1.0
+    sign = sign[sign != 0.0]
+    return int(np.count_nonzero(sign[1:] != sign[:-1]))
+
+
+def _boundary_residual(us: list[float], rescaled: bool, x: np.ndarray) -> float:
+    """u(r_max) over max |u| in the classically allowed region (x > 0).
+
+    Smooth in E near an eigenvalue, where it changes sign together with
+    y(r_max). The maximum is taken over every ``_AMPLITUDE_STRIDE``-th point
+    between the first and last allowed ones. Where the ratio cannot be formed
+    (no allowed point, or a rescaled sweep) it is +-inf, which sends the
+    root finder to a bisection step.
+    """
+    u_end = us[-1]
+    allowed = np.flatnonzero(x > 0.0)
+    if allowed.size and not rescaled:
+        inside = us[allowed[0] : allowed[-1] + 1 : _AMPLITUDE_STRIDE]
+        amplitude = max(max(inside), -min(inside))
+        if amplitude > 0.0:
+            return u_end / amplitude
+    return math.copysign(math.inf, u_end)
 
 
 def numerov_bound_state(
@@ -196,17 +242,27 @@ def numerov_bound_state(
     units: UnitSystem | None = None,
     grid: float = 1e-3,
 ) -> OracleEnergy:
-    """Eigenvalue with the requested interior node count, by node bisection.
+    """Eigenvalue with the requested interior node count, by Numerov shooting.
 
     Integrates -(hbar^2/2m) F'' + U F = E F outward from
-    r_min = 1e-6 * length scale with F ~ r^{l+1}. The interior node count is
-    a nondecreasing step function of E that jumps exactly at eigenvalues, so
-    bisection on it converges without a separate matching step.
+    r_min = 1e-6 * length scale with F ~ r^{l+1} on a grid of step ~``grid``
+    up to r_max (just inside a hard wall, or far into the outer forbidden
+    region). The interior node count is a nondecreasing step function of E
+    that jumps exactly where F(r_max) changes sign. Bisection on the node
+    count first narrows the bracket until it holds only the target jump;
+    Illinois regula falsi on the boundary residual, F(r_max) over the
+    largest |F| in the classically allowed region, then converges on it.
+    Both phases stop on the same rule, hi - lo <= 1e-10 max(1, |mid|).
+    ``sweeps`` on the result counts the outward integrations spent.
     """
     units = units or U.units
     e_lo, e_hi = bracket
+    if not (math.isfinite(e_lo) and math.isfinite(e_hi)):
+        raise DomainError(f"bracket edges must be finite, got {bracket}")
     if not e_hi > e_lo:
         raise DomainError(f"invalid bracket {bracket}")
+    if not (math.isfinite(grid) and grid > 0):
+        raise DomainError(f"grid step must be finite and positive, got {grid}")
     scale = U.length_scale
     r_min = 1e-6 * scale
     if isinstance(U.spec, InfiniteSphericalWell):
@@ -220,31 +276,82 @@ def numerov_bound_state(
         margin = e_hi + 12.0 * units.hbar2_over_m / scale**2
         while eval_effective(U, r_max) < margin:
             r_max *= 1.25
-    npts = max(int((r_max - r_min) / grid) + 1, 512)
-    r = np.linspace(r_min, r_max, npts)
+            if r_max > _MAX_R_SCALES * scale:
+                raise DomainError(
+                    f"U stays below {margin:.6g} out to r = {r_max:.6g}: "
+                    "the Numerov oracle needs a potential that confines the bracket"
+                )
+    span = (r_max - r_min) / grid
+    if not span < MAX_GRID_POINTS:
+        raise DomainError(
+            f"grid step {grid!r} needs {span:.3g} points, above the cap of {MAX_GRID_POINTS}"
+        )
+    r = np.linspace(r_min, r_max, max(int(span) + 1, 512))
     h = r[1] - r[0]
-    pref = 2.0 * units.mass / units.hbar**2
-    u_vals = np.array([eval_effective(U, float(x)) for x in r])
+    u_vals = eval_effective_array(U, r)
     if np.any(u_vals == INFINITE):
         raise DomainError("grid crosses a hard wall")
+    # x_i = h^2 f_i, with f = (2m/hbar^2)(E - U)
+    k = 2.0 * units.mass / units.hbar**2 * h * h
+    ku = k * u_vals
+    y0 = float(r[0]) ** (U.l + 1)
+    y1 = float(r[1]) ** (U.l + 1)
+    sweeps = 0
 
-    def count(E: float) -> int:
-        f = pref * (E - u_vals)
-        nodes, _ = _numerov_nodes(f, h, U.l, r)
-        return nodes
+    def shoot(E: float, count_nodes: bool = True) -> tuple[int | None, float]:
+        """(node count, boundary residual) of one outward sweep at energy E."""
+        nonlocal sweeps
+        if sweeps == _MAX_SWEEPS:
+            raise ConvergenceError(
+                f"Numerov shooting did not converge in {_MAX_SWEEPS} sweeps",
+                last_iterate=E,
+                iterations=sweeps,
+            )
+        sweeps += 1
+        x = k * E - ku
+        w = 1.0 + x / 12.0
+        a = memoryview(2.0 - x[1:-1] / w[1:-1])
+        us, rescaled = _numerov_sweep(a, y0 * float(w[0]), y1 * float(w[1]))
+        nodes = _node_count(us, w) if count_nodes else None
+        return nodes, _boundary_residual(us, rescaled, x)
 
-    if count(e_lo) > node_target:
-        raise DomainError(f"bracket lower edge already has more than {node_target} nodes")
-    if count(e_hi) <= node_target:
-        raise DomainError(f"bracket contains no state with {node_target} nodes")
+    def converged(lo: float, hi: float) -> bool:
+        return hi - lo <= 1e-10 * max(1.0, abs(0.5 * (lo + hi)))
+
     lo, hi = e_lo, e_hi
-    for _ in range(100):
+    n_lo, g_lo = shoot(lo)
+    if n_lo > node_target:
+        raise DomainError(f"bracket lower edge already has more than {node_target} nodes")
+    n_hi, g_hi = shoot(hi)
+    if n_hi <= node_target:
+        raise DomainError(f"bracket contains no state with {node_target} nodes")
+    # phase 1: bisect on the node count until only the target jump is left
+    while not (n_lo == node_target and n_hi == node_target + 1 or converged(lo, hi)):
         mid = 0.5 * (lo + hi)
-        if count(mid) <= node_target:
-            lo = mid
+        n_mid, g_mid = shoot(mid)
+        if n_mid <= node_target:
+            lo, n_lo, g_lo = mid, n_mid, g_mid
         else:
-            hi = mid
-        if hi - lo <= 1e-10 * max(1.0, abs(mid)):
-            break
+            hi, n_hi, g_hi = mid, n_mid, g_mid
+    # phase 2: Illinois regula falsi on the residual, which now changes sign
+    # once in [lo, hi]; an edge kept twice in a row has its residual halved
+    side = 0
+    while not converged(lo, hi):
+        trial = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < trial < hi:  # an infinite residual: bisect
+            trial = 0.5 * (lo + hi)
+        _, g = shoot(trial, count_nodes=False)
+        if g == 0.0:
+            return OracleEnergy(source="numerov", value=trial, n=node_target, l=U.l, sweeps=sweeps)
+        if (g > 0.0) == (g_lo > 0.0):
+            lo, g_lo = trial, g
+            if side < 0:
+                g_hi *= 0.5
+            side = -1
+        else:
+            hi, g_hi = trial, g
+            if side > 0:
+                g_lo *= 0.5
+            side = 1
     value = 0.5 * (lo + hi)
-    return OracleEnergy(source="numerov", value=value, n=node_target, l=U.l)
+    return OracleEnergy(source="numerov", value=value, n=node_target, l=U.l, sweeps=sweeps)

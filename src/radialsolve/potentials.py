@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Union
 
+import numpy as np
+
 from .errors import DomainError, NoMinimumError
 
 INFINITE = math.inf
@@ -260,6 +262,35 @@ def eval_effective(U: EffectivePotential, r: float) -> float:
     v = U.eval_potential(r)
     if v == INFINITE:
         return INFINITE
+    return v + U.centrifugal_coeff / (r * r)
+
+
+def eval_effective_array(U: EffectivePotential, r: np.ndarray) -> np.ndarray:
+    """U on an array of radii, equal bit for bit to ``eval_effective`` at each point.
+
+    Each formula repeats the scalar one operation for operation, so numpy
+    rounds every element exactly as the scalar path does.
+    """
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0):
+        raise DomainError("r must be positive")
+    units = U.units
+    match U.spec:
+        case HydrogenLike(Z=Z, e_charge=e):
+            v = -Z * e * e / r
+        case InfiniteSphericalWell(L=L):
+            v = np.where(r < L, 0.0, INFINITE)
+        case IsotropicHO(omega=w):
+            v = 0.5 * units.mass * w * w * r * r
+        case HOSpinOrbit(omega=w):
+            v = 0.5 * units.mass * w * w * r * r - _so_constant_for(U.spec, U.l, units)
+        case Parabolic(a=a, b=b, c=c):
+            v = a * r * r + b * r + c
+        case FreeParticle():
+            v = np.zeros_like(r)
+        case _:
+            raise DomainError(f"unknown potential spec {U.spec!r}")
+    # a wall stays INFINITE: inf plus the finite centrifugal term is inf
     return v + U.centrifugal_coeff / (r * r)
 
 

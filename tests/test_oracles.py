@@ -3,9 +3,11 @@
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from radialsolve.errors import DomainError
+from radialsolve import oracles
+from radialsolve.errors import ConvergenceError, DomainError
 from radialsolve.oracles import (
     bessel_zero,
     bohr_energy,
@@ -18,10 +20,17 @@ from radialsolve.oracles import (
 from radialsolve.potentials import (
     E_CHARGE_EV_NM,
     EV_NM,
+    INFINITE,
     NATURAL,
     EffectivePotential,
+    FreeParticle,
+    HOSpinOrbit,
+    HydrogenLike,
     InfiniteSphericalWell,
     IsotropicHO,
+    Parabolic,
+    eval_effective,
+    eval_effective_array,
 )
 
 
@@ -153,6 +162,114 @@ class TestNumerov:
         # bracket entirely below the ground state has no zero-node eigenvalue
         with pytest.raises(DomainError):
             numerov_bound_state(U, 0, (0.1, 0.5))
+
+    def test_bracket_holding_two_levels_returns_target(self):
+        # 1.5, 3.5 and 5.5 all lie in (1, 6): node bisection must isolate 3.5
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
+        res = numerov_bound_state(U, 1, (1.0, 6.0))
+        assert res.value == pytest.approx(3.5, rel=1e-4)
+
+    @pytest.mark.parametrize("nodes", [0, 1])
+    def test_ho_l3(self, nodes):
+        # the centrifugal term makes w = 1 + h^2 f / 12 negative at r_min,
+        # so the start value u_0 = y_0 w_0 is negative while y_0 > 0
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=3)
+        exact = 2 * nodes + 4.5
+        res = numerov_bound_state(U, nodes, (exact - 0.9, exact + 0.9))
+        assert res.value == pytest.approx(exact, rel=1e-4)
+
+    def test_node_count_follows_y_not_u(self):
+        # y = u / w keeps its sign where u flips only because w < 0
+        us = [-1.0, -1.0, -2.0, 3.0, -1.0]
+        w = np.array([-1.0, -1.0, -1.0, 1.0, 1.0])
+        assert oracles._node_count(us, w) == 1
+
+    def test_overflowing_sweep_keeps_sign(self):
+        # at E = -1e4 the solution grows by about e^800 before r_max and
+        # overflows; the rescaled sweep must still count 0 nodes and give
+        # the residual a sign the root finder can bracket with
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
+        res = numerov_bound_state(U, 0, (-1e4, 2.0))
+        assert res.value == pytest.approx(1.5, rel=1e-4)
+
+    def test_sweeps_recorded(self):
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=1)
+        res = numerov_bound_state(U, 1, (3.6, 5.4))
+        # node-count bisection alone took 34 sweeps to reach the tolerance
+        assert 2 < res.sweeps <= 20
+        assert numerov_bound_state(U, 1, (3.6, 5.4)).sweeps == res.sweeps
+        assert ho_oracle_energy(1, 1, 1.0).sweeps is None
+        assert well_oracle_energy(1.0, 1, 1).sweeps is None
+
+    def test_sweep_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_MAX_SWEEPS", 3)
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=1)
+        with pytest.raises(ConvergenceError):
+            numerov_bound_state(U, 1, (3.6, 5.4))
+
+    @pytest.mark.parametrize("grid", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_grid(self, grid):
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
+        with pytest.raises(DomainError):
+            numerov_bound_state(U, 0, (1.0, 2.0), grid=grid)
+
+    @pytest.mark.parametrize("bracket", [(math.nan, 2.0), (1.0, math.inf), (-math.inf, 2.0)])
+    def test_rejects_non_finite_bracket(self, bracket):
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
+        with pytest.raises(DomainError):
+            numerov_bound_state(U, 0, bracket)
+
+    def test_grid_cap_refused_before_allocation(self, monkeypatch):
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
+        # about 6e9 points
+        with pytest.raises(DomainError, match="cap"):
+            numerov_bound_state(U, 0, (1.0, 2.0), grid=1e-9)
+
+    @pytest.mark.parametrize(
+        "spec,bracket",
+        [(HydrogenLike(Z=1), (-0.6, -0.4)), (FreeParticle(), (1.0, 2.0))],
+    )
+    def test_unconfined_potential_raises(self, spec, bracket):
+        # U never climbs above the bracket, so the r_max search must give up
+        U = EffectivePotential(spec, l=0)
+        with pytest.raises(DomainError, match="confine"):
+            numerov_bound_state(U, 0, bracket)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        HydrogenLike(Z=2, e_charge=1.3),
+        InfiniteSphericalWell(L=2.0),
+        IsotropicHO(omega=0.7),
+        HOSpinOrbit(omega=1.0, j=2.5, c0=0.015),
+        HOSpinOrbit(omega=1.0, j=1.5),
+        Parabolic(a=1.0, b=0.5, c=0.25),
+        FreeParticle(),
+    ],
+)
+@pytest.mark.parametrize("units", [NATURAL, EV_NM])
+def test_array_potential_matches_scalar_bit_for_bit(spec, units):
+    # the Numerov grid is evaluated through the array path; past r = 2 the
+    # well's wall must read INFINITE on both paths
+    U = EffectivePotential(spec, l=2, units=units)
+    r = np.concatenate([np.linspace(1e-6, 3.0, 1001), [2.0, 7.5]])
+    scalar = np.array([eval_effective(U, float(x)) for x in r])
+    array = eval_effective_array(U, r)
+    assert array.tobytes() == scalar.tobytes()
+    if isinstance(spec, InfiniteSphericalWell):
+        assert array[-1] == INFINITE
+
+
+def test_array_potential_rejects_nonpositive_r():
+    U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
+    for bad in ([0.0, 1.0], [1.0, -2.0], [math.nan]):
+        with pytest.raises(DomainError):
+            eval_effective_array(U, np.array(bad))
 
 
 def test_oracle_module_is_independent():

@@ -220,6 +220,27 @@ class TestCli:
         value = float(out.read_text().strip().rsplit("E=", 1)[1])
         assert value == pytest.approx(1.5, rel=1e-4)
 
+    @pytest.mark.parametrize("bracket", ["1", "a:b", "1:2:3"])
+    def test_oracle_numerov_bad_bracket_is_usage_error(self, bracket, capsys):
+        rc = main(["oracle", "numerov", "--potential", "ho:omega=1", "--bracket", bracket])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--potential", "ho:omega=1", "--bracket", "1:2", "--grid", "0"],
+            ["--potential", "ho:omega=1", "--bracket", "1:2", "--grid", "nan"],
+            ["--potential", "hydrogen:Z=1", "--bracket=-0.6:-0.4"],
+        ],
+    )
+    def test_oracle_numerov_domain_errors(self, args, capsys):
+        rc = main(["oracle", "numerov", *args])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_config_file_applies(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("format=json\n")
