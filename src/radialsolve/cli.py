@@ -103,10 +103,14 @@ def parse_branch(name: str, n: int):
 
 
 def parse_n_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """Parse a single ``n`` or an inclusive range ``lo:hi``."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(text)]
+    except ValueError as exc:
+        raise UsageError(f"bad n {text!r}; expected an integer or lo:hi") from exc
 
 
 def parse_bracket(text: str) -> tuple[float, float]:
@@ -219,6 +223,8 @@ def cmd_turning_points(args) -> None:
 def cmd_wavefunction(args) -> None:
     units = _units_for(args)
     spec = parse_potential(args.potential)
+    if args.samples < 0:
+        raise UsageError(f"--samples must be non-negative, got {args.samples}")
     U = EffectivePotential(spec, l=args.l, units=units)
     wf, level = build_bound_state(U, args.n, args.parity, units)
     wf = normalize(wf)

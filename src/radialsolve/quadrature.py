@@ -5,18 +5,26 @@ reference radius. Both come in a closed-form flavor (re-derived
 antiderivatives per potential family) and a numeric flavor backed by a
 globally adaptive 15-point Gauss-Kronrod rule. Closed forms are normalized
 so that Q(r_ref) = 0; only Q differences are meaningful.
+
+``phase_Q`` integrates from r_ref on every call. ``make_phase`` is the fast
+path for a state: for a family without a closed form it integrates the
+state's span once and keeps the final Gauss-Kronrod panels with prefix sums
+(the QK15 panel layout of QUADPACK, Piessens et al. 1983), so that each
+Q(r) costs one bisect lookup and one 15-node rule.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import ComplexPhaseError, DomainError, IntegrationError
 from .potentials import (
-    INFINITE,
     EffectivePotential,
     FreeParticle,
     HOSpinOrbit,
@@ -25,6 +33,7 @@ from .potentials import (
     IsotropicHO,
     Parabolic,
     eval_effective,
+    eval_effective_array,
 )
 from .turning_points import TurningPoints
 
@@ -98,6 +107,19 @@ def adaptive_integral(
     if hi < lo:
         value, err = adaptive_integral(f, hi, lo, tol)
         return -value, err
+    value, err, _ = _adaptive_panels(f, lo, hi, tol)
+    return value, err
+
+
+def _adaptive_panels(
+    f: Callable[[float], float], lo: float, hi: float, tol: float
+) -> tuple[float, float, list[tuple[float, float]]]:
+    """The loop behind ``adaptive_integral`` on lo <= hi.
+
+    Also returns the final panels as (left edge, K15 value) pairs, in no
+    particular order; together they tile [lo, hi].
+    """
+
     def _checked(a: float, b: float) -> tuple[float, float]:
         v, e = _gk15(f, a, b)
         if not (math.isfinite(v) and math.isfinite(e)):
@@ -109,6 +131,7 @@ def adaptive_integral(
     val, err = _checked(lo, hi)
     counter = 0
     heap = [(-err, counter, lo, hi, val, err)]
+    collapsed: list[tuple[float, float]] = []
     total_val, total_err = val, err
     while total_err > tol * max(1.0, abs(total_val)):
         if len(heap) >= MAX_PANELS:
@@ -130,6 +153,7 @@ def adaptive_integral(
                     error_estimate=total_err,
                 )
             total_err -= e
+            collapsed.append((a, v))
             continue
         v1, e1 = _checked(a, m)
         v2, e2 = _checked(m, b)
@@ -139,7 +163,9 @@ def adaptive_integral(
         heapq.heappush(heap, (-e1, counter, a, m, v1, e1))
         counter += 1
         heapq.heappush(heap, (-e2, counter, m, b, v2, e2))
-    return total_val, total_err
+    panels = [(a, v) for _, _, a, _, v, _ in heap]
+    panels += collapsed
+    return total_val, total_err, panels
 
 
 @dataclass(frozen=True)
@@ -212,18 +238,16 @@ def _area_closed_form(U: EffectivePotential, r1: float, r2: float, b: float) -> 
 
 
 def _check_nonnegative(U: EffectivePotential, lo: float, hi: float, samples: int = 257) -> None:
+    """Raise ComplexPhaseError if U < 0 at any of ``samples`` even points of [lo, hi]."""
     if hi <= lo:
         lo, hi = hi, lo
     step = (hi - lo) / (samples - 1) if samples > 1 else 0.0
-    prev = lo
-    for i in range(samples):
-        r = lo + i * step
-        if r <= 0:
-            continue
-        val = eval_effective(U, r)
-        if val != INFINITE and val < 0.0:
-            raise ComplexPhaseError(prev, min(r + step, hi))
-        prev = r
+    r = lo + np.arange(samples) * step
+    negative = np.flatnonzero(eval_effective_array(U, r) < 0.0)
+    if negative.size:
+        i = int(negative[0])
+        prev = float(r[i - 1]) if i > 0 else lo
+        raise ComplexPhaseError(prev, min(float(r[i]) + step, hi))
 
 
 def _ho_antiderivative(a: float, b: float, C: float, r: float) -> float:
@@ -309,6 +333,11 @@ def phase_Q(
             return PhaseResult(closed, "closed_form", r_ref, 0.0)
         if method == "closed_form":
             raise DomainError(f"no closed-form phase for {type(U.spec).__name__}")
+    val, err = adaptive_integral(_phase_integrand(U), r_ref, r, tol=tol)
+    return PhaseResult(val, "numeric", r_ref, err)
+
+
+def _phase_integrand(U: EffectivePotential) -> Callable[[float], float]:
     m1 = U.units.m1
 
     def integrand(x: float) -> float:
@@ -316,25 +345,51 @@ def phase_Q(
         # clip tiny negative round-off at turning points
         return m1 * math.sqrt(val) if val > 0.0 else 0.0
 
-    val, err = adaptive_integral(integrand, r_ref, r, tol=tol)
-    return PhaseResult(val, "numeric", r_ref, err)
+    return integrand
 
 
-def make_phase(U: EffectivePotential, r_ref: float, tol: float = 1e-10) -> Callable[[float], float]:
-    """Fast scalar evaluator for Q(r) anchored at r_ref."""
+def make_phase(
+    U: EffectivePotential, lo: float, hi: float, tol: float = 1e-10
+) -> Callable[[float], float]:
+    """Fast scalar evaluator for Q(r) anchored at Q(lo) = 0, built for r in [lo, hi].
 
-    probe = _phase_closed_form(U, r_ref, r_ref)
-    if probe is not None:
+    Closed-form families evaluate their antiderivative at each r. Any other
+    family gets a table: [lo, hi] is integrated once by the adaptive loop of
+    ``adaptive_integral``, and Q(r) is the prefix sum of the panels left of r
+    plus one K15 rule from the edge of the panel holding r. The closed form
+    falls back to ``phase_Q`` where it does not apply, the table outside
+    [lo, hi].
+    """
+    if not (lo > 0 and hi >= lo):
+        raise DomainError(f"phase span must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
+
+    def q_reference(r: float) -> float:
+        return phase_Q(U, r, lo, method="numeric", tol=tol).value
+
+    if _phase_closed_form(U, lo, lo) is not None:
 
         def q_closed(r: float) -> float:
-            val = _phase_closed_form(U, r, r_ref)
-            if val is None:
-                return phase_Q(U, r, r_ref, method="numeric", tol=tol).value
-            return val
+            val = _phase_closed_form(U, r, lo)
+            return q_reference(r) if val is None else val
 
         return q_closed
 
-    def q_numeric(r: float) -> float:
-        return phase_Q(U, r, r_ref, method="numeric", tol=tol).value
+    _check_nonnegative(U, lo, hi)
+    integrand = _phase_integrand(U)
+    _, _, panels = _adaptive_panels(integrand, lo, hi, tol)
+    panels.sort()
+    edges = [a for a, _ in panels]
+    prefix = [0.0]
+    for _, v in panels[:-1]:
+        prefix.append(prefix[-1] + v)
 
-    return q_numeric
+    def q_table(r: float) -> float:
+        if not lo <= r <= hi:
+            return q_reference(r)
+        i = bisect_right(edges, r) - 1
+        a = edges[i]
+        if r == a:
+            return prefix[i]
+        return prefix[i] + _gk15(integrand, a, r)[0]
+
+    return q_table

@@ -209,6 +209,8 @@ def closed_form_turning_points(U: EffectivePotential, E: float) -> TurningPoints
         case IsotropicHO(omega=w) | HOSpinOrbit(omega=w):
             shift = U.spin_orbit_shift
             a = 0.5 * u.mass * w * w
+            if not a > 0:
+                raise DomainError(f"oscillator strength m omega^2 / 2 underflows to {a} for omega={w}")
             Es = E + shift
             if U.l > 0 and Es <= 2.0 * math.sqrt(a * b):
                 raise NoClassicalRegionError(f"E={E} at or below the potential minimum")
@@ -298,6 +300,8 @@ def parabolic_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
 
 def turning_points(U: EffectivePotential, E: float) -> TurningPoints:
     """Best available turning points: closed form, quartic, or generic numeric."""
+    if not math.isfinite(E):
+        raise DomainError(f"energy must be finite, got {E}")
     match U.spec:
         case HydrogenLike() | InfiniteSphericalWell() | IsotropicHO() | HOSpinOrbit():
             return closed_form_turning_points(U, E)

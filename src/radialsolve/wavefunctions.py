@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, NotNormalizableError
-from .potentials import NATURAL, EffectivePotential, UnitSystem
+from .potentials import NATURAL, EffectivePotential, UnitSystem, eval_effective_array
 from .quadrature import adaptive_integral, make_phase
 from .spectrum import Antisymmetric, EnergyLevel, Symmetric, self_consistent_energy
 from .turning_points import TurningPoints, turning_points
@@ -93,17 +95,19 @@ def build_bound_state(
     tp = turning_points(U, level.value)
     multiple = (2 * n - 1) if parity == "symmetric" else 2 * n
     K = multiple * math.pi / tp.d
-    r_ref = tp.r1 if tp.r1 > 0 else tp.r2 * 1e-12
-    wf = RadialWaveFunction(
-        potential=U, tp=tp, K=K, parity=parity, n=n, phase=make_phase(U, r_ref)
-    )
+    wf = RadialWaveFunction(potential=U, tp=tp, K=K, parity=parity, n=n, phase=_support_phase(U, tp))
     return wf, level
 
 
 def detuned_state(U: EffectivePotential, tp: TurningPoints, K: float, parity: str, n: int = 1) -> RadialWaveFunction:
     """A deliberately unquantized carrier, for boundary-residual checks."""
+    return RadialWaveFunction(potential=U, tp=tp, K=K, parity=parity, n=n, phase=_support_phase(U, tp))
+
+
+def _support_phase(U: EffectivePotential, tp: TurningPoints) -> Callable[[float], float]:
+    """Q(r) over the state's support [r_ref, r2]; r_ref stands in for r1 = 0."""
     r_ref = tp.r1 if tp.r1 > 0 else tp.r2 * 1e-12
-    return RadialWaveFunction(potential=U, tp=tp, K=K, parity=parity, n=n, phase=make_phase(U, r_ref))
+    return make_phase(U, r_ref, tp.r2)
 
 
 def eval_radial(wf: RadialWaveFunction, r: float) -> float:
@@ -146,14 +150,12 @@ def evanescent_eval(U: EffectivePotential, E: float, r: float, r_ref: float) -> 
         raise DomainError(f"radii must be positive, got r={r}, r_ref={r_ref}")
     lo, hi = min(r, r_ref), max(r, r_ref)
     samples = 129
-    for i in range(samples):
-        x = lo + (hi - lo) * i / (samples - 1)
-        if x <= 0:
-            continue
-        if E >= U(x):
-            raise DomainError(
-                f"E >= U at r = {x:.6g}: classically allowed; use eval_radial"
-            )
+    x = lo + (hi - lo) * np.arange(samples) / (samples - 1)
+    allowed = np.flatnonzero(E >= eval_effective_array(U, x))
+    if allowed.size:
+        raise DomainError(
+            f"E >= U at r = {float(x[allowed[0]]):.6g}: classically allowed; use eval_radial"
+        )
     if r == r_ref:
         return 1.0
     m1 = U.units.m1

@@ -176,7 +176,7 @@ def _check_phase_derivative(failures):
     ]
     for spec, l, (lo, hi) in cases:
         U = EffectivePotential(spec, l=l)
-        q = make_phase(U, lo)
+        q = make_phase(U, lo, hi)
         for r in np.linspace(lo * 1.2, hi * 0.9, 50):
             r = float(r)
             h = 1e-6 * r

@@ -145,6 +145,36 @@ class TestPhaseQ:
         lo, hi = exc_info.value.interval
         assert lo < hi
 
+    @pytest.mark.parametrize("r, r_ref", [(4.0, 0.5), (0.5, 4.0)])
+    def test_complex_phase_interval(self, r, r_ref):
+        # U = 1/r^2 - 1/r turns negative just past r = 1; of the 257 even samples
+        # of [0.5, 4] (step 3.5/256), 0.9921875 is the last one with U >= 0
+        U = EffectivePotential(HydrogenLike(Z=1, e_charge=1.0), l=1)
+        with pytest.raises(ComplexPhaseError) as exc_info:
+            phase_Q(U, r, r_ref, method="numeric")
+        assert exc_info.value.interval == (0.9921875, 1.01953125)
+
+    @pytest.mark.parametrize("r_ref, r", [(0.3, 2.7), (1e-9, 1.1), (0.9, 5.0), (3.0, 0.2)])
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_complex_phase_interval_matches_scalar_scan(self, l, r_ref, r):
+        U = EffectivePotential(HydrogenLike(Z=1, e_charge=1.0), l=l)
+        # the point-by-point scan over 257 even samples, kept as the reference
+        lo, hi = min(r, r_ref), max(r, r_ref)
+        step = (hi - lo) / 256
+        expected, prev = None, lo
+        for i in range(257):
+            x = lo + i * step
+            if eval_effective(U, x) < 0.0:
+                expected = (prev, min(x + step, hi))
+                break
+            prev = x
+        try:
+            phase_Q(U, r, r_ref, method="numeric")
+            got = None
+        except ComplexPhaseError as exc:
+            got = exc.interval
+        assert got == expected
+
     def test_rejects_nonpositive_radii(self):
         U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
         with pytest.raises(DomainError):
@@ -163,7 +193,7 @@ class TestPhaseProperties:
         # dQ/dr = m1 sqrt(U) is the defining relation of the phase function
         for spec, l, (lo, hi) in self.POTENTIALS:
             U = EffectivePotential(spec, l=l)
-            q = make_phase(U, lo)
+            q = make_phase(U, lo, hi)
             for r in np.linspace(lo * 1.2, hi * 0.9, 50):
                 r = float(r)
                 h = 1e-6 * r
@@ -183,12 +213,59 @@ class TestPhaseProperties:
     def test_monotone_nondecreasing(self):
         for spec, l, (lo, hi) in self.POTENTIALS:
             U = EffectivePotential(spec, l=l)
-            q = make_phase(U, lo)
+            q = make_phase(U, lo, hi)
             vals = [q(float(r)) for r in np.linspace(lo, hi, 40)]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_make_phase_matches_phase_q(self):
         U = EffectivePotential(IsotropicHO(omega=1.0), l=2)
-        q = make_phase(U, 0.5)
+        q = make_phase(U, 0.5, 2.5)
         for r in (0.8, 1.5, 2.5):
             assert q(r) == pytest.approx(phase_Q(U, r, 0.5).value, rel=1e-12)
+
+
+class TestPhaseTable:
+    """make_phase for a family without a closed-form Q: one table per span."""
+
+    U = EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=1)
+
+    def test_matches_phase_q_inside_the_span(self):
+        lo, hi = 0.4, 2.6
+        q = make_phase(self.U, lo, hi)
+        assert q(lo) == 0.0
+        for r in [*np.linspace(lo, hi, 37), 0.4 + 1e-15, 2.6 - 1e-15]:
+            ref = phase_Q(self.U, float(r), lo, method="numeric").value
+            assert abs(q(float(r)) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_falls_back_outside_the_span(self):
+        lo, hi = 0.4, 2.6
+        q = make_phase(self.U, lo, hi)
+        for r in (0.1, 3.0):
+            assert q(r) == phase_Q(self.U, r, lo, method="numeric").value
+        assert q(0.1) < 0.0 < q(3.0)
+
+    def test_single_point_span(self):
+        q = make_phase(self.U, 1.0, 1.0)
+        assert q(1.0) == 0.0
+        assert q(2.0) == phase_Q(self.U, 2.0, 1.0, method="numeric").value
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)])
+    def test_rejects_bad_span(self, lo, hi):
+        with pytest.raises(DomainError):
+            make_phase(self.U, lo, hi)
+
+    def test_complex_phase_raised_when_built(self):
+        U = EffectivePotential(HydrogenLike(Z=1, e_charge=1.0), l=1)
+        with pytest.raises(ComplexPhaseError) as exc_info:
+            make_phase(U, 0.5, 4.0)
+        assert exc_info.value.interval == (0.9921875, 1.01953125)
+
+    def test_each_value_costs_one_rule(self, monkeypatch):
+        import radialsolve.quadrature as quadrature
+
+        q = make_phase(self.U, 0.4, 2.6)
+        calls = []
+        real = quadrature.eval_effective
+        monkeypatch.setattr(quadrature, "eval_effective", lambda U, r: calls.append(r) or real(U, r))
+        q(1.234)
+        assert len(calls) == 15

@@ -144,6 +144,8 @@ class TestPotentialGrammar:
         assert parse_n_range("3") == [3]
         assert parse_n_range("2:5") == [2, 3, 4, 5]
         with pytest.raises(UsageError):
+            parse_n_range("2:five")
+        with pytest.raises(UsageError):
             parse_branch("chiral", 1)
 
 
@@ -240,6 +242,36 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["turning-points", "--potential", "ho:omega=1", "--energy", "nan"],
+            ["turning-points", "--potential", "ho:omega=1", "--energy", "inf"],
+            ["turning-points", "--potential", "ho:omega=1", "--energy=-inf"],
+            ["turning-points", "--potential", "parabolic:a=1,b=1,c=1", "--l", "1", "--energy", "nan"],
+            ["spectrum", "--potential", "ho:omega=1e-300"],
+            ["spectrum", "--potential", "hoso:omega=1e-300,j=2.5,c0=0.015", "--l", "2"],
+        ],
+    )
+    def test_non_finite_and_underflowing_inputs_are_domain_errors(self, args, capsys):
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--potential", "ho:omega=1", "--n", "abc"],
+            ["spectrum", "--potential", "ho:omega=1", "--n", "1:x"],
+            ["oracle", "bessel-zeros", "--l", "1", "--n", "abc"],
+            ["wavefunction", "--potential", "ho:omega=1", "--samples", "-3"],
+        ],
+    )
+    def test_malformed_integers_are_usage_errors(self, args, capsys):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
     def test_config_file_applies(self, tmp_path):
         cfg = tmp_path / "cfg"

@@ -232,3 +232,17 @@ class TestDispatcher:
         with pytest.raises(NoClassicalRegionError):
             # pure centrifugal barrier has no outer turning point
             turning_points(U, 1.0)
+
+    @pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "spec, l",
+        [(IsotropicHO(omega=1.0), 0), (InfiniteSphericalWell(L=1.0), 1), (Parabolic(a=1.0, b=1.0, c=1.0), 1)],
+    )
+    def test_rejects_non_finite_energy(self, spec, l, E):
+        with pytest.raises(DomainError, match="finite"):
+            turning_points(EffectivePotential(spec, l=l), E)
+
+    def test_rejects_underflowing_oscillator(self):
+        # m omega^2 / 2 is 0.0 in floating point, so r = sqrt(x / (2a)) cannot be formed
+        with pytest.raises(DomainError, match="underflows"):
+            turning_points(EffectivePotential(IsotropicHO(omega=1e-300), l=1), 1.0)

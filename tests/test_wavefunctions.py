@@ -12,8 +12,9 @@ from radialsolve.potentials import (
     FreeParticle,
     InfiniteSphericalWell,
     IsotropicHO,
+    Parabolic,
 )
-from radialsolve.quadrature import adaptive_integral
+from radialsolve.quadrature import adaptive_integral, phase_Q
 from radialsolve.report import render_samples, samples_from_csv
 from radialsolve.turning_points import TurningPoints, turning_points
 from radialsolve.wavefunctions import (
@@ -119,6 +120,58 @@ class TestNormalize:
             normalize(fp)
 
 
+PARABOLIC_STATES = [
+    (l, n, parity) for l in range(4) for n in (1, 2, 3) for parity in ("symmetric", "antisymmetric")
+]
+
+
+def _parabolic(l):
+    return EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=l)
+
+
+class TestParabolicStates:
+    """States without a closed-form Q, whose phase comes from a table."""
+
+    @pytest.mark.parametrize("l, n, parity", PARABOLIC_STATES)
+    def test_phase_matches_phase_q(self, l, n, parity):
+        wf, _ = build_bound_state(_parabolic(l), n, parity)
+        lo = wf.tp.r1 if wf.tp.r1 > 0 else wf.tp.r2 * 1e-12
+        for r in np.linspace(lo, wf.tp.r2, 9):
+            ref = phase_Q(wf.potential, float(r), lo, method="numeric").value
+            assert abs(wf.phase(float(r)) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("l, n, parity", PARABOLIC_STATES)
+    def test_unit_norm_and_boundary_zeros(self, l, n, parity):
+        wf, _ = build_bound_state(_parabolic(l), n, parity)
+        nwf = normalize(wf)
+        # fixed 200-point Gauss-Legendre rule, independent of the adaptive one
+        x, w = np.polynomial.legendre.leggauss(200)
+        half = 0.5 * nwf.tp.d
+        F = np.array([nwf.radial_F(float(nwf.tp.r0 + half * t)) for t in x])
+        assert float(half * np.sum(w * F * F)) == pytest.approx(1.0, abs=1e-8)
+        assert max(boundary_residuals(nwf)) <= 1e-12 * float(np.max(np.abs(F)))
+
+    def test_finite_below_the_reference_radius(self):
+        # l = 0 has r1 = 0; the phase is anchored at r2 * 1e-12
+        wf, _ = build_bound_state(_parabolic(0), 1, "symmetric")
+        assert wf.tp.r1 == 0.0
+        for r in (wf.tp.r2 * 1e-13, wf.tp.r2 * 1e-15):
+            assert math.isfinite(eval_radial(wf, r))
+
+    def test_work_guard(self, monkeypatch):
+        # re-integrating Q from r_ref at each point took 165,139 U evaluations here
+        import radialsolve.quadrature as quadrature
+
+        calls = []
+        real = quadrature.eval_effective
+        monkeypatch.setattr(quadrature, "eval_effective", lambda U, r: calls.append(r) or real(U, r))
+        wf, _ = build_bound_state(_parabolic(1), 1, "symmetric")
+        wf = normalize(wf)
+        samples = sample_wavefunction(wf, [float(r) for r in np.linspace(wf.tp.r1, wf.tp.r2, 512)])
+        assert len(samples) == 512
+        assert len(calls) <= 20_000
+
+
 class TestDeltaModel:
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_peak_value(self, k):
@@ -171,6 +224,12 @@ class TestEvanescent:
         U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
         with pytest.raises(DomainError):
             evanescent_eval(U, 10.0, 1.0, 0.5)
+
+    def test_reports_first_allowed_sample(self):
+        # E = 1.5 lies above U = r^2/2 + 1/r^2 on (1, sqrt 2); of the 129 even
+        # samples of [0.5, 3], 0.5 + 65/128 is the first one inside
+        with pytest.raises(DomainError, match=r"E >= U at r = 1\.00781: classically allowed"):
+            evanescent_eval(HO1, 1.5, 3.0, 0.5)
 
 
 class TestFreeParticle:
