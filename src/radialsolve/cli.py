@@ -265,6 +265,19 @@ def cmd_oracle(args) -> None:
     _emit(("\n".join(lines) + "\n").encode(), args.out)
 
 
+#: default of every option; main() tells a flag given on the command line
+#: (as --opt value or --opt=value) from one left unset by it
+_UNSET = object()
+
+
+def _finish(p: argparse.ArgumentParser, func) -> None:
+    """Register the verb's handler; each option's default moves to ``fallback``."""
+    for action in p._actions:
+        if action.option_strings and action.dest != "help":
+            action.fallback, action.default = action.default, _UNSET
+    p.set_defaults(func=func, subparser=p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="radialsolve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -278,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=TABLE_IDS, required=True)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     common(p)
-    p.set_defaults(func=cmd_tables, subparser=p)
+    _finish(p, cmd_tables)
 
     p = sub.add_parser("spectrum", help="self-consistent branch energies")
     p.add_argument("--potential", required=True)
@@ -288,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signed", action="store_true", help="bound (negative) convention")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     common(p)
-    p.set_defaults(func=cmd_spectrum, subparser=p)
+    _finish(p, cmd_spectrum)
 
     p = sub.add_parser("turning-points", help="solve E = U(r)")
     p.add_argument("--potential", required=True)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--energy", type=float, required=True)
     common(p)
-    p.set_defaults(func=cmd_turning_points, subparser=p)
+    _finish(p, cmd_turning_points)
 
     p = sub.add_parser("wavefunction", help="sample a normalized bound state")
     p.add_argument("--potential", required=True)
@@ -305,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=512)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     common(p)
-    p.set_defaults(func=cmd_wavefunction, subparser=p)
+    _finish(p, cmd_wavefunction)
 
     p = sub.add_parser("oracle", help="independent reference values")
     osub = p.add_subparsers(dest="oracle_kind", required=True)
@@ -313,20 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--l", type=int, required=True)
     q.add_argument("--n", default="1")
     common(q)
-    q.set_defaults(func=cmd_oracle, subparser=q)
+    _finish(q, cmd_oracle)
     q = osub.add_parser("well")
     q.add_argument("--L", type=float, required=True)
     q.add_argument("--l", type=int, default=0)
     q.add_argument("--n", default="1")
     common(q)
-    q.set_defaults(func=cmd_oracle, subparser=q)
+    _finish(q, cmd_oracle)
     q = osub.add_parser("ho")
     q.add_argument("--omega", type=float, default=1.0)
     q.add_argument("--l", type=int, default=0)
     q.add_argument("--n", default="1")
     q.add_argument("--indexing", choices=("from_zero", "from_one"), default="from_zero")
     common(q)
-    q.set_defaults(func=cmd_oracle, subparser=q)
+    _finish(q, cmd_oracle)
     q = osub.add_parser("numerov")
     q.add_argument("--potential", required=True)
     q.add_argument("--l", type=int, default=0)
@@ -334,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--bracket", required=True, help="lo:hi energy bracket")
     q.add_argument("--grid", type=float, default=1e-3)
     common(q)
-    q.set_defaults(func=cmd_oracle, subparser=q)
+    _finish(q, cmd_oracle)
 
     return parser
 
@@ -342,17 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    given = list(argv) if argv is not None else sys.argv[1:]
     actions = {
         action.dest: action
         for action in args.subparser._actions
         if action.option_strings and action.dest != "help"
     }
-    explicit = {
-        dest
-        for dest, action in actions.items()
-        if any(opt in given for opt in action.option_strings)
-    }
+    explicit = {dest for dest in actions if getattr(args, dest) is not _UNSET}
+    for dest in actions.keys() - explicit:
+        setattr(args, dest, actions[dest].fallback)
     try:
         _apply_config(args, explicit, actions)
         args.func(args)

@@ -13,12 +13,14 @@ finite sentinel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .errors import DomainError, NoMinimumError
+from .roots import brentq
 
 INFINITE = math.inf
 
@@ -255,6 +257,15 @@ class EffectivePotential:
                 return 1.0
 
 
+def oscillator_strength(omega: float, units: UnitSystem) -> float:
+    """a = m omega^2 / 2 of the oscillator; DomainError unless a is a normal float."""
+    a = 0.5 * units.mass * omega * omega
+    if not sys.float_info.min <= a < INFINITE:
+        kind = "overflows" if a == INFINITE else "underflows"
+        raise DomainError(f"oscillator strength m omega^2 / 2 {kind} to {a!r} for omega={omega!r}")
+    return a
+
+
 def eval_effective(U: EffectivePotential, r: float) -> float:
     """U(r) = V(r) + centrifugal_coeff / r^2."""
     if not r > 0:
@@ -298,7 +309,8 @@ def effective_minimum(U: EffectivePotential) -> tuple[float, float]:
     """Location and value of the minimum of U on its domain.
 
     Closed forms exist for every catalog family; the parabolic well with
-    l >= 1 falls back to bisection on the (strictly increasing) derivative.
+    l >= 1 falls back to Brent's method on the (strictly increasing)
+    derivative, to |dr| <= 1e-12 max(1, r).
     Raises NoMinimumError when U is monotone without a finite minimum.
     """
     u = U.units
@@ -306,7 +318,7 @@ def effective_minimum(U: EffectivePotential) -> tuple[float, float]:
     match U.spec:
         case IsotropicHO(omega=w) | HOSpinOrbit(omega=w):
             shift = U.spin_orbit_shift
-            a = 0.5 * u.mass * w * w
+            a = oscillator_strength(w, u)
             if U.l == 0:
                 return 0.0, -shift
             r_min = (b / a) ** 0.25
@@ -329,21 +341,13 @@ def effective_minimum(U: EffectivePotential) -> tuple[float, float]:
             def dU(r):
                 return 2.0 * a * r + pb - 2.0 * b / r**3
 
-            lo = U.length_scale * 1e-9
-            hi = U.length_scale
-            while dU(hi) < 0:
-                hi *= 2.0
+            # double, then halve, to a bracket [lo, 2 lo] around the root
+            lo = U.length_scale
+            while dU(lo) < 0:
+                lo *= 2.0
             while dU(lo) > 0:
                 lo *= 0.5
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if dU(mid) < 0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-12 * max(1.0, mid):
-                    break
-            r_min = 0.5 * (lo + hi)
+            r_min, _ = brentq(dU, lo, 2.0 * lo, xtol=1e-12, rtol=1e-12)
             return r_min, eval_effective(U, r_min)
         case FreeParticle():
             if U.l == 0:

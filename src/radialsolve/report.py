@@ -28,12 +28,11 @@ from .spectrum import (
     General,
     Ground,
     branch_g,
+    branch_theta,
     ho_energies,
     ho_spin_orbit_energies,
     hydrogen_ground_energy,
     self_consistent_energy,
-    table2_g,
-    table3_g,
     well_energies,
 )
 from .wavefunctions import SamplePoint
@@ -111,7 +110,7 @@ def _table_ho(units: UnitSystem) -> list[ComparisonRow]:
     rows = []
     for n, l in _WELL_HO_STATES:
         oracle = ho_oracle_energy(n, l, omega, units, indexing="from_one").value
-        method = ho_energies(omega, l, table2_g(n), units)
+        method = ho_energies(omega, l, branch_theta(General(n)) ** 2, units)
         rows.append(ComparisonRow(_label(n, l), oracle / unit, method / unit))
     return rows
 
@@ -121,10 +120,11 @@ def _table_ho_so(units: UnitSystem) -> list[ComparisonRow]:
     s = 0.5
     unit = units.hbar * omega
     c0 = _SO_C0_IN_HBAR_OMEGA * unit
+    g_n = branch_theta(General(1)) ** 2 / 4.0  # the spin-orbit table binds 4 g_n = theta^2
     rows = []
     for l, j in _SO_STATES:
         oracle = ho_so_oracle_energy(0, l, j, s, c0, omega, units, indexing="from_zero").value
-        method = ho_spin_orbit_energies(omega, l, j, s, c0, table3_g(1), units)
+        method = ho_spin_orbit_energies(omega, l, j, s, c0, g_n, units)
         half = "5/2" if j == 2.5 else "7/2" if j == 3.5 else "9/2"
         rows.append(ComparisonRow(f"1{_SPECTROSCOPIC[l]}_{half}", oracle / unit, method / unit))
     return rows

@@ -2,9 +2,10 @@
 
 The central relations are the bound ground-state formula E = -2 hbar^2/(m d^2)
 and its excited-state variants K d = (2n-1) pi (symmetric), K d = 2 n pi
-(antisymmetric) and K d = n pi (general). Each catalog family has an
-algebraic closed form; a bracketing bisection solver handles the implicit
-equation E = E_branch(d(E)) for arbitrary members of the catalog.
+(antisymmetric) and K d = n pi (general): every branch is K d = theta with
+E = g / d^2, g = (1/2)(hbar^2/m) theta^2. Each catalog family has an
+algebraic closed form; Brent's method (``roots.brentq``) solves the implicit
+equation E = g / d(E)^2 for arbitrary members of the catalog.
 """
 
 from __future__ import annotations
@@ -13,30 +14,28 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import ConvergenceError, DomainError, NoClassicalRegionError
+from .errors import ConvergenceError, DomainError, NoClassicalRegionError, NoMinimumError
 from .potentials import (
     NATURAL,
     EffectivePotential,
     HOSpinOrbit,
     HydrogenLike,
-    InfiniteSphericalWell,
-    IsotropicHO,
     Parabolic,
     UnitSystem,
     effective_minimum,
-    spin_orbit_constant,
     validate_jls,
 )
-from .turning_points import TurningPoints, turning_points
+from .roots import brentq
+from .turning_points import turning_points
 
 
 @dataclass(frozen=True)
 class Ground:
-    pass
+    """K d = 2."""
 
 
 @dataclass(frozen=True)
-class Symmetric:
+class _Numbered:
     n: int
 
     def __post_init__(self):
@@ -44,22 +43,16 @@ class Symmetric:
             raise DomainError(f"quantum number n must be >= 1, got {self.n}")
 
 
-@dataclass(frozen=True)
-class Antisymmetric:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"quantum number n must be >= 1, got {self.n}")
+class Symmetric(_Numbered):
+    """K d = (2n - 1) pi."""
 
 
-@dataclass(frozen=True)
-class General:
-    n: int
+class Antisymmetric(_Numbered):
+    """K d = 2 n pi."""
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"quantum number n must be >= 1, got {self.n}")
+
+class General(_Numbered):
+    """K d = n pi."""
 
 
 EnergyBranch = Union[Ground, Symmetric, Antisymmetric, General]
@@ -72,24 +65,26 @@ class EnergyLevel:
     value: float
     d_at_solution: float
     j: Optional[float] = None
-    root_sign: str = "n/a"  # "plus" | "minus" | "n/a"
     iterations: int = 0
-    converged: bool = False
+
+
+def branch_theta(branch: EnergyBranch) -> float:
+    """Branch angle theta of the quantization condition K d = theta."""
+    match branch:
+        case Ground():
+            return 2.0
+        case Symmetric(n=n):
+            return (2 * n - 1) * math.pi
+        case Antisymmetric(n=n):
+            return 2 * n * math.pi
+        case General(n=n):
+            return n * math.pi
+    raise DomainError(f"unknown branch {branch!r}")
 
 
 def branch_g(branch: EnergyBranch, units: UnitSystem = NATURAL) -> float:
-    """Aggregate g with E = g / d^2 (units energy * length^2)."""
-    h2m = units.hbar2_over_m
-    match branch:
-        case Ground():
-            return 2.0 * h2m
-        case Symmetric(n=n):
-            return 2.0 * math.pi**2 * h2m * (n - 0.5) ** 2
-        case Antisymmetric(n=n):
-            return 2.0 * math.pi**2 * h2m * n**2
-        case General(n=n):
-            return 0.5 * math.pi**2 * h2m * n**2
-    raise DomainError(f"unknown branch {branch!r}")
+    """Aggregate g = (1/2)(hbar^2/m) theta^2 with E = g / d^2 (energy * length^2)."""
+    return 0.5 * units.hbar2_over_m * branch_theta(branch) ** 2
 
 
 def ground_energy_from_d(d: float, units: UnitSystem = NATURAL, signed: bool = False) -> float:
@@ -150,37 +145,13 @@ def well_energies(
 def ho_energies(omega: float, l: int, g_n: float, units: UnitSystem = NATURAL) -> float:
     """Oscillator energy (hbar omega / 2) [sqrt(l(l+1)) + sqrt(l(l+1) + g_n)].
 
-    Presets for g_n: 4 (ground), 4 (n-1/2)^2 pi^2 (symmetric), 4 n^2 pi^2
-    (antisymmetric), n^2 pi^2 (general).
+    g_n = theta^2 with theta from branch_theta; the comparison table uses
+    the general branch, g_n = n^2 pi^2.
     """
     if not g_n > 0:
         raise DomainError(f"g_n must be positive, got {g_n}")
     ll1 = l * (l + 1)
     return 0.5 * units.hbar * omega * (math.sqrt(ll1) + math.sqrt(ll1 + g_n))
-
-
-def ho_g_preset(branch: EnergyBranch) -> float:
-    """Dimensionless g_n matching branch_g for the oscillator closed form."""
-    match branch:
-        case Ground():
-            return 4.0
-        case Symmetric(n=n):
-            return 4.0 * (n - 0.5) ** 2 * math.pi**2
-        case Antisymmetric(n=n):
-            return 4.0 * n**2 * math.pi**2
-        case General(n=n):
-            return float(n**2) * math.pi**2
-    raise DomainError(f"unknown branch {branch!r}")
-
-
-#: Table-binding presets: the oscillator table evaluates the combined formula
-#: with g_n = n^2 pi^2, the spin-orbit table with 4 g_n = n^2 pi^2.
-def table2_g(n: int) -> float:
-    return float(n * n) * math.pi**2
-
-
-def table3_g(n: int) -> float:
-    return float(n * n) * math.pi**2 / 4.0
 
 
 def ho_spin_orbit_energies(
@@ -207,165 +178,87 @@ def ho_spin_orbit_energies(
     return 0.5 * hw * (base + math.sqrt(base * base + 4.0 * g_n))
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    rel_tol: float = 1e-12
-    max_iter: int = 200
+#: Brent stops at |dE| <= _E_TOL max(1, |E|); a returned level satisfies
+#: |E - sign g / d^2| <= _RESIDUAL_TOL max(1, |E|)
+_E_TOL = 1e-15
+_RESIDUAL_TOL = 1e-10
 
 
 def _width(U: EffectivePotential, E: float) -> float:
     return turning_points(U, E).d
 
 
-def _lower_energy_edge(U: EffectivePotential) -> float:
-    """Infimum of energies with two turning points (0 for l=0 well-like)."""
+def _lower_energy_edge(U: EffectivePotential) -> Optional[float]:
+    """Minimum of U, or None when U has no finite minimum."""
     try:
         _, u_min = effective_minimum(U)
-    except Exception:
-        u_min = None
-    if u_min is not None and math.isfinite(u_min):
-        return u_min
-    return 0.0
+    except NoMinimumError:
+        return None
+    return u_min if math.isfinite(u_min) else None
 
 
 def self_consistent_energy(
     U: EffectivePotential,
     branch: EnergyBranch,
     units: UnitSystem | None = None,
-    opts: SolverOptions = SolverOptions(),
     signed: bool = False,
 ) -> EnergyLevel:
-    """Solve E = E_branch(d(E)) by bracketing bisection.
+    """Solve E = g / d(E)^2 with Brent's method (``roots.brentq``).
 
-    h(E) = E - g / d(E)^2 is monotone for the catalog families: it tends to
-    -infinity as d -> 0 just above the potential minimum and grows with E.
-    The signed variant (bound Coulomb states) solves the same equation for
-    |E| with d evaluated at E = -|E|.
+    Writing E = anchor + sign * t, the residual h(E) = E - sign * g / d(E)^2
+    is negative for small t > 0 and positive for large t in the catalog
+    families. The plain solve (sign +1) starts at the minimum of U (0 when U
+    has none) and searches upward. The signed solve (sign -1, bound Coulomb
+    states) starts at 0 and searches downward, no further than the minimum
+    of U. A geometric search brackets the sign change; Brent's method then
+    solves it to |dE| <= 1e-15 max(1, |E|).
     """
     units = units or U.units
     g = branch_g(branch, units)
     j = U.spec.j if isinstance(U.spec, HOSpinOrbit) else None
-
+    floor = _lower_energy_edge(U)
+    t_cap = None
     if signed:
-        return _signed_fixed_point(U, branch, g, units, opts, j)
-
-    e_floor = _lower_energy_edge(U)
-    span = max(abs(e_floor), units.hbar2_over_m / U.length_scale**2)
+        if not isinstance(U.spec, HydrogenLike):
+            raise DomainError("signed solve is defined for bound Coulomb-like potentials")
+        anchor, sign = 0.0, -1.0
+        if floor is not None:
+            t_cap = -floor * (1.0 - 1e-12)
+    else:
+        anchor, sign = (0.0 if floor is None else floor), 1.0
+    span = t_cap or max(abs(anchor), units.hbar2_over_m / U.length_scale**2)
 
     def h(E: float) -> float:
-        return E - g / _width(U, E) ** 2
+        return E - sign * g / _width(U, E) ** 2
 
-    lo = e_floor + 1e-9 * span
-    shrink = 0
-    while True:
+    t = span
+    for _ in range(60):
         try:
-            if h(lo) < 0:
+            if h(anchor + sign * t) < 0:
                 break
         except NoClassicalRegionError:
             pass
-        lo = e_floor + (lo - e_floor) * 0.25
-        shrink += 1
-        if shrink > 60:
-            raise ConvergenceError("no bracketing interval found above the minimum")
-    hi = lo
-    grow = 0
-    while h(hi) < 0:
-        hi = e_floor + (hi - e_floor) * 2.0
-        grow += 1
-        if grow > 200:
-            raise ConvergenceError("no upper bracket found", last_iterate=hi)
-
-    iterations = 0
-    for _ in range(opts.max_iter):
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if h(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= opts.rel_tol * max(1.0, abs(mid)) * 1e-3:
+        t *= 0.25
+    else:
+        raise ConvergenceError(f"no bracketing interval found next to E={anchor}")
+    t_lo = t_hi = t
+    for _ in range(200):
+        t_lo, t_hi = t_hi, 2.0 * t_hi if t_cap is None else min(2.0 * t_hi, t_cap)
+        if h(anchor + sign * t_hi) >= 0:
             break
-    E = 0.5 * (lo + hi)
+        if t_hi == t_cap:
+            raise ConvergenceError("no sign change between 0 and the potential minimum")
+    else:
+        raise ConvergenceError("no upper bracket found", last_iterate=anchor + sign * t_hi)
+
+    E, iterations = brentq(h, anchor + sign * t_lo, anchor + sign * t_hi, xtol=_E_TOL, rtol=_E_TOL)
     d = _width(U, E)
-    residual = abs(E - g / d**2)
-    converged = residual <= 1e-10 * max(1.0, abs(E))
-    if not converged:
+    residual = abs(E - sign * g / d**2)
+    if not residual <= _RESIDUAL_TOL * max(1.0, abs(E)):
         raise ConvergenceError(
             f"fixed point not converged: residual {residual}", last_iterate=E, iterations=iterations
         )
-    return EnergyLevel(
-        branch=branch,
-        l=U.l,
-        j=j,
-        value=E,
-        d_at_solution=d,
-        root_sign="plus",
-        iterations=iterations,
-        converged=True,
-    )
-
-
-def _signed_fixed_point(U, branch, g, units, opts, j):
-    if not isinstance(U.spec, HydrogenLike):
-        raise DomainError("signed solve is defined for bound Coulomb-like potentials")
-    a = U.spec.Z * U.spec.e_charge**2
-    b = U.centrifugal_coeff
-
-    def width(x: float) -> float:
-        return _width(U, -x)
-
-    def h(x: float) -> float:
-        return x - g / width(x) ** 2
-
-    x_cap = a * a / (4.0 * b) if b > 0 else None
-
-    lo = (x_cap if x_cap is not None else units.mass * a * a / units.hbar**2) * 1e-12
-    while h(lo) < 0:
-        lo *= 0.5
-        if lo == 0.0:
-            raise ConvergenceError("no bracketing interval found for the bound state")
-    if x_cap is not None:
-        hi = x_cap * (1.0 - 1e-12)
-        if h(hi) > 0:
-            raise ConvergenceError("no sign change below the centrifugal cap")
-    else:
-        hi = lo
-        grow = 0
-        while h(hi) > 0:
-            hi *= 2.0
-            grow += 1
-            if grow > 200:
-                raise ConvergenceError("no upper bracket found", last_iterate=hi)
-        lo, hi = hi / 2.0, hi
-
-    iterations = 0
-    for _ in range(opts.max_iter):
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if h(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= opts.rel_tol * max(1.0, abs(mid)) * 1e-3:
-            break
-    x = 0.5 * (lo + hi)
-    d = width(x)
-    residual = abs(x - g / d**2)
-    converged = residual <= 1e-10 * max(1.0, x)
-    if not converged:
-        raise ConvergenceError(
-            f"fixed point not converged: residual {residual}", last_iterate=-x, iterations=iterations
-        )
-    return EnergyLevel(
-        branch=branch,
-        l=U.l,
-        j=j,
-        value=-x,
-        d_at_solution=d,
-        root_sign="n/a",
-        iterations=iterations,
-        converged=True,
-    )
+    return EnergyLevel(branch=branch, l=U.l, j=j, value=E, d_at_solution=d, iterations=iterations)
 
 
 def parabolic_energies(
@@ -375,8 +268,7 @@ def parabolic_energies(
     l: int,
     branch: EnergyBranch,
     units: UnitSystem = NATURAL,
-    opts: SolverOptions = SolverOptions(),
 ) -> EnergyLevel:
     """Self-consistent branch energy for V = a r^2 + b r + c."""
     U = EffectivePotential(Parabolic(a=a, b=b, c=c), l=l, units=units)
-    return self_consistent_energy(U, branch, units, opts)
+    return self_consistent_energy(U, branch, units)

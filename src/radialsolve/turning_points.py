@@ -1,8 +1,10 @@
 """Classical turning points: roots of E = U(r).
 
-Closed forms cover the hydrogen-like, hard-well and oscillator families; a
-generic sampling + bisection solver covers everything else and doubles as a
-cross-check. The parabolic well reduces to the positive roots of a quartic.
+Closed forms cover the hydrogen-like, hard-well and oscillator families and
+the parabolic well reduces to the positive roots of a quartic; the free
+particle has no outer turning point. A generic sampling + Brent solver,
+``solve_turning_points``, works for any single well and serves as the
+cross-check of the closed forms.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import (
     BelowBarrierError,
     DomainError,
     NoClassicalRegionError,
+    NoMinimumError,
 )
 from .potentials import (
     INFINITE,
@@ -29,7 +32,9 @@ from .potentials import (
     Parabolic,
     effective_minimum,
     eval_effective,
+    oscillator_strength,
 )
+from .roots import brentq
 
 _REL_TOL = 1e-13
 
@@ -60,25 +65,6 @@ class TurningPoints:
         return self.r2 - self.r1
 
 
-def _bisect_root(f, lo: float, hi: float) -> float:
-    """Bisection on a bracketing interval to relative width 1e-13."""
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _REL_TOL * max(abs(mid), 1e-300):
-            break
-    return 0.5 * (lo + hi)
-
-
 def _inner_edge_is_origin(U: EffectivePotential, E: float) -> bool:
     """True when the classically allowed region extends down to r = 0."""
     if U.l > 0:
@@ -101,9 +87,10 @@ def _inner_edge_is_origin(U: EffectivePotential, E: float) -> bool:
 def solve_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
     """Generic numeric solution of E = U(r) around the potential-well minimum.
 
-    Samples geometrically toward the centrifugal singularity, bisects each
-    flank to |dr| <= 1e-13 r, then verifies that no further roots intrude on
-    the bracketed interval (AmbiguousRootsError otherwise).
+    Samples geometrically toward the centrifugal singularity, solves each
+    flank with Brent's method to |dr| <= 1e-13 r, then verifies that no
+    further roots intrude on the bracketed interval (AmbiguousRootsError
+    otherwise).
     """
     scale = U.length_scale
     wall = U.spec.L if isinstance(U.spec, InfiniteSphericalWell) else None
@@ -123,7 +110,7 @@ def solve_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
     # locate a point inside the allowed region
     try:
         r_min, u_min = effective_minimum(U)
-    except Exception:
+    except NoMinimumError:
         r_min, u_min = None, None
     if r_min is not None and r_min > 0 and math.isfinite(u_min):
         if E <= u_min:
@@ -147,14 +134,14 @@ def solve_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
             lo *= factor
             if lo < scale * 1e-18:
                 raise NoClassicalRegionError("inner turning point not found above r=0")
-        r1 = _bisect_root(g, lo, r_in)
+        r1 = brentq(g, lo, r_in, rtol=_REL_TOL)[0]
 
     # outer flank: hard wall caps r2, otherwise double outward until U > E
     if wall is not None:
         if g(wall * (1.0 - 1e-12)) < 0:
             r2 = wall
         else:
-            r2 = _bisect_root(g, r_in, wall)
+            r2 = brentq(g, r_in, wall, rtol=_REL_TOL)[0]
     else:
         hi = max(r_in, scale)
         grew = 0
@@ -163,7 +150,7 @@ def solve_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
             grew += 1
             if grew > 200:
                 raise NoClassicalRegionError("no outer turning point (U stays below E)")
-        r2 = _bisect_root(g, r_in if grew == 0 else hi / 2.0, hi)
+        r2 = brentq(g, r_in if grew == 0 else hi / 2.0, hi, rtol=_REL_TOL)[0]
 
     tp = TurningPoints(r1=r1, r2=r2, energy=E, method="numeric")
     _check_single_well(U, tp)
@@ -208,9 +195,7 @@ def closed_form_turning_points(U: EffectivePotential, E: float) -> TurningPoints
             return TurningPoints(r1=r1, r2=L, energy=E, method="closed_form")
         case IsotropicHO(omega=w) | HOSpinOrbit(omega=w):
             shift = U.spin_orbit_shift
-            a = 0.5 * u.mass * w * w
-            if not a > 0:
-                raise DomainError(f"oscillator strength m omega^2 / 2 underflows to {a} for omega={w}")
+            a = oscillator_strength(w, u)
             Es = E + shift
             if U.l > 0 and Es <= 2.0 * math.sqrt(a * b):
                 raise NoClassicalRegionError(f"E={E} at or below the potential minimum")
@@ -299,7 +284,7 @@ def parabolic_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
 
 
 def turning_points(U: EffectivePotential, E: float) -> TurningPoints:
-    """Best available turning points: closed form, quartic, or generic numeric."""
+    """Turning points of a catalog potential: closed form or quartic."""
     if not math.isfinite(E):
         raise DomainError(f"energy must be finite, got {E}")
     match U.spec:
@@ -307,5 +292,8 @@ def turning_points(U: EffectivePotential, E: float) -> TurningPoints:
             return closed_form_turning_points(U, E)
         case Parabolic():
             return parabolic_turning_points(U, E)
-        case _:
-            return solve_turning_points(U, E)
+        case FreeParticle():
+            raise NoClassicalRegionError(
+                f"free particle: U never rises above E={E}, so there is no outer turning point"
+            )
+    raise DomainError(f"unknown potential spec {U.spec!r}")

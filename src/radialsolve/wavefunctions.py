@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, NotNormalizableError
 from .potentials import NATURAL, EffectivePotential, UnitSystem, eval_effective_array
 from .quadrature import adaptive_integral, make_phase
-from .spectrum import Antisymmetric, EnergyLevel, Symmetric, self_consistent_energy
+from .spectrum import Antisymmetric, EnergyLevel, Symmetric, branch_theta, self_consistent_energy
 from .turning_points import TurningPoints, turning_points
 
 
@@ -36,7 +36,6 @@ class RadialWaveFunction:
     n: int
     phase: Callable[[float], float]
     amplitude: float = 1.0
-    use_r_argument: bool = False  # compatibility: carrier phase K*r instead of K*(r-r0)
 
     def __post_init__(self):
         if self.parity not in ("symmetric", "antisymmetric"):
@@ -47,7 +46,7 @@ class RadialWaveFunction:
             raise DomainError("amplitude must be non-negative")
 
     def carrier(self, r: float) -> float:
-        arg = self.K * (r if self.use_r_argument else r - self.tp.r0)
+        arg = self.K * (r - self.tp.r0)
         return math.cos(arg) if self.parity == "symmetric" else math.sin(arg)
 
     def radial_F(self, r: float) -> float:
@@ -85,16 +84,15 @@ def build_bound_state(
 ) -> tuple[RadialWaveFunction, EnergyLevel]:
     """Quantized state: solves the branch energy, then sets K d exactly.
 
-    K is pinned to (2n-1) pi / d or 2 n pi / d so the boundary zeros hold to
-    machine precision; the solved energy keeps K = m1 sqrt(E) consistent to
-    the solver tolerance.
+    K is pinned to theta / d, theta = (2n-1) pi or 2 n pi, so the boundary
+    zeros hold to machine precision; the solved energy keeps K = m1 sqrt(E)
+    consistent to the solver tolerance.
     """
     units = units or U.units
     branch = Symmetric(n) if parity == "symmetric" else Antisymmetric(n)
     level = self_consistent_energy(U, branch, units)
     tp = turning_points(U, level.value)
-    multiple = (2 * n - 1) if parity == "symmetric" else 2 * n
-    K = multiple * math.pi / tp.d
+    K = branch_theta(branch) / tp.d
     wf = RadialWaveFunction(potential=U, tp=tp, K=K, parity=parity, n=n, phase=_support_phase(U, tp))
     return wf, level
 
@@ -209,14 +207,13 @@ class SamplePoint:
 
 
 def sample_wavefunction(
-    wf: RadialWaveFunction | FreeParticleWave,
-    grid: Sequence[float],
-    energy: float | None = None,
+    wf: RadialWaveFunction | FreeParticleWave, grid: Sequence[float]
 ) -> list[SamplePoint]:
     """Pointwise deterministic samples of R(r) on a strictly increasing grid.
 
-    For the free particle the inner turning point r1 = sqrt(a/E) (l >= 1)
-    is flagged per point: the piecewise value is still reported there.
+    For the free particle the inner turning point r1 = sqrt(l(l+1)) / K
+    (0 for l = 0) is flagged per point: the piecewise value is still
+    reported there.
     """
     prev = 0.0
     for r in grid:
@@ -225,13 +222,7 @@ def sample_wavefunction(
         prev = r
     out: list[SamplePoint] = []
     if isinstance(wf, FreeParticleWave):
-        if energy is None:
-            energy = wf.K**2  # natural-units default m1 = 1 not assumed elsewhere
-        r1 = 0.0
-        if wf.l > 0 and energy > 0:
-            # r1 in natural units of the caller: a/E with a = l(l+1)/K^2 * E ... the
-            # flag only needs the ratio, so use Q-based form sqrt(l(l+1))/K
-            r1 = math.sqrt(wf.l * (wf.l + 1)) / wf.K
+        r1 = math.sqrt(wf.l * (wf.l + 1)) / wf.K
         for r in grid:
             val = free_particle_radial(wf, r)
             if isinstance(val, complex):

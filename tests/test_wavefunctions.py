@@ -82,13 +82,9 @@ class TestBoundStates:
         with pytest.raises(DomainError):
             eval_radial(wf, -1.0)
 
-    def test_use_r_argument_compatibility(self):
+    def test_carrier_is_centred_on_r0(self):
         wf, _ = build_bound_state(HO1, 1, "symmetric")
-        from dataclasses import replace
-
-        alt = replace(wf, use_r_argument=True)
         r = wf.tp.r0 * 1.05
-        assert alt.carrier(r) == pytest.approx(math.cos(wf.K * r), rel=1e-15)
         assert wf.carrier(r) == pytest.approx(math.cos(wf.K * (r - wf.tp.r0)), rel=1e-15)
 
     def test_energy_matches_carrier_wavenumber(self):
