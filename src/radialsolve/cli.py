@@ -13,8 +13,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .errors import RadialSolveError
 from .potentials import (
     UNIT_PRESETS,
@@ -180,6 +178,16 @@ def _apply_config(
         setattr(args, attr, parsed)
 
 
+def sample_grid(start: float, stop: float, num: int) -> list[float]:
+    """``num`` even points from start to stop, equal bit for bit to ``np.linspace``."""
+    if num < 2:
+        return [start] * num
+    step = (stop - start) / (num - 1)
+    grid = [i * step + start for i in range(num)]
+    grid[-1] = stop
+    return grid
+
+
 def cmd_tables(args) -> None:
     units = _units_for(args)
     rows = reproduce_table(args.which, units)
@@ -228,8 +236,8 @@ def cmd_wavefunction(args) -> None:
     U = EffectivePotential(spec, l=args.l, units=units)
     wf, level = build_bound_state(U, args.n, args.parity, units)
     wf = normalize(wf)
-    grid = np.linspace(wf.tp.r1 if wf.tp.r1 > 0 else wf.tp.r2 * 1e-6, wf.tp.r2, args.samples)
-    samples = sample_wavefunction(wf, [float(r) for r in grid])
+    grid = sample_grid(wf.tp.r1 if wf.tp.r1 > 0 else wf.tp.r2 * 1e-6, wf.tp.r2, args.samples)
+    samples = sample_wavefunction(wf, grid)
     meta = {
         "potential": args.potential,
         "l": args.l,

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ConvergenceError, DomainError
 from .potentials import (
@@ -26,6 +24,9 @@ from .potentials import (
     eval_effective_array,
     validate_jls,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -210,6 +211,8 @@ def _node_count(us: list[float], w: np.ndarray) -> int:
     negative near r_min when the centrifugal term is large. y_1 = r_1^(l+1)
     counts as positive, as in the start of the sweep.
     """
+    import numpy as np
+
     sign = np.sign(np.asarray(us[1:])) * np.sign(w[1:])
     sign[0] = 1.0
     sign = sign[sign != 0.0]
@@ -225,6 +228,8 @@ def _boundary_residual(us: list[float], rescaled: bool, x: np.ndarray) -> float:
     (no allowed point, or a rescaled sweep) it is +-inf, which sends the
     root finder to a bisection step.
     """
+    import numpy as np
+
     u_end = us[-1]
     allowed = np.flatnonzero(x > 0.0)
     if allowed.size and not rescaled:
@@ -255,6 +260,8 @@ def numerov_bound_state(
     Both phases stop on the same rule, hi - lo <= 1e-10 max(1, |mid|).
     ``sweeps`` on the result counts the outward integrations spent.
     """
+    import numpy as np
+
     units = units or U.units
     e_lo, e_hi = bracket
     if not (math.isfinite(e_lo) and math.isfinite(e_hi)):

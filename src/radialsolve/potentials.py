@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError, NoMinimumError
 from .roots import brentq
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INFINITE = math.inf
 
@@ -116,9 +117,9 @@ class HOSpinOrbit:
     def __post_init__(self):
         if not self.omega > 0:
             raise DomainError(f"omega must be positive, got {self.omega}")
-        if self.j < 0.5 or round(2 * self.j) != 2 * self.j:
+        if not (0.5 <= self.j < INFINITE and round(2 * self.j) == 2 * self.j):
             raise DomainError(f"j must be a half-integer >= 1/2, got {self.j}")
-        if round(2 * self.s) != 2 * self.s:
+        if not (math.isfinite(self.s) and round(2 * self.s) == 2 * self.s):
             raise DomainError(f"s must be a half-integer, got {self.s}")
         if self.c0 is not None and self.c0 < 0:
             raise DomainError("c0 must be non-negative")
@@ -133,8 +134,8 @@ class Parabolic:
     c: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.c > 0):
-            raise DomainError("parabolic coefficients a, b, c must all be positive")
+        if not all(0 < x < INFINITE for x in (self.a, self.b, self.c)):
+            raise DomainError("parabolic coefficients a, b, c must all be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -257,13 +258,32 @@ class EffectivePotential:
                 return 1.0
 
 
+def _normal(value: float, what: str, cause: str) -> float:
+    """``value`` if it is a normal float; DomainError naming ``what`` and ``cause`` otherwise."""
+    if not sys.float_info.min <= value < INFINITE:
+        kind = "overflows" if value == INFINITE else "underflows"
+        raise DomainError(f"{what} {kind} to {value!r} for {cause}")
+    return value
+
+
 def oscillator_strength(omega: float, units: UnitSystem) -> float:
     """a = m omega^2 / 2 of the oscillator; DomainError unless a is a normal float."""
     a = 0.5 * units.mass * omega * omega
-    if not sys.float_info.min <= a < INFINITE:
-        kind = "overflows" if a == INFINITE else "underflows"
-        raise DomainError(f"oscillator strength m omega^2 / 2 {kind} to {a!r} for omega={omega!r}")
-    return a
+    return _normal(a, "oscillator strength m omega^2 / 2", f"omega={omega!r}")
+
+
+def well_energy_scale(L: float, units: UnitSystem) -> float:
+    """hbar^2 / (m L^2) of the hard well; DomainError unless it is a normal float."""
+    # divide twice: L * L alone underflows to 0 for L below about 1e-162
+    scale = units.hbar2_over_m / L / L
+    return _normal(scale, "well energy scale hbar^2 / (m L^2)", f"L={L!r}")
+
+
+def coulomb_energy_scale(Z: int, e: float, units: UnitSystem) -> float:
+    """m (Z e^2)^2 / hbar^2, twice the Rydberg energy; DomainError unless it is a normal float."""
+    a = Z * e * e
+    scale = a * a / units.hbar2_over_m
+    return _normal(scale, "Coulomb energy scale m (Z e^2)^2 / hbar^2", f"Z={Z!r}, e={e!r}")
 
 
 def eval_effective(U: EffectivePotential, r: float) -> float:
@@ -282,6 +302,8 @@ def eval_effective_array(U: EffectivePotential, r: np.ndarray) -> np.ndarray:
     Each formula repeats the scalar one operation for operation, so numpy
     rounds every element exactly as the scalar path does.
     """
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     if not np.all(r > 0):
         raise DomainError("r must be positive")
@@ -310,7 +332,7 @@ def effective_minimum(U: EffectivePotential) -> tuple[float, float]:
 
     Closed forms exist for every catalog family; the parabolic well with
     l >= 1 falls back to Brent's method on the (strictly increasing)
-    derivative, to |dr| <= 1e-12 max(1, r).
+    derivative, to |dr| <= 1e-12 r.
     Raises NoMinimumError when U is monotone without a finite minimum.
     """
     u = U.units
@@ -324,12 +346,14 @@ def effective_minimum(U: EffectivePotential) -> tuple[float, float]:
             r_min = (b / a) ** 0.25
             return r_min, 2.0 * math.sqrt(a * b) - shift
         case HydrogenLike(Z=Z, e_charge=e):
+            coulomb_energy_scale(Z, e, u)
             a = Z * e * e
             if U.l == 0:
                 raise NoMinimumError("attractive Coulomb with l = 0 is monotone")
             r_min = 2.0 * b / a
             return r_min, -a * a / (4.0 * b)
         case InfiniteSphericalWell(L=L):
+            well_energy_scale(L, u)
             if U.l == 0:
                 raise NoMinimumError("flat well interior with l = 0 has no interior minimum")
             # centrifugal term decreases monotonically; the minimum sits at the wall
@@ -347,7 +371,7 @@ def effective_minimum(U: EffectivePotential) -> tuple[float, float]:
                 lo *= 2.0
             while dU(lo) > 0:
                 lo *= 0.5
-            r_min, _ = brentq(dU, lo, 2.0 * lo, xtol=1e-12, rtol=1e-12)
+            r_min, _ = brentq(dU, lo, 2.0 * lo, rtol=1e-12)
             return r_min, eval_effective(U, r_min)
         case FreeParticle():
             if U.l == 0:

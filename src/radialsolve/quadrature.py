@@ -21,8 +21,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import ComplexPhaseError, DomainError, IntegrationError
 from .potentials import (
     EffectivePotential,
@@ -239,6 +237,8 @@ def _area_closed_form(U: EffectivePotential, r1: float, r2: float, b: float) -> 
 
 def _check_nonnegative(U: EffectivePotential, lo: float, hi: float, samples: int = 257) -> None:
     """Raise ComplexPhaseError if U < 0 at any of ``samples`` even points of [lo, hi]."""
+    import numpy as np
+
     if hi <= lo:
         lo, hi = hi, lo
     step = (hi - lo) / (samples - 1) if samples > 1 else 0.0

@@ -229,7 +229,9 @@ def self_consistent_energy(
     span = t_cap or max(abs(anchor), units.hbar2_over_m / U.length_scale**2)
 
     def h(E: float) -> float:
-        return E - sign * g / _width(U, E) ** 2
+        d2 = _width(U, E) ** 2
+        # g / d^2 grows without bound as d^2 underflows to 0
+        return E - sign * (g / d2 if d2 else math.inf)
 
     t = span
     for _ in range(60):

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     AmbiguousRootsError,
     BelowBarrierError,
@@ -158,6 +156,8 @@ def solve_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
 
 
 def _check_single_well(U: EffectivePotential, tp: TurningPoints, samples: int = 512) -> None:
+    import numpy as np
+
     lo = tp.r1 if tp.r1 > 0 else tp.r2 * 1e-9
     rs = np.linspace(lo, tp.r2, samples + 2)[1:-1]
     vals = np.array([eval_effective(U, float(r)) - tp.energy for r in rs])
@@ -219,9 +219,14 @@ def quartic_positive_roots(a4: float, a3: float, a2: float, a0: float) -> list[f
     Companion-matrix eigenvalues seed a Newton polish; each returned root has
     |residual| <= 1e-9 max(1, max|coefficient|).
     """
+    import numpy as np
+
     if not a4 > 0:
         raise DomainError(f"leading coefficient must be positive, got {a4}")
     coeffs = [a4, a3, a2, 0.0, a0]
+    # the companion matrix holds the monic coefficients c / a4
+    if not all(math.isfinite(c / a4) for c in coeffs):
+        raise DomainError(f"quartic coefficients {coeffs} are not finite once divided by a4")
 
     def p(x):
         return ((a4 * x + a3) * x + a2) * x * x + a0

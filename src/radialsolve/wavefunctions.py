@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import DomainError, NotNormalizableError
 from .potentials import NATURAL, EffectivePotential, UnitSystem, eval_effective_array
 from .quadrature import adaptive_integral, make_phase
@@ -144,6 +142,8 @@ def evanescent_eval(U: EffectivePotential, E: float, r: float, r_ref: float) -> 
     The path from r_ref to r must satisfy E < U throughout; the decaying
     branch is taken toward increasing r (growing toward decreasing r).
     """
+    import numpy as np
+
     if not r > 0 or not r_ref > 0:
         raise DomainError(f"radii must be positive, got r={r}, r_ref={r_ref}")
     lo, hi = min(r, r_ref), max(r, r_ref)

@@ -163,6 +163,32 @@ class TestEffectiveMinimum:
         assert abs(grad) < 1e-5
         assert u_min == pytest.approx(eval_effective(U, r_min))
 
+    def test_parabolic_minimum_is_relative_at_tiny_scales(self):
+        # r_min ~ 6e-34: an absolute 1e-12 stop would leave U' of one sign
+        a, b = 1e-300, 1e100
+        U = EffectivePotential(Parabolic(a=a, b=b, c=1.0), l=1)
+        r_min, _ = effective_minimum(U)
+
+        def dU(r):
+            return 2.0 * a * r + b - 2.0 * U.centrifugal_coeff / r**3
+
+        assert dU(r_min * (1.0 - 1e-12)) < 0.0 < dU(r_min * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize(
+        "spec, l, match",
+        [
+            (InfiniteSphericalWell(L=1e-200), 0, "overflows.*L=1e-200"),
+            (InfiniteSphericalWell(L=1e-160), 1, "overflows.*L=1e-160"),
+            (InfiniteSphericalWell(L=1e300), 1, "underflows.*L=1e\\+300"),
+            (HydrogenLike(Z=1, e_charge=1e-200), 0, "underflows.*e=1e-200"),
+            (HydrogenLike(Z=2, e_charge=1e300), 1, "overflows.*e=1e\\+300"),
+        ],
+    )
+    def test_rejects_non_normal_energy_scale(self, spec, l, match):
+        # hbar^2 / (m L^2) and m (Z e^2)^2 / hbar^2 are 0, subnormal or infinite
+        with pytest.raises(DomainError, match=match):
+            effective_minimum(EffectivePotential(spec, l=l))
+
     def test_monotone_cases_raise(self):
         with pytest.raises(NoMinimumError):
             effective_minimum(EffectivePotential(FreeParticle(), l=0))
@@ -238,6 +264,12 @@ class TestConstruction:
             HydrogenLike(Z=0)
         with pytest.raises(DomainError):
             Parabolic(a=1.0, b=0.0, c=1.0)
+        with pytest.raises(DomainError, match="finite"):
+            Parabolic(a=math.inf, b=1e300, c=1e-160)
+        with pytest.raises(DomainError):
+            HOSpinOrbit(omega=1.0, j=math.inf)
+        with pytest.raises(DomainError):
+            HOSpinOrbit(omega=1.0, j=0.5, s=math.inf)
         with pytest.raises(DomainError):
             EffectivePotential(FreeParticle(), l=-1)
 

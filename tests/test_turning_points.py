@@ -195,6 +195,14 @@ class TestQuarticRoots:
             assert abs(residual) <= 1e-9 * scale
 
 
+    @pytest.mark.parametrize(
+        "coeffs", [(1e-300, 1e100, -1.7e67, 1.0), (1e-200, 2.0, 1e300, 6.0), (1.0, math.nan, 0.0, 1.0)]
+    )
+    def test_rejects_non_finite_monic_coefficients(self, coeffs):
+        with pytest.raises(DomainError, match="not finite"):
+            quartic_positive_roots(*coeffs)
+
+
 class TestParabolic:
     def test_roots_bracket_minimum(self):
         U = EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=1)
