@@ -23,7 +23,6 @@ from .potentials import (  # noqa: F401
 from .turning_points import (  # noqa: F401
     TurningPoints,
     closed_form_turning_points,
-    quartic_positive_roots,
     solve_turning_points,
     turning_points,
 )

@@ -20,9 +20,11 @@ from .potentials import (
     EffectivePotential,
     InfiniteSphericalWell,
     UnitSystem,
+    _normal,
     eval_effective,
     eval_effective_array,
     validate_jls,
+    well_energy_scale,
 )
 
 if TYPE_CHECKING:
@@ -105,7 +107,7 @@ def well_oracle_energy(L: float, l: int, n: int, units: UnitSystem = NATURAL) ->
     if not L > 0:
         raise DomainError(f"L must be positive, got {L}")
     beta = bessel_zero(l, n)
-    value = units.hbar**2 / (2.0 * units.mass * L * L) * beta * beta
+    value = well_energy_scale(L, units) / 2.0 * beta * beta
     return OracleEnergy(source="bessel_well", value=value, n=n, l=l)
 
 
@@ -258,6 +260,7 @@ def numerov_bound_state(
     Illinois regula falsi on the boundary residual, F(r_max) over the
     largest |F| in the classically allowed region, then converges on it.
     Both phases stop on the same rule, hi - lo <= 1e-10 max(1, |mid|).
+    A lower edge below min U on the grid is raised to it.
     ``sweeps`` on the result counts the outward integrations spent.
     """
     import numpy as np
@@ -270,7 +273,7 @@ def numerov_bound_state(
         raise DomainError(f"invalid bracket {bracket}")
     if not (math.isfinite(grid) and grid > 0):
         raise DomainError(f"grid step must be finite and positive, got {grid}")
-    scale = U.length_scale
+    scale = _normal(U.length_scale, "length scale", repr(U.spec))
     r_min = 1e-6 * scale
     if isinstance(U.spec, InfiniteSphericalWell):
         # stop just inside the wall; the F(r_max) = 0 condition shifts levels
@@ -301,6 +304,11 @@ def numerov_bound_state(
     # x_i = h^2 f_i, with f = (2m/hbar^2)(E - U)
     k = 2.0 * units.mass / units.hbar**2 * h * h
     ku = k * u_vals
+    # no level lies below min U: from far below it, h^2 |f| / 12 > 1 makes the
+    # recurrence oscillate and the node count meaningless
+    e_lo = max(e_lo, float(u_vals.min()))
+    if not e_hi > e_lo:
+        raise DomainError(f"bracket {bracket} lies below the potential minimum on the grid")
     y0 = float(r[0]) ** (U.l + 1)
     y1 = float(r[1]) ** (U.l + 1)
     sweeps = 0

@@ -180,7 +180,9 @@ def spin_orbit_constant(
     if mode == "c0":
         return 0.5 * c0 * bracket
     if mode == "relativistic":
-        prefactor = units.hbar**2 * omega**2 / (2.0 * units.mass * units.light_speed**2)
+        # omega * omega, not omega**2: a float power raises OverflowError instead of giving inf
+        prefactor = units.hbar**2 * (omega * omega) / (2.0 * units.mass * units.light_speed**2)
+        _normal(prefactor, "spin-orbit prefactor hbar^2 omega^2 / (2 m c^2)", f"omega={omega!r}")
         return prefactor * bracket
     raise DomainError(f"unknown spin-orbit mode {mode!r}")
 

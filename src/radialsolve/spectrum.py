@@ -229,7 +229,8 @@ def self_consistent_energy(
     span = t_cap or max(abs(anchor), units.hbar2_over_m / U.length_scale**2)
 
     def h(E: float) -> float:
-        d2 = _width(U, E) ** 2
+        d = _width(U, E)
+        d2 = d * d  # not d**2, which raises OverflowError where d * d is inf
         # g / d^2 grows without bound as d^2 underflows to 0
         return E - sign * (g / d2 if d2 else math.inf)
 
@@ -255,7 +256,7 @@ def self_consistent_energy(
 
     E, iterations = brentq(h, anchor + sign * t_lo, anchor + sign * t_hi, xtol=_E_TOL, rtol=_E_TOL)
     d = _width(U, E)
-    residual = abs(E - sign * g / d**2)
+    residual = abs(E - sign * g / (d * d))
     if not residual <= _RESIDUAL_TOL * max(1.0, abs(E)):
         raise ConvergenceError(
             f"fixed point not converged: residual {residual}", last_iterate=E, iterations=iterations

@@ -1,16 +1,18 @@
 """Classical turning points: roots of E = U(r).
 
 Closed forms cover the hydrogen-like, hard-well and oscillator families and
-the parabolic well reduces to the positive roots of a quartic; the free
-particle has no outer turning point. A generic sampling + Brent solver,
-``solve_turning_points``, works for any single well and serves as the
-cross-check of the closed forms.
+the parabolic well with l = 0. With l >= 1 the parabolic U is strictly
+convex, so Brent's method on its two flanks finds the only two roots. The
+free particle has no outer turning point. ``solve_turning_points`` runs the
+same flank solves for any single well, then samples the interval for extra
+roots, and serves as the cross-check of the closed forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (
     AmbiguousRootsError,
@@ -33,8 +35,6 @@ from .potentials import (
     oscillator_strength,
 )
 from .roots import brentq
-
-_REL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -85,17 +85,25 @@ def _inner_edge_is_origin(U: EffectivePotential, E: float) -> bool:
 def solve_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
     """Generic numeric solution of E = U(r) around the potential-well minimum.
 
-    Samples geometrically toward the centrifugal singularity, solves each
-    flank with Brent's method to |dr| <= 1e-13 r, then verifies that no
+    Solves both flanks (``_flank_turning_points``), then verifies that no
     further roots intrude on the bracketed interval (AmbiguousRootsError
     otherwise).
     """
+    tp = _flank_turning_points(U, E, lambda r: eval_effective(U, r) - E)
+    _check_single_well(U, tp)
+    return tp
+
+
+def _flank_turning_points(U: EffectivePotential, E: float, g: Callable[[float], float]) -> TurningPoints:
+    """The root of g(r) = U(r) - E on each flank of the well's minimum.
+
+    Marches geometrically from the minimum toward the centrifugal
+    singularity and outward until U exceeds E, then solves each flank with
+    Brent's method to a few ulps. These are the only roots when U has a
+    single well, as a convex U does.
+    """
     scale = U.length_scale
     wall = U.spec.L if isinstance(U.spec, InfiniteSphericalWell) else None
-
-    def g(r):
-        u = eval_effective(U, r)
-        return INFINITE if u == INFINITE else u - E
 
     if _inner_edge_is_origin(U, E):
         r1 = 0.0
@@ -125,34 +133,30 @@ def solve_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
         raise NoClassicalRegionError(f"no classically allowed region found for E={E}")
 
     if r1 is None:
-        # march the inner flank down geometrically until U > E
+        # halve toward r = 0 until U > E: with l >= 1 the centrifugal term
+        # rises without bound, so only r^2 underflowing to 0 ends the march
         lo = r_in
-        factor = 0.5
         while g(lo) < 0:
-            lo *= factor
-            if lo < scale * 1e-18:
+            lo *= 0.5
+            if lo * lo == 0.0:
                 raise NoClassicalRegionError("inner turning point not found above r=0")
-        r1 = brentq(g, lo, r_in, rtol=_REL_TOL)[0]
+        r1 = brentq(g, lo, 2.0 * lo)[0]
 
     # outer flank: hard wall caps r2, otherwise double outward until U > E
     if wall is not None:
         if g(wall * (1.0 - 1e-12)) < 0:
             r2 = wall
         else:
-            r2 = brentq(g, r_in, wall, rtol=_REL_TOL)[0]
+            r2 = brentq(g, r_in, wall)[0]
     else:
-        hi = max(r_in, scale)
-        grew = 0
+        hi = r_in
         while g(hi) < 0:
             hi *= 2.0
-            grew += 1
-            if grew > 200:
+            if hi == INFINITE:
                 raise NoClassicalRegionError("no outer turning point (U stays below E)")
-        r2 = brentq(g, r_in if grew == 0 else hi / 2.0, hi, rtol=_REL_TOL)[0]
+        r2 = brentq(g, 0.5 * hi, hi)[0]
 
-    tp = TurningPoints(r1=r1, r2=r2, energy=E, method="numeric")
-    _check_single_well(U, tp)
-    return tp
+    return TurningPoints(r1=r1, r2=r2, energy=E, method="numeric")
 
 
 def _check_single_well(U: EffectivePotential, tp: TurningPoints, samples: int = 512) -> None:
@@ -213,83 +217,31 @@ def closed_form_turning_points(U: EffectivePotential, E: float) -> TurningPoints
     raise DomainError(f"no closed-form turning points for {type(U.spec).__name__}")
 
 
-def quartic_positive_roots(a4: float, a3: float, a2: float, a0: float) -> list[float]:
-    """Real positive roots of a4 r^4 + a3 r^3 + a2 r^2 + a0, sorted ascending.
-
-    Companion-matrix eigenvalues seed a Newton polish; each returned root has
-    |residual| <= 1e-9 max(1, max|coefficient|).
-    """
-    import numpy as np
-
-    if not a4 > 0:
-        raise DomainError(f"leading coefficient must be positive, got {a4}")
-    coeffs = [a4, a3, a2, 0.0, a0]
-    # the companion matrix holds the monic coefficients c / a4
-    if not all(math.isfinite(c / a4) for c in coeffs):
-        raise DomainError(f"quartic coefficients {coeffs} are not finite once divided by a4")
-
-    def p(x):
-        return ((a4 * x + a3) * x + a2) * x * x + a0
-
-    def dp(x):
-        return ((4.0 * a4 * x + 3.0 * a3) * x + 2.0 * a2) * x
-
-    scale = max(1.0, max(abs(c) for c in coeffs))
-    roots = []
-    for z in np.roots(coeffs):
-        if abs(z.imag) > 1e-7 * max(1.0, abs(z.real)):
-            continue
-        x = float(z.real)
-        if x <= 0:
-            continue
-        for _ in range(50):
-            fx = p(x)
-            dfx = dp(x)
-            if dfx == 0.0:
-                break
-            step = fx / dfx
-            x -= step
-            if abs(step) <= 1e-15 * max(1.0, abs(x)):
-                break
-        if x > 0 and abs(p(x)) <= 1e-9 * scale:
-            roots.append(x)
-    roots.sort()
-    deduped: list[float] = []
-    for x in roots:
-        if not deduped or x - deduped[-1] > 1e-9 * max(1.0, x):
-            deduped.append(x)
-    return deduped
-
-
 def parabolic_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
-    """Turning points of the parabolic well via its quartic resolvent.
+    """Turning points of the parabolic well a r^2 + b r + c.
 
-    Among the positive roots, the pair immediately bracketing the minimum of
-    U is selected; with l = 0 the inner turning point is r1 = 0.
+    With l >= 1, U'' = 2 a + 6 coeff / r^4 > 0: U is strictly convex on
+    r > 0, so the flank solves find its only two roots. With l = 0, r1 = 0
+    and r2 is the positive root of a r^2 + b r - t, t = E - c, in the
+    non-cancelling form t / (b/2 + sqrt(b^2/4 + a t)).
     """
     if not isinstance(U.spec, Parabolic):
         raise DomainError("parabolic_turning_points requires a Parabolic spec")
-    a, pb, c = U.spec.a, U.spec.b, U.spec.c
-    delta = U.centrifugal_coeff
-    roots = quartic_positive_roots(a, pb, c - E, delta)
-    if U.l == 0:
-        if E <= c:
-            raise NoClassicalRegionError(f"E={E} at or below the l=0 minimum {c}")
-        if len(roots) != 1:
-            raise AmbiguousRootsError(roots)
-        return TurningPoints(r1=0.0, r2=roots[0], energy=E, method="closed_form")
-    r_min, u_min = effective_minimum(U)
-    if E <= u_min:
-        raise NoClassicalRegionError(f"E={E} at or below the minimum U={u_min}")
-    below = [x for x in roots if x < r_min]
-    above = [x for x in roots if x > r_min]
-    if not below or not above:
-        raise NoClassicalRegionError(f"quartic roots {roots} do not bracket r_min={r_min}")
-    return TurningPoints(r1=below[-1], r2=above[0], energy=E, method="closed_form")
+    a, b, c = U.spec.a, U.spec.b, U.spec.c
+    # subtract c once: near the minimum it would swamp U(r) - E in rounding
+    t = E - c
+    if U.l > 0:
+        coeff = U.centrifugal_coeff
+        return _flank_turning_points(U, E, lambda r: a * r * r + b * r + coeff / (r * r) - t)
+    if not t > 0:
+        raise NoClassicalRegionError(f"E={E} at or below the l=0 minimum {c}")
+    # hypot and sqrt(a) sqrt(t) keep b^2 and a t from overflowing
+    r2 = t / (0.5 * b + math.hypot(0.5 * b, math.sqrt(a) * math.sqrt(t)))
+    return TurningPoints(r1=0.0, r2=r2, energy=E, method="closed_form")
 
 
 def turning_points(U: EffectivePotential, E: float) -> TurningPoints:
-    """Turning points of a catalog potential: closed form or quartic."""
+    """Turning points of a catalog potential: closed form or flank solves."""
     if not math.isfinite(E):
         raise DomainError(f"energy must be finite, got {E}")
     match U.spec:

@@ -84,6 +84,41 @@ def test_cli_ends_in_an_exit_code_and_at_most_one_error_line(argv):
         assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
+def test_parabolic_turning_points_of_a_wide_well():
+    # the roots 0.0077 and 9050 lie six decades apart around r_min = 1.8
+    code, out, err = run_main([
+        "turning-points", "--potential", "parabolic:a=0.001,b=2,c=1000", "--l", "3", "--energy", "101000",
+    ])
+    assert (code, err) == (0, "")
+    fields = dict(line.split("=") for line in out.decode().split())
+    assert float(fields["r1"]) == pytest.approx(0.0077459673, rel=1e-9)
+    assert float(fields["r2"]) == pytest.approx(9049.8756, rel=1e-8)
+    assert fields["method"] == "numeric"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the relativistic spin-orbit prefactor overflows
+        ["wavefunction", "--potential", "hoso:omega=1e200,j=1.5", "--l", "1", "--n", "2", "--parity", "antisymmetric"],
+        ["oracle", "numerov", "--potential", "hoso:omega=1e200,j=1.5", "--l", "1", "--nodes", "0", "--bracket", "1:2"],
+        # L * L underflows to 0 in hbar^2 / (2 m L^2)
+        ["oracle", "well", "--L", "1e-300", "--l", "1", "--n", "1:2"],
+        # the length scale overflows, so no r_max search can end
+        ["oracle", "numerov", "--potential", "hydrogen:e=1e-160", "--l", "1", "--nodes", "0", "--bracket", "0:1e-160"],
+    ],
+    ids=["wavefunction hoso", "numerov hoso", "well", "numerov hydrogen"],
+)
+def test_extreme_parameters_end_in_one_error_line(argv):
+    # a fresh process with a timeout, so a search that never ends fails the test
+    proc = subprocess.run(
+        [sys.executable, "-m", "radialsolve.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 # ---------------------------------------------------------------- sample grid
 
 
@@ -142,9 +177,10 @@ NO_ARRAY_VERBS = [
     ["oracle", "well", "--L", "1", "--l", "1", "--n", "1:2"],
     ["oracle", "bessel-zeros", "--l", "2", "--n", "1:3"],
     ["wavefunction", "--potential", "ho:omega=1", "--l", "1", "--samples", "64"],
+    ["turning-points", "--potential", "parabolic:a=1,b=1,c=1", "--l", "1", "--energy", "6"],
+    ["spectrum", "--potential", "parabolic:a=1,b=1,c=1", "--l", "1", "--n", "1:2"],
 ]
 ARRAY_VERBS = [
-    ["turning-points", "--potential", "parabolic:a=1,b=1,c=1", "--l", "1", "--energy", "6"],
     ["oracle", "numerov", "--potential", "ho:omega=1", "--nodes", "0", "--bracket", "1:2"],
 ]
 

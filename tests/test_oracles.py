@@ -100,6 +100,12 @@ class TestAnalyticLadders:
         res = well_oracle_energy(2.0, 1, 1)
         assert res.value == pytest.approx(4.49341**2 / 8.0, abs=1e-4)
 
+    @pytest.mark.parametrize("L, kind", [(1e-300, "overflows"), (1e300, "underflows")])
+    def test_well_energy_scale_must_be_normal(self, L, kind):
+        # L * L underflows to 0 for L = 1e-300
+        with pytest.raises(DomainError, match=f"well energy scale.*{kind}"):
+            well_oracle_energy(L, 1, 1)
+
     def test_ho_indexing(self):
         assert ho_oracle_energy(0, 0, 1.0).value == pytest.approx(1.5)
         assert ho_oracle_energy(1, 2, 1.0).value == pytest.approx(5.5)
@@ -191,6 +197,18 @@ class TestNumerov:
         U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
         res = numerov_bound_state(U, 0, (-1e4, 2.0))
         assert res.value == pytest.approx(1.5, rel=1e-4)
+
+    def test_lower_edge_far_below_the_potential(self):
+        # at E = -1e7, h^2 |f| / 12 > 1 on the whole grid, so a node count
+        # taken there is meaningless; no level lies below min U anyway
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
+        for lo in (-1e7, -1e6):
+            assert numerov_bound_state(U, 0, (lo, 2.0)).value == pytest.approx(1.5, rel=1e-6)
+
+    def test_bracket_below_the_potential_minimum(self):
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=2)  # min U = sqrt(6)
+        with pytest.raises(DomainError, match="below the potential minimum"):
+            numerov_bound_state(U, 0, (-5.0, 2.0))
 
     def test_sweeps_recorded(self):
         U = EffectivePotential(IsotropicHO(omega=1.0), l=1)

@@ -238,6 +238,12 @@ class TestSpinOrbitConstant:
         expected = EV_NM.hbar**2 * 1.0 / (2.0 * EV_NM.mass * EV_NM.light_speed**2) * 2.0
         assert c == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("omega, kind", [(1e200, "overflows"), (1e-160, "underflows")])
+    def test_relativistic_prefactor_must_be_normal(self, omega, kind):
+        # checked like the other energy scales: it must be a normal float
+        with pytest.raises(DomainError, match=f"prefactor.*{kind}"):
+            spin_orbit_constant(omega, 1.5, 1, 0.5, NATURAL, mode="relativistic")
+
     def test_invalid_triple_rejected(self):
         with pytest.raises(DomainError):
             spin_orbit_constant(1.0, 4.5, 1, 0.5, NATURAL)

@@ -1,4 +1,4 @@
-"""Tests for the turning-point solvers (closed form, quartic, generic)."""
+"""Tests for the turning-point solvers (closed form, parabolic flanks, generic)."""
 
 import math
 import re
@@ -26,7 +26,6 @@ from radialsolve.turning_points import (
     TurningPoints,
     closed_form_turning_points,
     parabolic_turning_points,
-    quartic_positive_roots,
     solve_turning_points,
     turning_points,
 )
@@ -162,45 +161,121 @@ class TestClosedForm:
                 assert numeric.r2 == pytest.approx(closed.r2, abs=1e-9 * max(1.0, closed.r2))
 
 
+def _quartic_roots(a, b, c, l, E):
+    """Positive real roots of a r^4 + b r^3 + (c - E) r^2 + coeff, ascending.
+
+    This is E = U(r) of the parabolic well times r^2 (natural units), solved
+    as the eigenvalues of its companion matrix: a reference that shares no
+    code with the flank solves.
+    """
+    coeff = l * (l + 1) / 2.0
+    roots = np.roots([a, b, c - E, 0.0, coeff])
+    return sorted(float(z.real) for z in roots if abs(z.imag) <= 1e-7 * abs(z) and z.real > 0)
+
+
+def _quartic_turning_points(a, b, c, l, E):
+    """The reference roots next to the minimum of U: (0, r2) for l = 0, else (r1, r2)."""
+    roots = _quartic_roots(a, b, c, l, E)
+    if l == 0:
+        return 0.0, roots[0]
+    r_min, _ = effective_minimum(EffectivePotential(Parabolic(a=a, b=b, c=c), l=l))
+    return max(x for x in roots if x < r_min), min(x for x in roots if x > r_min)
+
+
 class TestQuarticRoots:
+    """Parabolic turning points against the positive roots of the quartic a r^4 + b r^3 + (c - E) r^2 + coeff."""
+
     def test_factored_biquadratic(self):
-        roots = quartic_positive_roots(1.0, 0.0, -5.0, 4.0)
-        assert len(roots) == 2
-        assert roots[0] == pytest.approx(1.0, rel=1e-12)
-        assert roots[1] == pytest.approx(2.0, rel=1e-12)
+        # (r - 1)(r - 2)(r^2 + 6 r + 4) / 8 = r^4 / 8 + 3 r^3 / 8 - 3 r^2 / 2 + 1:
+        # a = 1/8, b = 3/8, c - E = -3/2 and coeff = 1 (l = 1)
+        U = EffectivePotential(Parabolic(a=0.125, b=0.375, c=1.0), l=1)
+        tp = parabolic_turning_points(U, 2.5)
+        assert tp.r1 == pytest.approx(1.0, rel=1e-13)
+        assert tp.r2 == pytest.approx(2.0, rel=1e-13)
+        assert tp.method == "numeric"
 
     def test_no_positive_roots(self):
-        assert quartic_positive_roots(1.0, 1.0, 1.0, 1.0) == []
+        # U = r^2 + r + 2 + 1/r^2 > 1 everywhere: r^4 + r^3 + r^2 + 1 has no positive root
+        assert _quartic_roots(1.0, 1.0, 2.0, 1, 1.0) == []
+        with pytest.raises(NoClassicalRegionError):
+            parabolic_turning_points(EffectivePotential(Parabolic(a=1.0, b=1.0, c=2.0), l=1), 1.0)
 
     def test_parabolic_case_vs_grid_oracle(self):
-        # roots of r^4 + r^3 - 5 r^2 + 1 (a=1, b=1, c=0 is not allowed in the
-        # potential type, but the raw quartic solver takes bare coefficients)
-        def p(x):
-            return ((x + 1.0) * x - 5.0) * x * x + 1.0
+        U = EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=1)
+        E = 7.0
 
-        grid = np.linspace(1e-4, 10.0, 10_000)
-        vals = p(grid)
+        def f(x):
+            return eval_effective(U, x) - E
+
+        grid = np.linspace(1e-2, 10.0, 10_000)
+        vals = np.array([f(float(x)) for x in grid])
         brackets = np.flatnonzero(np.diff(np.sign(vals)) != 0)
-        oracle = sorted(_bisect(p, grid[i], grid[i + 1]) for i in brackets)
-        roots = quartic_positive_roots(1.0, 1.0, -5.0, 1.0)
-        assert len(roots) == len(oracle) == 2
-        for got, want in zip(roots, oracle):
-            assert got == pytest.approx(want, rel=1e-9)
+        oracle = sorted(_bisect(f, grid[i], grid[i + 1]) for i in brackets)
+        tp = parabolic_turning_points(U, E)
+        assert len(oracle) == 2
+        assert tp.r1 == pytest.approx(oracle[0], rel=1e-12)
+        assert tp.r2 == pytest.approx(oracle[1], rel=1e-12)
 
     def test_residual_bound(self):
-        coeffs = (2.0, -3.0, -7.0, 1.5)
-        scale = max(1.0, max(abs(c) for c in coeffs))
-        for x in quartic_positive_roots(*coeffs):
-            residual = ((coeffs[0] * x + coeffs[1]) * x + coeffs[2]) * x * x + coeffs[3]
-            assert abs(residual) <= 1e-9 * scale
+        a, b, c, E = 2.0, 3.0, 1.0, 8.0  # l = 1: coeff = 1
+        coeffs = (a, b, c - E, 1.0)
+        scale = max(1.0, max(abs(x) for x in coeffs))
+        tp = parabolic_turning_points(EffectivePotential(Parabolic(a=a, b=b, c=c), l=1), E)
+        for x in (tp.r1, tp.r2):
+            residual = ((a * x + b) * x + c - E) * x * x + 1.0
+            assert abs(residual) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "a, b, c, dE",
+        [
+            (1.0, 1.0, 1.0, 3.0),
+            (0.5, 2.0, 0.25, 0.01),
+            (1e-3, 0.5, 1e3, 1e5),
+            (1e3, 1e-3, 2.0, 50.0),
+            (0.001, 2.0, 1000.0, 1e5),
+        ],
+    )
+    def test_matches_companion_matrix(self, a, b, c, l, dE):
+        U = EffectivePotential(Parabolic(a=a, b=b, c=c), l=l)
+        _, u_min = effective_minimum(U)
+        E = u_min + dE
+        tp = parabolic_turning_points(U, E)
+        r1, r2 = _quartic_turning_points(a, b, c, l, E)
+        assert tp.r1 == pytest.approx(r1, rel=1e-9)
+        assert tp.r2 == pytest.approx(r2, rel=1e-9)
+
+    def test_wide_well_keeps_both_roots(self):
+        # at E = 101000 the companion roots span six decades (0.0077 and
+        # 9050); both flanks are found although the minimum sits at 1.8
+        a, b, c, l, E = 0.001, 2.0, 1000.0, 3, 101000.0
+        tp = parabolic_turning_points(EffectivePotential(Parabolic(a=a, b=b, c=c), l=l), E)
+        r1, r2 = _quartic_turning_points(a, b, c, l, E)
+        assert tp.r1 == pytest.approx(r1, rel=1e-9)
+        assert tp.r2 == pytest.approx(r2, rel=1e-9)
 
     @pytest.mark.parametrize(
-        "coeffs", [(1e-300, 1e100, -1.7e67, 1.0), (1e-200, 2.0, 1e300, 6.0), (1.0, math.nan, 0.0, 1.0)]
+        "a, b, c, l, E",
+        [
+            (1e-300, 1e100, 1.0, 1, 1.7e67),  # b / a and E / a overflow
+            (1e300, 1e200, 1e-300, 0, 0.5),  # r2 = t / b = 5e-201
+            (1e-300, 1e-300, 1e-300, 1, 0.5),  # r2 = sqrt(E / a) = 7e149
+            (1.0, 1.0, 1.0, 1, 1e200),  # r1 = 1e-100, r2 = 1e100
+        ],
     )
-    def test_rejects_non_finite_monic_coefficients(self, coeffs):
-        with pytest.raises(DomainError, match="not finite"):
-            quartic_positive_roots(*coeffs)
+    def test_extreme_coefficients(self, a, b, c, l, E):
+        U = EffectivePotential(Parabolic(a=a, b=b, c=c), l=l)
+        tp = parabolic_turning_points(U, E)
+        coeff = U.centrifugal_coeff
+
+        def u(r):  # divides by r twice, so r^2 may underflow
+            return a * r * r + b * r + c + coeff / r / r
+
+        # E lies between U one part in 1e12 inside and outside each root
+        for r in (tp.r1, tp.r2):
+            if r > 0:
+                lo, hi = sorted((u(r * (1 - 1e-12)), u(r * (1 + 1e-12))))
+                assert lo <= E <= hi
 
 
 class TestParabolic:
@@ -237,6 +312,7 @@ class TestDispatcher:
     def test_routes_by_family(self):
         assert turning_points(EffectivePotential(IsotropicHO(omega=1.0), l=0), 1.0).method == "closed_form"
         assert turning_points(EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=0), 5.0).method == "closed_form"
+        assert turning_points(EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=1), 5.0).method == "numeric"
         U = EffectivePotential(FreeParticle(), l=1)
         with pytest.raises(NoClassicalRegionError):
             # pure centrifugal barrier has no outer turning point
