@@ -289,25 +289,35 @@ def coulomb_energy_scale(Z: int, e: float, units: UnitSystem) -> float:
 
 
 def eval_effective(U: EffectivePotential, r: float) -> float:
-    """U(r) = V(r) + centrifugal_coeff / r^2."""
+    """U(r) = V(r) + centrifugal_coeff / r^2.
+
+    Below r of about 1.5e-162, r * r underflows to 0: the centrifugal term is
+    then +inf, or absent when its coefficient is 0 (l = 0).
+    """
     if not r > 0:
         raise DomainError(f"r must be positive, got {r}")
     v = U.eval_potential(r)
     if v == INFINITE:
         return INFINITE
-    return v + U.centrifugal_coeff / (r * r)
+    rr = r * r
+    if rr == 0.0:
+        return v if U.centrifugal_coeff == 0.0 else INFINITE
+    return v + U.centrifugal_coeff / rr
 
 
 def eval_effective_array(U: EffectivePotential, r: np.ndarray) -> np.ndarray:
     """U on an array of radii, equal bit for bit to ``eval_effective`` at each point.
 
     Each formula repeats the scalar one operation for operation, so numpy
-    rounds every element exactly as the scalar path does.
+    rounds every element exactly as the scalar path does, the underflow of
+    r * r included, without a RuntimeWarning there. ``r`` may have any shape.
     """
     import numpy as np
 
     r = np.asarray(r, dtype=float)
-    if not np.all(r > 0):
+    # min is nan when any element is nan
+    r_min = float(r.min()) if r.size else 1.0
+    if not r_min > 0:
         raise DomainError("r must be positive")
     units = U.units
     match U.spec:
@@ -325,8 +335,15 @@ def eval_effective_array(U: EffectivePotential, r: np.ndarray) -> np.ndarray:
             v = np.zeros_like(r)
         case _:
             raise DomainError(f"unknown potential spec {U.spec!r}")
-    # a wall stays INFINITE: inf plus the finite centrifugal term is inf
-    return v + U.centrifugal_coeff / (r * r)
+    coeff = U.centrifugal_coeff
+    rr = r * r
+    if r_min * r_min >= sys.float_info.min:
+        # a wall stays INFINITE: inf plus the finite centrifugal term is inf
+        return v + coeff / rr
+    # r * r is subnormal or 0 somewhere: coeff / rr may overflow or divide by 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = v + coeff / rr
+    return np.where(rr == 0.0, v if coeff == 0.0 else INFINITE, u)
 
 
 def effective_minimum(U: EffectivePotential) -> tuple[float, float]:

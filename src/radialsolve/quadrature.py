@@ -6,20 +6,23 @@ antiderivatives per potential family) and a numeric flavor backed by a
 globally adaptive 15-point Gauss-Kronrod rule. Closed forms are normalized
 so that Q(r_ref) = 0; only Q differences are meaningful.
 
+The integrand of the adaptive loop takes the 15 nodes of a panel in one
+call, so that an array integrand costs one numpy call per panel.
+
 ``phase_Q`` integrates from r_ref on every call. ``make_phase`` is the fast
 path for a state: for a family without a closed form it integrates the
 state's span once and keeps the final Gauss-Kronrod panels with prefix sums
-(the QK15 panel layout of QUADPACK, Piessens et al. 1983), so that each
-Q(r) costs one bisect lookup and one 15-node rule.
+(the QK15 panel layout of QUADPACK, Piessens et al. 1983). A list of radii
+then costs one ``searchsorted`` over the panel edges and one
+``eval_effective_array`` call on the 15 nodes of every radius.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ComplexPhaseError, DomainError, IntegrationError
 from .potentials import (
@@ -34,6 +37,9 @@ from .potentials import (
     eval_effective_array,
 )
 from .turning_points import TurningPoints
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_PANELS = 1 << 16
 
@@ -64,27 +70,38 @@ _WG = (
     0.381830050505119,
     0.417959183673469,
 )
+# the nodes on [-1, 1] in the order _k15 reads them: -x0, +x0, ..., -x6, +x6, 0
+_NODES = tuple(sign * x for x in _XK[:-1] for sign in (-1.0, 1.0)) + (0.0,)
+
+#: an integrand that maps a list of abscissae to the list of its values there
+BatchIntegrand = Callable[[list[float]], list[float]]
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Kronrod-15 estimate on [a, b] with |K15 - G7| as the error proxy."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fk = []
-    for x in _XK[:-1]:
-        fk.append(f(mid - half * x))
-        fk.append(f(mid + half * x))
-    f0 = f(mid)
+def _k15(fx, half):
+    """K15 and |K15 - G7| from the values ``fx`` at the nodes ``mid + half * _NODES``.
+
+    ``fx[j]`` is a float, or an array holding node j of many rules with
+    ``half`` an array alike; the sum runs in the same order either way, so
+    both round alike.
+    """
+    f0 = fx[14]
     k15 = _WK[-1] * f0
     g7 = _WG[-1] * f0
-    for i, x in enumerate(_XK[:-1]):
-        pair = fk[2 * i] + fk[2 * i + 1]
-        k15 += _WK[i] * pair
+    for i in range(7):
+        pair = fx[2 * i] + fx[2 * i + 1]
+        k15 = k15 + _WK[i] * pair
         if i % 2 == 1:
-            g7 += _WG[i // 2] * pair
-    k15 *= half
-    g7 *= half
+            g7 = g7 + _WG[i // 2] * pair
+    k15 = k15 * half
+    g7 = g7 * half
     return k15, abs(k15 - g7)
+
+
+def _gk15(f: BatchIntegrand, a: float, b: float) -> tuple[float, float]:
+    """Kronrod-15 estimate on [a, b] with |K15 - G7| as the error proxy; one call of f."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return _k15(f([mid + half * x for x in _NODES]), half)
 
 
 def adaptive_integral(
@@ -93,26 +110,33 @@ def adaptive_integral(
     hi: float,
     tol: float = 1e-10,
 ) -> tuple[float, float]:
-    """Globally adaptive bisection quadrature.
+    """Globally adaptive bisection quadrature of a scalar integrand.
 
     Splits the panel with the largest error estimate until the summed error
     drops below tol * max(1, |integral|). Endpoints are never evaluated, so
     integrable endpoint singularities (1/sqrt(x)-type) are handled by
     subdivision alone. Raises IntegrationError past 2^16 panels.
     """
+    return adaptive_integral_many(lambda xs: [f(x) for x in xs], lo, hi, tol)
+
+
+def adaptive_integral_many(
+    f: BatchIntegrand, lo: float, hi: float, tol: float = 1e-10
+) -> tuple[float, float]:
+    """``adaptive_integral`` for an integrand that takes a panel's 15 nodes at once."""
     if hi == lo:
         return 0.0, 0.0
     if hi < lo:
-        value, err = adaptive_integral(f, hi, lo, tol)
+        value, err = adaptive_integral_many(f, hi, lo, tol)
         return -value, err
     value, err, _ = _adaptive_panels(f, lo, hi, tol)
     return value, err
 
 
 def _adaptive_panels(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
+    f: BatchIntegrand, lo: float, hi: float, tol: float
 ) -> tuple[float, float, list[tuple[float, float]]]:
-    """The loop behind ``adaptive_integral`` on lo <= hi.
+    """The loop behind ``adaptive_integral_many`` on lo <= hi.
 
     Also returns the final panels as (left edge, K15 value) pairs, in no
     particular order; together they tile [lo, hi].
@@ -333,32 +357,46 @@ def phase_Q(
             return PhaseResult(closed, "closed_form", r_ref, 0.0)
         if method == "closed_form":
             raise DomainError(f"no closed-form phase for {type(U.spec).__name__}")
-    val, err = adaptive_integral(_phase_integrand(U), r_ref, r, tol=tol)
+    val, err = adaptive_integral_many(_phase_integrand(U), r_ref, r, tol=tol)
     return PhaseResult(val, "numeric", r_ref, err)
 
 
-def _phase_integrand(U: EffectivePotential) -> Callable[[float], float]:
-    m1 = U.units.m1
+def _root_u(U: EffectivePotential, r: np.ndarray) -> np.ndarray:
+    """m1 sqrt(U) at each radius of ``r`` (any shape), 0 where U <= 0."""
+    import numpy as np
 
-    def integrand(x: float) -> float:
-        val = eval_effective(U, x)
-        # clip tiny negative round-off at turning points
-        return m1 * math.sqrt(val) if val > 0.0 else 0.0
-
-    return integrand
+    u = eval_effective_array(U, r)
+    # clip tiny negative round-off at turning points
+    return U.units.m1 * np.sqrt(np.where(u > 0.0, u, 0.0))
 
 
-def make_phase(
-    U: EffectivePotential, lo: float, hi: float, tol: float = 1e-10
-) -> Callable[[float], float]:
-    """Fast scalar evaluator for Q(r) anchored at Q(lo) = 0, built for r in [lo, hi].
+def _phase_integrand(U: EffectivePotential) -> BatchIntegrand:
+    import numpy as np
 
-    Closed-form families evaluate their antiderivative at each r. Any other
-    family gets a table: [lo, hi] is integrated once by the adaptive loop of
-    ``adaptive_integral``, and Q(r) is the prefix sum of the panels left of r
-    plus one K15 rule from the edge of the panel holding r. The closed form
-    falls back to ``phase_Q`` where it does not apply, the table outside
-    [lo, hi].
+    return lambda xs: _root_u(U, np.array(xs)).tolist()
+
+
+@dataclass(frozen=True)
+class Phase:
+    """Q(r) of a state: ``phase(r)`` at one radius, ``phase.many(rs)`` at a list of radii."""
+
+    many: Callable[[Sequence[float]], list[float]]
+
+    def __call__(self, r: float) -> float:
+        return self.many([r])[0]
+
+
+def make_phase(U: EffectivePotential, lo: float, hi: float, tol: float = 1e-10) -> Phase:
+    """Fast evaluator for Q(r) anchored at Q(lo) = 0, built for r in [lo, hi].
+
+    Closed-form families evaluate their antiderivative at each r, in plain
+    Python. Any other family gets a table: [lo, hi] is integrated once by the
+    adaptive loop of ``adaptive_integral``, and Q(r) is the prefix sum of the
+    panels left of r plus one K15 rule from the edge of the panel holding r.
+    ``many`` finds the panels of all radii with one ``searchsorted`` and
+    evaluates U on all their nodes with one ``eval_effective_array`` call.
+    The closed form falls back to ``phase_Q`` where it does not apply, the
+    table outside [lo, hi].
     """
     if not (lo > 0 and hi >= lo):
         raise DomainError(f"phase span must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
@@ -372,24 +410,31 @@ def make_phase(
             val = _phase_closed_form(U, r, lo)
             return q_reference(r) if val is None else val
 
-        return q_closed
+        return Phase(lambda rs: [q_closed(r) for r in rs])
+
+    import numpy as np
 
     _check_nonnegative(U, lo, hi)
-    integrand = _phase_integrand(U)
-    _, _, panels = _adaptive_panels(integrand, lo, hi, tol)
+    _, _, panels = _adaptive_panels(_phase_integrand(U), lo, hi, tol)
     panels.sort()
-    edges = [a for a, _ in panels]
-    prefix = [0.0]
-    for _, v in panels[:-1]:
-        prefix.append(prefix[-1] + v)
+    edges = np.array([a for a, _ in panels])
+    prefix = np.cumsum([0.0] + [v for _, v in panels[:-1]])
+    nodes = np.array(_NODES)[:, np.newaxis]
 
-    def q_table(r: float) -> float:
-        if not lo <= r <= hi:
-            return q_reference(r)
-        i = bisect_right(edges, r) - 1
+    def q_table(r: np.ndarray) -> np.ndarray:
+        i = np.searchsorted(edges, r, side="right") - 1
         a = edges[i]
-        if r == a:
-            return prefix[i]
-        return prefix[i] + _gk15(integrand, a, r)[0]
+        half = 0.5 * (r - a)
+        k15, _ = _k15(_root_u(U, 0.5 * (a + r) + half * nodes), half)
+        return np.where(r == a, prefix[i], prefix[i] + k15)
 
-    return q_table
+    def many(rs: Sequence[float]) -> list[float]:
+        r = np.array(rs, dtype=float)
+        inside = (lo <= r) & (r <= hi)
+        q = np.empty_like(r)
+        q[inside] = q_table(r[inside])
+        for j in np.flatnonzero(~inside):
+            q[j] = q_reference(float(r[j]))
+        return q.tolist()
+
+    return Phase(many)

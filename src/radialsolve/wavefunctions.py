@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, NotNormalizableError
 from .potentials import NATURAL, EffectivePotential, UnitSystem, eval_effective_array
-from .quadrature import adaptive_integral, make_phase
+from .quadrature import Phase, adaptive_integral, adaptive_integral_many, make_phase
 from .spectrum import Antisymmetric, EnergyLevel, Symmetric, branch_theta, self_consistent_energy
 from .turning_points import TurningPoints, turning_points
 
@@ -32,7 +32,7 @@ class RadialWaveFunction:
     K: float
     parity: str  # "symmetric" | "antisymmetric"
     n: int
-    phase: Callable[[float], float]
+    phase: Phase
     amplitude: float = 1.0
 
     def __post_init__(self):
@@ -51,9 +51,16 @@ class RadialWaveFunction:
         """F(r) = r R(r) on the supported interval, 0 outside."""
         if not r > 0:
             raise DomainError(f"r must be positive, got {r}")
-        if r < self.tp.r1 or r > self.tp.r2:
-            return 0.0
-        return self.amplitude * self.carrier(r) * math.exp(-self.phase(r))
+        return self.radial_F_many([r])[0]
+
+    def radial_F_many(self, rs: Sequence[float]) -> list[float]:
+        """``radial_F`` at each of ``rs``, with one phase call for the points in the support."""
+        r1, r2 = self.tp.r1, self.tp.r2
+        q = iter(self.phase.many([r for r in rs if r1 <= r <= r2]))
+        return [
+            self.amplitude * self.carrier(r) * math.exp(-next(q)) if r1 <= r <= r2 else 0.0
+            for r in rs
+        ]
 
 
 @dataclass(frozen=True)
@@ -100,10 +107,14 @@ def detuned_state(U: EffectivePotential, tp: TurningPoints, K: float, parity: st
     return RadialWaveFunction(potential=U, tp=tp, K=K, parity=parity, n=n, phase=_support_phase(U, tp))
 
 
-def _support_phase(U: EffectivePotential, tp: TurningPoints) -> Callable[[float], float]:
-    """Q(r) over the state's support [r_ref, r2]; r_ref stands in for r1 = 0."""
-    r_ref = tp.r1 if tp.r1 > 0 else tp.r2 * 1e-12
-    return make_phase(U, r_ref, tp.r2)
+def _support_anchor(tp: TurningPoints) -> float:
+    """Lower end r_ref of a state's support: r1, or r2 * 1e-12 standing in for r1 = 0."""
+    return tp.r1 if tp.r1 > 0 else tp.r2 * 1e-12
+
+
+def _support_phase(U: EffectivePotential, tp: TurningPoints) -> Phase:
+    """Q(r) over the state's support [r_ref, r2], with Q(r_ref) = 0."""
+    return make_phase(U, _support_anchor(tp), tp.r2)
 
 
 def eval_radial(wf: RadialWaveFunction, r: float) -> float:
@@ -119,10 +130,8 @@ def normalize(wf: RadialWaveFunction) -> RadialWaveFunction:
     if isinstance(wf, FreeParticleWave):
         raise NotNormalizableError("free-particle amplitude is indefinite")
     base = replace(wf, amplitude=1.0)
-    norm_sq, _ = adaptive_integral(
-        lambda r: base.radial_F(r) ** 2, wf.tp.r1 if wf.tp.r1 > 0 else wf.tp.r2 * 1e-12,
-        wf.tp.r2,
-        tol=1e-10,
+    norm_sq, _ = adaptive_integral_many(
+        lambda rs: [F ** 2 for F in base.radial_F_many(rs)], _support_anchor(wf.tp), wf.tp.r2, tol=1e-10
     )
     if not norm_sq > 0 or not math.isfinite(norm_sq):
         raise NotNormalizableError(f"norm integral {norm_sq} is not positive and finite")
@@ -193,7 +202,7 @@ def free_particle_radial(fp: FreeParticleWave, r: float) -> complex | float:
 
 def boundary_residuals(wf: RadialWaveFunction) -> tuple[float, float]:
     """|F| at both turning points; ~0 for quantized (n, parity)."""
-    at_r1 = abs(wf.amplitude * wf.carrier(wf.tp.r1) * math.exp(-wf.phase(max(wf.tp.r1, wf.tp.r2 * 1e-12))))
+    at_r1 = abs(wf.amplitude * wf.carrier(wf.tp.r1) * math.exp(-wf.phase(_support_anchor(wf.tp))))
     at_r2 = abs(wf.amplitude * wf.carrier(wf.tp.r2) * math.exp(-wf.phase(wf.tp.r2)))
     return at_r1, at_r2
 
@@ -213,7 +222,8 @@ def sample_wavefunction(
 
     For the free particle the inner turning point r1 = sqrt(l(l+1)) / K
     (0 for l = 0) is flagged per point: the piecewise value is still
-    reported there.
+    reported there. A bound state evaluates its phase on all grid points of
+    its support with one call.
     """
     prev = 0.0
     for r in grid:
@@ -230,6 +240,4 @@ def sample_wavefunction(
             else:
                 out.append(SamplePoint(r, float(val), 0.0, r < r1))
         return out
-    for r in grid:
-        out.append(SamplePoint(r, eval_radial(wf, r)))
-    return out
+    return [SamplePoint(r, F / r) for r, F in zip(grid, wf.radial_F_many(grid))]

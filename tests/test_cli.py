@@ -106,8 +106,10 @@ def test_parabolic_turning_points_of_a_wide_well():
         ["oracle", "well", "--L", "1e-300", "--l", "1", "--n", "1:2"],
         # the length scale overflows, so no r_max search can end
         ["oracle", "numerov", "--potential", "hydrogen:e=1e-160", "--l", "1", "--nodes", "0", "--bracket", "0:1e-160"],
+        # r * r underflows to 0 on the grid of a 1e-300 well: no numpy warning before the error
+        ["oracle", "numerov", "--potential", "well:L=1e-300", "--l", "0", "--nodes", "0", "--bracket", "0:1"],
     ],
-    ids=["wavefunction hoso", "numerov hoso", "well", "numerov hydrogen"],
+    ids=["wavefunction hoso", "numerov hoso", "well", "numerov hydrogen", "numerov well"],
 )
 def test_extreme_parameters_end_in_one_error_line(argv):
     # a fresh process with a timeout, so a search that never ends fails the test

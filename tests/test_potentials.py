@@ -20,6 +20,7 @@ from radialsolve.potentials import (
     UnitSystem,
     effective_minimum,
     eval_effective,
+    eval_effective_array,
     eval_potential,
     spin_orbit_constant,
     validate_jls,
@@ -283,3 +284,32 @@ class TestConstruction:
         U = EffectivePotential(HOSpinOrbit(omega=1.0, j=2.5, c0=0.015), l=2)
         assert U.spin_orbit_shift == pytest.approx(0.015)
         assert EffectivePotential(IsotropicHO(omega=1.0), l=2).spin_orbit_shift == 0.0
+
+
+CATALOG = [
+    HydrogenLike(Z=2, e_charge=1.3),
+    InfiniteSphericalWell(L=2.0),
+    IsotropicHO(omega=0.7),
+    HOSpinOrbit(omega=1.0, j=0.5, c0=0.015),
+    HOSpinOrbit(omega=1.0, j=1.5),
+    Parabolic(a=1.0, b=0.5, c=0.25),
+    FreeParticle(),
+]
+
+
+class TestUnderflowingRadius:
+    """Below r of about 1.5e-162, r * r underflows to 0."""
+
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: type(spec).__name__)
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_scalar_and_array_agree(self, spec, l):
+        if isinstance(spec, HOSpinOrbit):
+            spec = HOSpinOrbit(omega=spec.omega, j=l + 0.5, c0=spec.c0)
+        U = EffectivePotential(spec, l=l)
+        r = [1e-200, 1e-160, 1.0]
+        scalar = np.array([eval_effective(U, x) for x in r])
+        array = eval_effective_array(U, np.array(r))  # a RuntimeWarning fails the test
+        assert array.tobytes() == scalar.tobytes()
+        # the centrifugal term is +inf for l >= 1 and absent for l = 0
+        expected = U.eval_potential(1e-200) if l == 0 else INFINITE
+        assert scalar[0] == expected

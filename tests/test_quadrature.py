@@ -260,12 +260,43 @@ class TestPhaseTable:
             make_phase(U, 0.5, 4.0)
         assert exc_info.value.interval == (0.9921875, 1.01953125)
 
-    def test_each_value_costs_one_rule(self, monkeypatch):
-        import radialsolve.quadrature as quadrature
-
+    def test_each_value_costs_one_rule(self, u_count):
         q = make_phase(self.U, 0.4, 2.6)
-        calls = []
-        real = quadrature.eval_effective
-        monkeypatch.setattr(quadrature, "eval_effective", lambda U, r: calls.append(r) or real(U, r))
+        built = u_count.points
         q(1.234)
-        assert len(calls) == 15
+        assert u_count.points - built == 15
+        assert u_count.scalar_calls == 0
+
+    def test_many_values_cost_one_array_call(self, u_count):
+        q = make_phase(self.U, 0.4, 2.6)
+        calls, points = u_count.array_calls, u_count.points
+        rs = [float(r) for r in np.linspace(0.5, 2.5, 40)]
+        values = q.many(rs)
+        assert u_count.array_calls - calls == 1
+        assert u_count.points - points == 15 * len(rs)
+        assert values == [q(r) for r in rs]
+
+    def test_many_mixes_table_and_fallback(self):
+        q = make_phase(self.U, 0.4, 2.6)
+        rs = [0.1, 0.4, 1.0, 2.6, 3.0]
+        assert q.many(rs) == [q(r) for r in rs]
+        assert q.many([]) == []
+
+    def test_table_matches_scalar_rule_bit_for_bit(self):
+        # the array path repeats the scalar K15 rule from the panel edge
+        from radialsolve.quadrature import _adaptive_panels, _gk15, _phase_integrand
+
+        lo, hi = 0.4, 2.6
+        q = make_phase(self.U, lo, hi)
+        integrand = _phase_integrand(self.U)
+        _, _, panels = _adaptive_panels(integrand, lo, hi, 1e-10)
+        panels.sort()
+        edges = [a for a, _ in panels]
+        prefix = [0.0]
+        for _, v in panels[:-1]:
+            prefix.append(prefix[-1] + v)
+        rs = [*edges, *(float(r) for r in np.linspace(lo, hi, 101))]
+        for r, value in zip(rs, q.many(rs)):
+            i = max(j for j, a in enumerate(edges) if a <= r)
+            expected = prefix[i] if r == edges[i] else prefix[i] + _gk15(integrand, edges[i], r)[0]
+            assert value == expected

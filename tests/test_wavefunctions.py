@@ -1,6 +1,7 @@
 """Tests for radial wavefunctions: bound states, delta model, free particle."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from radialsolve.turning_points import TurningPoints, turning_points
 from radialsolve.wavefunctions import (
     FreeParticleWave,
     RadialWaveFunction,
+    SamplePoint,
     boundary_residuals,
     build_bound_state,
     delta_model_wavefunction,
@@ -154,18 +156,48 @@ class TestParabolicStates:
         for r in (wf.tp.r2 * 1e-13, wf.tp.r2 * 1e-15):
             assert math.isfinite(eval_radial(wf, r))
 
-    def test_work_guard(self, monkeypatch):
-        # re-integrating Q from r_ref at each point took 165,139 U evaluations here
-        import radialsolve.quadrature as quadrature
-
-        calls = []
-        real = quadrature.eval_effective
-        monkeypatch.setattr(quadrature, "eval_effective", lambda U, r: calls.append(r) or real(U, r))
+    def test_work_guard(self, u_count):
+        # re-integrating Q from r_ref at each point took 165,139 U evaluations
+        # here; the phase table takes about 9,100
         wf, _ = build_bound_state(_parabolic(1), 1, "symmetric")
         wf = normalize(wf)
         samples = sample_wavefunction(wf, [float(r) for r in np.linspace(wf.tp.r1, wf.tp.r2, 512)])
         assert len(samples) == 512
-        assert len(calls) <= 20_000
+        assert 0 < u_count.points <= 10_000
+
+    def test_sampling_is_one_array_call(self, u_count):
+        wf, _ = build_bound_state(_parabolic(1), 2, "antisymmetric")
+        wf = normalize(wf)
+        grid = [float(r) for r in np.linspace(wf.tp.r1, wf.tp.r2, 512)]
+        before = (u_count.scalar_calls, u_count.array_calls)
+        sample_wavefunction(wf, grid)
+        assert (u_count.scalar_calls - before[0], u_count.array_calls - before[1]) == (0, 1)
+
+    @pytest.mark.parametrize("l, n, parity", [s for s in PARABOLIC_STATES if s[0] >= 1])
+    def test_samples_match_pointwise_evaluation(self, l, n, parity):
+        wf, _ = build_bound_state(_parabolic(l), n, parity)
+        wf = normalize(wf)
+        # the grid reaches past both ends of the support
+        grid = [float(r) for r in np.linspace(0.5 * wf.tp.r1, 1.1 * wf.tp.r2, 257)]
+        assert sample_wavefunction(wf, grid) == [SamplePoint(r, eval_radial(wf, r)) for r in grid]
+
+    @pytest.mark.parametrize("l, n, parity", [s for s in PARABOLIC_STATES if s[0] >= 1])
+    def test_amplitude_matches_scalar_norm_integral(self, l, n, parity):
+        wf, _ = build_bound_state(_parabolic(l), n, parity)
+        norm_sq, _ = adaptive_integral(lambda r: wf.radial_F(r) ** 2, wf.tp.r1, wf.tp.r2, tol=1e-10)
+        assert normalize(wf).amplitude == 1.0 / math.sqrt(norm_sq)
+
+    def test_golden_csv(self, tmp_path):
+        # written by the per-point scalar phase rule; the grid-wide evaluation
+        # must reproduce it byte for byte
+        from radialsolve.cli import main
+
+        golden = pathlib.Path(__file__).parent / "data" / "parabolic_wavefunction.csv"
+        out = tmp_path / "wf.csv"
+        argv = ["wavefunction", "--potential", "parabolic:a=1,b=1,c=1", "--l", "1", "--n", "2",
+                "--parity", "antisymmetric", "--samples", "512", "--format", "csv", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == golden.read_bytes()
 
 
 class TestDeltaModel:
