@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .errors import RadialSolveError
+from .errors import DomainError, RadialSolveError
 from .potentials import (
     UNIT_PRESETS,
     EffectivePotential,
@@ -77,6 +77,9 @@ def parse_potential(text: str):
             return FreeParticle(**_none(kwargs))
     except KeyError as exc:
         raise UsageError(f"potential {name!r} is missing parameter {exc}") from exc
+    except DomainError:
+        # a value the spec rejects is out of range (exit 1), like the solver's rejections
+        raise
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad potential spec {text!r}: {exc}") from exc
     raise UsageError(f"unknown potential {name!r}; expected hydrogen|well|ho|hoso|parabolic|free")
@@ -266,7 +269,7 @@ def cmd_oracle(args) -> None:
         spec = parse_potential(args.potential)
         U = EffectivePotential(spec, l=args.l, units=units)
         bracket = parse_bracket(args.bracket)
-        vals = [numerov_bound_state(U, args.nodes, bracket, units, grid=args.grid)]
+        vals = [numerov_bound_state(U, args.nodes, bracket, units)]
     else:
         raise UsageError(f"unknown oracle {args.oracle_kind!r}")
     lines = [f"{v.source} n={v.n} l={v.l} E={v.value!r}" for v in vals]
@@ -353,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--l", type=int, default=0)
     q.add_argument("--nodes", type=int, default=0)
     q.add_argument("--bracket", required=True, help="lo:hi energy bracket")
-    q.add_argument("--grid", type=float, default=1e-3)
     common(q)
     _finish(q, cmd_oracle)
 

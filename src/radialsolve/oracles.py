@@ -119,8 +119,12 @@ def ho_oracle_energy(
     indexing: str = "from_zero",
 ) -> OracleEnergy:
     """(2n + l + 3/2) hbar omega, with n counted from 0 or from 1."""
+    if not 0 < omega < INFINITE:
+        raise DomainError(f"omega must be finite and positive, got {omega}")
+    if l < 0:
+        raise DomainError(f"l must be >= 0, got {l}")
     n = _radial_index(n_index, indexing)
-    value = (2 * n + l + 1.5) * units.hbar * omega
+    value = _normal((2 * n + l + 1.5) * units.hbar * omega, "oscillator level", f"omega={omega!r}")
     return OracleEnergy(source="analytic_ho", value=value, n=n_index, l=l)
 
 
@@ -167,6 +171,11 @@ def bohr_energy(
 
 # Largest grid the Numerov oracle builds: each array over it then takes 8 MB.
 MAX_GRID_POINTS = 1_000_000
+# Fewest grid points, and the sample that finds min U before the step is set.
+_MIN_POINTS = 512
+# Phase, in radians, that the fastest local wave advances per Numerov step.
+# Numerov's error in a level goes as (k h)^4: a few 1e-11 relative here.
+_PHASE_PER_STEP = 0.01
 # |u| above which an overflowing sweep is rescaled.
 _RESCALE = 1e250
 # Stride of the grid points that estimate max |u| over the allowed region.
@@ -247,21 +256,30 @@ def numerov_bound_state(
     node_target: int,
     bracket: tuple[float, float],
     units: UnitSystem | None = None,
-    grid: float = 1e-3,
 ) -> OracleEnergy:
     """Eigenvalue with the requested interior node count, by Numerov shooting.
 
-    Integrates -(hbar^2/2m) F'' + U F = E F outward from
-    r_min = 1e-6 * length scale with F ~ r^{l+1} on a grid of step ~``grid``
-    up to r_max (just inside a hard wall, or far into the outer forbidden
-    region). The interior node count is a nondecreasing step function of E
-    that jumps exactly where F(r_max) changes sign. Bisection on the node
-    count first narrows the bracket until it holds only the target jump;
-    Illinois regula falsi on the boundary residual, F(r_max) over the
-    largest |F| in the classically allowed region, then converges on it.
-    Both phases stop on the same rule, hi - lo <= 1e-10 max(1, |mid|).
-    A lower edge below min U on the grid is raised to it.
-    ``sweeps`` on the result counts the outward integrations spent.
+    Integrates -(hbar^2/2m) F'' + U F = E F outward with F ~ r^{l+1} from
+    r_min up to r_max: just inside a hard wall, or, past any centrifugal
+    barrier, far into the outer forbidden region. The interior node count is
+    a nondecreasing step function of E that jumps exactly where F(r_max)
+    changes sign. Bisection on the node count first narrows the bracket
+    until it holds only the target jump; Illinois regula falsi on the
+    boundary residual, F(r_max) over the largest |F| in the classically
+    allowed region, then converges on it. A lower edge below min U on the
+    grid is raised to it. ``sweeps`` on the result counts the outward
+    integrations spent.
+
+    The step comes from the problem, not from a setting: h = c / k_top, where
+    k_top = sqrt(2 m (e_hi - min U)) / hbar is the largest local wavenumber
+    at the bracket's upper edge (min U over a 512-point sample) and
+    c = ``_PHASE_PER_STEP`` radians. The grid has at least 512 points and
+    r_min = max(1e-6 scale, h sqrt(l (l + 1) / 6)), where the centrifugal
+    term leaves w = 1 + h^2 f / 12 >= 1/2. Accuracy budget, relative to the
+    level: the step's own error is a few 1e-11; both root-finding phases
+    stop on hi - lo <= 1e-10 max(eps, |mid|), with eps = hbar^2 / (m scale^2)
+    the problem's energy unit; truncating the decay tail or stopping short
+    of the wall shifts a level by at most about 1e-8.
     """
     import numpy as np
 
@@ -271,32 +289,44 @@ def numerov_bound_state(
         raise DomainError(f"bracket edges must be finite, got {bracket}")
     if not e_hi > e_lo:
         raise DomainError(f"invalid bracket {bracket}")
-    if not (math.isfinite(grid) and grid > 0):
-        raise DomainError(f"grid step must be finite and positive, got {grid}")
     scale = _normal(U.length_scale, "length scale", repr(U.spec))
+    # divided twice, so that scale * scale cannot underflow
+    eps = _normal(units.hbar2_over_m / scale / scale, "energy scale hbar^2 / (m scale^2)", repr(U.spec))
     r_min = 1e-6 * scale
     if isinstance(U.spec, InfiniteSphericalWell):
         # stop just inside the wall; the F(r_max) = 0 condition shifts levels
         # by only O(1e-9) relative
         r_max = U.spec.L * (1.0 - 1e-9)
     else:
-        # extend past the outer turning point until U exceeds E by many level
-        # spacings, so the truncated decay tail cannot shift levels above 1e-6
-        r_max = scale
-        margin = e_hi + 12.0 * units.hbar2_over_m / scale**2
-        while eval_effective(U, r_max) < margin:
+        # step out of any centrifugal barrier while U falls (once U(r_max) is
+        # no lower than U one step in, r_max lies past the minimum), then past
+        # the outer turning point until U exceeds E by many level spacings, so
+        # that the truncated decay tail cannot shift levels above 1e-8
+        margin = e_hi + 12.0 * eps
+        r_max, u_in, u = scale, eval_effective(U, scale / 1.25), eval_effective(U, scale)
+        while u < margin or u < u_in:
             r_max *= 1.25
+            u_in, u = u, eval_effective(U, r_max)
             if r_max > _MAX_R_SCALES * scale:
                 raise DomainError(
                     f"U stays below {margin:.6g} out to r = {r_max:.6g}: "
                     "the Numerov oracle needs a potential that confines the bracket"
                 )
-    span = (r_max - r_min) / grid
+    below = f"bracket {bracket} lies below the potential minimum on the grid"
+    u_min = float(eval_effective_array(U, np.linspace(r_min, r_max, _MIN_POINTS)).min())
+    if not e_hi > u_min:
+        raise DomainError(below)
+    k_top = units.m1 * math.sqrt(e_hi - u_min)
+    span = (r_max - r_min) * k_top / _PHASE_PER_STEP
     if not span < MAX_GRID_POINTS:
         raise DomainError(
-            f"grid step {grid!r} needs {span:.3g} points, above the cap of {MAX_GRID_POINTS}"
+            f"a step of {_PHASE_PER_STEP} / k_top needs {span:.3g} points, "
+            f"above the cap of {MAX_GRID_POINTS}"
         )
-    r = np.linspace(r_min, r_max, max(int(span) + 1, 512))
+    # the grid step only shrinks below this as r_min rises towards r_max
+    h_top = (r_max - r_min) / max(span, _MIN_POINTS - 1)
+    r_min = max(r_min, h_top * math.sqrt(U.l * (U.l + 1) / 6.0))
+    r = np.linspace(r_min, r_max, max(int(span) + 1, _MIN_POINTS))
     h = r[1] - r[0]
     u_vals = eval_effective_array(U, r)
     if np.any(u_vals == INFINITE):
@@ -308,9 +338,10 @@ def numerov_bound_state(
     # recurrence oscillate and the node count meaningless
     e_lo = max(e_lo, float(u_vals.min()))
     if not e_hi > e_lo:
-        raise DomainError(f"bracket {bracket} lies below the potential minimum on the grid")
-    y0 = float(r[0]) ** (U.l + 1)
-    y1 = float(r[1]) ** (U.l + 1)
+        raise DomainError(below)
+    # y ~ r^(l+1), scaled to y_1 = 1 so that no power of a tiny r underflows
+    y0 = (float(r[0]) / float(r[1])) ** (U.l + 1)
+    y1 = 1.0
     sweeps = 0
 
     def shoot(E: float, count_nodes: bool = True) -> tuple[int | None, float]:
@@ -331,7 +362,7 @@ def numerov_bound_state(
         return nodes, _boundary_residual(us, rescaled, x)
 
     def converged(lo: float, hi: float) -> bool:
-        return hi - lo <= 1e-10 * max(1.0, abs(0.5 * (lo + hi)))
+        return hi - lo <= 1e-10 * max(eps, abs(0.5 * (lo + hi)))
 
     lo, hi = e_lo, e_hi
     n_lo, g_lo = shoot(lo)

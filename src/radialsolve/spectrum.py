@@ -245,14 +245,15 @@ def self_consistent_energy(
     else:
         raise ConvergenceError(f"no bracketing interval found next to E={anchor}")
     t_lo = t_hi = t
-    for _ in range(200):
+    # double until h changes sign; once E overflows no level is left to find
+    while True:
         t_lo, t_hi = t_hi, 2.0 * t_hi if t_cap is None else min(2.0 * t_hi, t_cap)
+        if math.isinf(anchor + sign * t_hi):
+            raise ConvergenceError("no upper bracket found", last_iterate=anchor + sign * t_lo)
         if h(anchor + sign * t_hi) >= 0:
             break
         if t_hi == t_cap:
             raise ConvergenceError("no sign change between 0 and the potential minimum")
-    else:
-        raise ConvergenceError("no upper bracket found", last_iterate=anchor + sign * t_hi)
 
     E, iterations = brentq(h, anchor + sign * t_lo, anchor + sign * t_hi, xtol=_E_TOL, rtol=_E_TOL)
     d = _width(U, E)

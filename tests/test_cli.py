@@ -75,6 +75,10 @@ def argvs(draw):
 @example(argv=["spectrum", "--potential", "hydrogen:Z=1,e=1e-200", "--l=0", "--signed"])
 @example(argv=["spectrum", "--potential", "hoso:omega=0.5,j=0.5,s=inf,c0=1", "--l=0"])
 def test_cli_ends_in_an_exit_code_and_at_most_one_error_line(argv):
+    assert_exit_code_and_at_most_one_error_line(argv)
+
+
+def assert_exit_code_and_at_most_one_error_line(argv):
     code, out, err = run_main(argv)
     assert code in (0, 1, 2)
     if code == 0:
@@ -82,6 +86,93 @@ def test_cli_ends_in_an_exit_code_and_at_most_one_error_line(argv):
     else:
         prefix = "error:" if code == 1 else "usage error:"
         assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+@st.composite
+def oracle_argvs(draw):
+    kind = draw(st.sampled_from(["bessel-zeros", "well", "ho", "numerov"]))
+    tail = [
+        f"--l={draw(st.integers(-1, 15))}",
+        "--units", draw(st.sampled_from(["natural", "eV-nm"])),
+    ]
+    n = ["--n", draw(st.sampled_from(["0", "1", "2", "1:3"]))]
+    if kind == "bessel-zeros":
+        return ["oracle", kind, *tail, *n]
+    if kind == "well":
+        return ["oracle", kind, f"--L={draw(values)}", *tail, *n]
+    if kind == "ho":
+        indexing = draw(st.sampled_from(["from_zero", "from_one"]))
+        return ["oracle", kind, f"--omega={draw(values)}", *tail, *n, "--indexing", indexing]
+    catalog = {**FAMILIES, "free": ()}
+    family = draw(st.sampled_from(sorted(catalog)))
+    params = ",".join(f"{key}={draw(values)}" for key in catalog[family])
+    return [
+        "oracle", kind, "--potential", f"{family}:{params}", *tail,
+        f"--nodes={draw(st.integers(-1, 2))}", f"--bracket={draw(values)}:{draw(values)}",
+    ]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argv=oracle_argvs())
+@example(argv=["oracle", "numerov", "--potential", "ho:omega=1", "--l=15", "--nodes=2", "--bracket=19.6:21.4"])
+@example(argv=["oracle", "numerov", "--potential", "well:L=2000", "--l=0", "--nodes=0", "--bracket=0:2e-6"])
+@example(argv=["oracle", "ho", "--omega=nan", "--l=1", "--n", "1"])
+def test_oracle_ends_in_an_exit_code_and_at_most_one_error_line(argv):
+    assert_exit_code_and_at_most_one_error_line(argv)
+
+
+@pytest.mark.parametrize(
+    "potential",
+    ["ho:omega=0", "well:L=-1", "parabolic:a=inf,b=1,c=1", "hydrogen:Z=0", "hoso:omega=1,j=0.2"],
+)
+def test_values_the_spec_rejects_are_domain_errors(potential):
+    code, _, err = run_main(["spectrum", "--potential", potential])
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "potential",
+    ["morse:D=1", "ho:omega=1,w=2", "ho:", "ho:omega=abc", "hydrogen:Z=1.5", "ho:omega"],
+    ids=["unknown name", "unknown key", "missing key", "bad float", "bad int", "no value"],
+)
+def test_grammar_errors_are_usage_errors(potential):
+    code, _, err = run_main(["spectrum", "--potential", potential])
+    assert code == 2
+    assert err.startswith("usage error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("omega", ["0", "-1", "inf", "nan", "1e308", "1e-320"])
+def test_oracle_ho_rejects_a_frequency_out_of_range(omega):
+    code, _, err = run_main(["oracle", "ho", f"--omega={omega}"])
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_level_far_above_the_starting_energy_scale():
+    # the level, about 3.7e133, lies some 440 doublings above the first bracket
+    code, out, err = run_main([
+        "spectrum", "--potential", "parabolic:a=0.5,b=1e200,c=2", "--l", "0", "--format", "csv",
+    ])
+    assert (code, err) == (0, "")
+    energy = float(out.decode().splitlines()[1].split(",")[1])
+    assert energy == pytest.approx(3.667948673974271e133, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "potential, bracket, exact",
+    [
+        # a 2000-unit well: the old fixed step of 1e-3 needed 2e6 points, above the cap
+        ("well:L=2000", "0:2e-6", math.pi**2 / 2 / 2000**2),
+        ("ho:omega=1e-6", "1e-6:2e-6", 1.5e-6),
+    ],
+)
+def test_numerov_step_follows_the_length_scale(potential, bracket, exact):
+    code, out, err = run_main([
+        "oracle", "numerov", "--potential", potential, "--l", "0", "--nodes", "0", f"--bracket={bracket}",
+    ])
+    assert (code, err) == (0, "")
+    assert float(out.decode().rsplit("E=", 1)[1]) == pytest.approx(exact, rel=1e-8)
 
 
 def test_parabolic_turning_points_of_a_wide_well():

@@ -184,6 +184,54 @@ class TestNumerov:
         res = numerov_bound_state(U, nodes, (exact - 0.9, exact + 0.9))
         assert res.value == pytest.approx(exact, rel=1e-4)
 
+    @pytest.mark.parametrize("l", range(16))
+    @pytest.mark.parametrize("nodes", [0, 2])
+    def test_ho_every_l(self, l, nodes):
+        # for l >= 6, U(scale) lies inside the centrifugal barrier, so r_max
+        # must step past the minimum; for l >= 7, r_min must keep w > 0
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=l)
+        exact = 2 * nodes + l + 1.5
+        res = numerov_bound_state(U, nodes, (exact - 0.9, exact + 0.9))
+        assert res.value == pytest.approx(exact, rel=1e-4)
+
+    @pytest.mark.parametrize("l", [1, 15])
+    @pytest.mark.parametrize("omega", [1e-6, 1.0, 1e4, 1e150])
+    def test_ho_precision_independent_of_units(self, omega, l):
+        # at omega = 1e150 and l = 15, r_min^(l+1) underflows: the start values are scaled to y_1 = 1
+        U = EffectivePotential(IsotropicHO(omega=omega), l=l)
+        exact = ho_oracle_energy(1, l, omega).value
+        res = numerov_bound_state(U, 1, (exact - 0.9 * omega, exact + 0.9 * omega))
+        assert res.value == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("L", [1e-3, 1.0, 2000.0, 1e100])
+    def test_well_precision_independent_of_units(self, L):
+        U = EffectivePotential(InfiniteSphericalWell(L=L), l=1)
+        exact = well_oracle_energy(L, 1, 2).value
+        res = numerov_bound_state(U, 1, (0.8 * exact, 1.2 * exact))
+        assert res.value == pytest.approx(exact, rel=1e-8)
+
+    def test_halving_the_step_moves_levels_by_at_most_1e_10(self, monkeypatch):
+        # the criterion-5 set: the step's own error lies below the stop rule
+        cases = [
+            (IsotropicHO(omega=1.0), l, nodes, 2 * nodes + l + 1.5, 0.9)
+            for l in range(3)
+            for nodes in range(3)
+        ] + [
+            (InfiniteSphericalWell(L=1.0), l, n - 1, well_oracle_energy(1.0, l, n).value, 2.0)
+            for l, n in ((0, 1), (0, 2), (1, 1), (1, 2))
+        ]
+
+        def levels():
+            return [
+                numerov_bound_state(EffectivePotential(spec, l=l), nodes, (e - pad, e + pad)).value
+                for spec, l, nodes, e, pad in cases
+            ]
+
+        coarse = levels()
+        monkeypatch.setattr(oracles, "_PHASE_PER_STEP", oracles._PHASE_PER_STEP / 2)
+        for a, b in zip(coarse, levels()):
+            assert abs(a - b) <= 1e-10 * abs(a)
+
     def test_node_count_follows_y_not_u(self):
         # y = u / w keeps its sign where u flips only because w < 0
         us = [-1.0, -1.0, -2.0, 3.0, -1.0]
@@ -225,12 +273,6 @@ class TestNumerov:
         with pytest.raises(ConvergenceError):
             numerov_bound_state(U, 1, (3.6, 5.4))
 
-    @pytest.mark.parametrize("grid", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_bad_grid(self, grid):
-        U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
-        with pytest.raises(DomainError):
-            numerov_bound_state(U, 0, (1.0, 2.0), grid=grid)
-
     @pytest.mark.parametrize("bracket", [(math.nan, 2.0), (1.0, math.inf), (-math.inf, 2.0)])
     def test_rejects_non_finite_bracket(self, bracket):
         U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
@@ -238,14 +280,18 @@ class TestNumerov:
             numerov_bound_state(U, 0, bracket)
 
     def test_grid_cap_refused_before_allocation(self, monkeypatch):
-        def no_linspace(*args, **kwargs):
-            raise AssertionError("grid allocated")
+        linspace = np.linspace
 
-        monkeypatch.setattr(np, "linspace", no_linspace)
+        def sample_only(start, stop, num, **kwargs):
+            # the 512-point sample that finds min U may be built, the grid not
+            assert num <= oracles._MIN_POINTS, "grid allocated"
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", sample_only)
         U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
-        # about 6e9 points
+        # k_top = sqrt(2e9) sets a step of 2.2e-7 out to r_max = 5e4: about 2e11 points
         with pytest.raises(DomainError, match="cap"):
-            numerov_bound_state(U, 0, (1.0, 2.0), grid=1e-9)
+            numerov_bound_state(U, 0, (1.0, 1e9))
 
     @pytest.mark.parametrize(
         "spec,bracket",

@@ -232,8 +232,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "args",
         [
-            ["--potential", "ho:omega=1", "--bracket", "1:2", "--grid", "0"],
-            ["--potential", "ho:omega=1", "--bracket", "1:2", "--grid", "nan"],
             ["--potential", "hydrogen:Z=1", "--bracket=-0.6:-0.4"],
         ],
     )
