@@ -17,8 +17,6 @@ from .potentials import (  # noqa: F401
     effective_minimum,
     eval_effective,
     eval_effective_array,
-    eval_potential,
-    spin_orbit_constant,
 )
 from .turning_points import (  # noqa: F401
     TurningPoints,
@@ -39,7 +37,6 @@ from .spectrum import (  # noqa: F401
     ho_energies,
     ho_spin_orbit_energies,
     hydrogen_ground_energy,
-    parabolic_energies,
     self_consistent_energy,
     well_energies,
 )

@@ -206,7 +206,7 @@ def cmd_spectrum(args) -> None:
     rows = []
     for n in parse_n_range(args.n):
         branch = parse_branch(args.branch, n)
-        level = self_consistent_energy(U, branch, units, signed=args.signed)
+        level = self_consistent_energy(U, branch, signed=args.signed)
         rows.append(
             ComparisonRow(
                 state_label=f"{args.branch}:{n}",
@@ -237,7 +237,7 @@ def cmd_wavefunction(args) -> None:
     if args.samples < 0:
         raise UsageError(f"--samples must be non-negative, got {args.samples}")
     U = EffectivePotential(spec, l=args.l, units=units)
-    wf, level = build_bound_state(U, args.n, args.parity, units)
+    wf, level = build_bound_state(U, args.n, args.parity)
     wf = normalize(wf)
     grid = sample_grid(wf.tp.r1 if wf.tp.r1 > 0 else wf.tp.r2 * 1e-6, wf.tp.r2, args.samples)
     samples = sample_wavefunction(wf, grid)
@@ -269,7 +269,7 @@ def cmd_oracle(args) -> None:
         spec = parse_potential(args.potential)
         U = EffectivePotential(spec, l=args.l, units=units)
         bracket = parse_bracket(args.bracket)
-        vals = [numerov_bound_state(U, args.nodes, bracket, units)]
+        vals = [numerov_bound_state(U, args.nodes, bracket)]
     else:
         raise UsageError(f"unknown oracle {args.oracle_kind!r}")
     lines = [f"{v.source} n={v.n} l={v.l} E={v.value!r}" for v in vals]

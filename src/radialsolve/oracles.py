@@ -4,7 +4,10 @@ Everything here is computed from textbook relations (spherical Bessel
 zeros, analytic oscillator ladders, the Bohr formula) or from a Numerov
 shooting integrator. By design this module imports only the potential
 catalog: none of the turning-point / phase-integral machinery is involved,
-so comparisons against it are genuinely independent.
+so comparisons against it are genuinely independent. The scales it reads
+(``U.length_scale``, ``U.energy_scale``, the well's energy unit) come
+checked from ``EffectivePotential``; only the oscillator ladder checks its
+own level.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .potentials import (
     eval_effective,
     eval_effective_array,
     validate_jls,
-    well_energy_scale,
 )
 
 if TYPE_CHECKING:
@@ -104,10 +106,8 @@ def bessel_zero(l: int, n: int) -> float:
 
 def well_oracle_energy(L: float, l: int, n: int, units: UnitSystem = NATURAL) -> OracleEnergy:
     """Exact hard-well level (hbar^2 / 2 m L^2) beta_{n l}^2."""
-    if not L > 0:
-        raise DomainError(f"L must be positive, got {L}")
     beta = bessel_zero(l, n)
-    value = well_energy_scale(L, units) / 2.0 * beta * beta
+    value = EffectivePotential(InfiniteSphericalWell(L), l, units).energy_scale / 2.0 * beta * beta
     return OracleEnergy(source="bessel_well", value=value, n=n, l=l)
 
 
@@ -255,7 +255,6 @@ def numerov_bound_state(
     U: EffectivePotential,
     node_target: int,
     bracket: tuple[float, float],
-    units: UnitSystem | None = None,
 ) -> OracleEnergy:
     """Eigenvalue with the requested interior node count, by Numerov shooting.
 
@@ -283,15 +282,13 @@ def numerov_bound_state(
     """
     import numpy as np
 
-    units = units or U.units
+    units = U.units
     e_lo, e_hi = bracket
     if not (math.isfinite(e_lo) and math.isfinite(e_hi)):
         raise DomainError(f"bracket edges must be finite, got {bracket}")
     if not e_hi > e_lo:
         raise DomainError(f"invalid bracket {bracket}")
-    scale = _normal(U.length_scale, "length scale", repr(U.spec))
-    # divided twice, so that scale * scale cannot underflow
-    eps = _normal(units.hbar2_over_m / scale / scale, "energy scale hbar^2 / (m scale^2)", repr(U.spec))
+    scale, eps = U.length_scale, U.energy_scale
     r_min = 1e-6 * scale
     if isinstance(U.spec, InfiniteSphericalWell):
         # stop just inside the wall; the F(r_max) = 0 condition shifts levels
@@ -312,6 +309,9 @@ def numerov_bound_state(
                     f"U stays below {margin:.6g} out to r = {r_max:.6g}: "
                     "the Numerov oracle needs a potential that confines the bracket"
                 )
+        if u == INFINITE:
+            # the sample and the grid would overflow there too
+            raise DomainError(f"U overflows to inf at r = {r_max:.6g}, the end of the Numerov grid")
     below = f"bracket {bracket} lies below the potential minimum on the grid"
     u_min = float(eval_effective_array(U, np.linspace(r_min, r_max, _MIN_POINTS)).min())
     if not e_hi > u_min:

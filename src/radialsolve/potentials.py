@@ -8,6 +8,10 @@ All catalog potentials are spherically symmetric; hard walls are represented
 by the distinguished value ``INFINITE`` (IEEE +inf), which orders above every
 finite energy, so no spurious turning points can appear from a large-but-
 finite sentinel.
+
+``EffectivePotential`` is the one validation point of the scales: it
+computes the spin-orbit shift, the length scale and the energy scale once,
+rejects any that is not a normal float, and every solver reads them.
 """
 
 from __future__ import annotations
@@ -161,131 +165,99 @@ def validate_jls(j: float, l: int, s: float) -> None:
         raise DomainError(f"invalid angular momentum coupling: j={j}, l={l}, s={s}")
 
 
-def spin_orbit_constant(
-    omega: float,
-    j: float,
-    l: int,
-    s: float,
-    units: UnitSystem = NATURAL,
-    mode: str = "c0",
-    c0: float = 0.0,
-) -> float:
-    """Constant shift C_lsj of the oscillator with spin-orbit coupling.
-
-    mode "c0":           C = (c0 / 2) * [j(j+1) - l(l+1) - s(s+1)]
-    mode "relativistic": C = hbar^2 omega^2 / (2 m c^2) * [j(j+1) - l(l+1) - s(s+1)]
-    """
-    validate_jls(j, l, s)
-    bracket = _ls_bracket(j, l, s)
-    if mode == "c0":
-        return 0.5 * c0 * bracket
-    if mode == "relativistic":
-        # omega * omega, not omega**2: a float power raises OverflowError instead of giving inf
-        prefactor = units.hbar**2 * (omega * omega) / (2.0 * units.mass * units.light_speed**2)
-        _normal(prefactor, "spin-orbit prefactor hbar^2 omega^2 / (2 m c^2)", f"omega={omega!r}")
-        return prefactor * bracket
-    raise DomainError(f"unknown spin-orbit mode {mode!r}")
-
-
-def _so_constant_for(spec: HOSpinOrbit, l: int, units: UnitSystem) -> float:
-    if spec.c0 is None:
-        return spin_orbit_constant(spec.omega, spec.j, l, spec.s, units, mode="relativistic")
-    return spin_orbit_constant(spec.omega, spec.j, l, spec.s, units, mode="c0", c0=spec.c0)
-
-
-def eval_potential(spec: PotentialSpec, r: float, units: UnitSystem = NATURAL, l: int = 0) -> float:
-    """Value of the central potential V(r); hard walls return ``INFINITE``."""
-    if not r > 0:
-        raise DomainError(f"r must be positive, got {r}")
-    match spec:
-        case HydrogenLike(Z=Z, e_charge=e):
-            return -Z * e * e / r
-        case InfiniteSphericalWell(L=L):
-            return 0.0 if r < L else INFINITE
-        case IsotropicHO(omega=w):
-            return 0.5 * units.mass * w * w * r * r
-        case HOSpinOrbit(omega=w):
-            return 0.5 * units.mass * w * w * r * r - _so_constant_for(spec, l, units)
-        case Parabolic(a=a, b=b, c=c):
-            return a * r * r + b * r + c
-        case FreeParticle():
-            return 0.0
-    raise DomainError(f"unknown potential spec {spec!r}")
-
-
 @dataclass(frozen=True)
 class EffectivePotential:
-    """A potential spec combined with an angular momentum quantum number."""
+    """A potential spec combined with an angular momentum quantum number.
+
+    Construction computes, once, the scales every solver reads:
+
+    - ``spin_orbit_shift``: C_lsj of a HOSpinOrbit spec, 0 otherwise;
+    - ``length_scale``: a characteristic length that seeds numeric searches;
+    - ``energy_scale``: hbar^2 / (m length_scale^2).
+
+    It raises one DomainError, naming the quantity and the spec, when any of
+    them, the oscillator strength m omega^2 / 2 or the relativistic
+    spin-orbit prefactor is not a normal float (a shift of exactly 0 is
+    allowed). No consumer checks a scale again.
+    """
 
     spec: PotentialSpec
     l: int = 0
     units: UnitSystem = NATURAL
     centrifugal_coeff: float = field(init=False)
+    spin_orbit_shift: float = field(init=False)
+    length_scale: float = field(init=False)
+    energy_scale: float = field(init=False)
 
     def __post_init__(self):
-        if self.l < 0 or int(self.l) != self.l:
-            raise DomainError(f"l must be a non-negative integer, got {self.l}")
-        if isinstance(self.spec, HOSpinOrbit):
-            validate_jls(self.spec.j, self.l, self.spec.s)
-        coeff = self.units.hbar**2 * self.l * (self.l + 1) / (2.0 * self.units.mass)
-        object.__setattr__(self, "centrifugal_coeff", coeff)
+        spec, l, u = self.spec, self.l, self.units
+        if l < 0 or int(l) != l:
+            raise DomainError(f"l must be a non-negative integer, got {l}")
+        shift = 0.0
+        if isinstance(spec, HOSpinOrbit):
+            validate_jls(spec.j, l, spec.s)
+            bracket = _ls_bracket(spec.j, l, spec.s)
+            if spec.c0 is None:
+                # omega * omega, not omega**2: a float power raises OverflowError instead of giving inf
+                prefactor = u.hbar**2 * (spec.omega * spec.omega) / (2.0 * u.mass * u.light_speed**2)
+                shift = _normal(prefactor, "spin-orbit prefactor hbar^2 omega^2 / (2 m c^2)", spec) * bracket
+            else:
+                shift = 0.5 * spec.c0 * bracket
+            if shift:
+                _normal(abs(shift), "spin-orbit shift C_lsj", spec)
+        try:
+            match spec:
+                case InfiniteSphericalWell(L=L):
+                    length = L
+                case IsotropicHO(omega=w) | HOSpinOrbit(omega=w):
+                    _normal(0.5 * u.mass * w * w, "oscillator strength m omega^2 / 2", spec)
+                    length = math.sqrt(u.hbar / (u.mass * w))
+                case HydrogenLike(Z=Z, e_charge=e):
+                    length = u.hbar**2 / (u.mass * Z * e * e)
+                case Parabolic(a=a):
+                    length = (u.hbar**2 / (2.0 * u.mass * a)) ** 0.25
+                case _:
+                    length = 1.0
+        except ZeroDivisionError:
+            # the denominator underflowed to 0
+            length = INFINITE
+        _normal(length, "length scale", spec)
+        # divided twice: length * length alone underflows to 0 below about 1e-162
+        energy = _normal(u.hbar2_over_m / length / length, "energy scale hbar^2 / (m length^2)", spec)
+        object.__setattr__(self, "centrifugal_coeff", u.hbar**2 * l * (l + 1) / (2.0 * u.mass))
+        object.__setattr__(self, "spin_orbit_shift", shift)
+        object.__setattr__(self, "length_scale", length)
+        object.__setattr__(self, "energy_scale", energy)
 
     def eval_potential(self, r: float) -> float:
-        return eval_potential(self.spec, r, self.units, self.l)
+        """Value of the central potential V(r); hard walls return ``INFINITE``."""
+        if not r > 0:
+            raise DomainError(f"r must be positive, got {r}")
+        match self.spec:
+            case HydrogenLike(Z=Z, e_charge=e):
+                return -Z * e * e / r
+            case InfiniteSphericalWell(L=L):
+                return 0.0 if r < L else INFINITE
+            case IsotropicHO(omega=w):
+                return 0.5 * self.units.mass * w * w * r * r
+            case HOSpinOrbit(omega=w):
+                return 0.5 * self.units.mass * w * w * r * r - self.spin_orbit_shift
+            case Parabolic(a=a, b=b, c=c):
+                return a * r * r + b * r + c
+            case FreeParticle():
+                return 0.0
+        raise DomainError(f"unknown potential spec {self.spec!r}")
 
     def __call__(self, r: float) -> float:
         return eval_effective(self, r)
 
-    @property
-    def spin_orbit_shift(self) -> float:
-        """C_lsj for HOSpinOrbit specs, 0 otherwise."""
-        if isinstance(self.spec, HOSpinOrbit):
-            return _so_constant_for(self.spec, self.l, self.units)
-        return 0.0
 
-    @property
-    def length_scale(self) -> float:
-        """A characteristic length used to seed numeric searches."""
-        u = self.units
-        match self.spec:
-            case InfiniteSphericalWell(L=L):
-                return L
-            case IsotropicHO(omega=w) | HOSpinOrbit(omega=w):
-                return math.sqrt(u.hbar / (u.mass * w))
-            case HydrogenLike(Z=Z, e_charge=e):
-                return u.hbar**2 / (u.mass * Z * e * e)
-            case Parabolic(a=a):
-                return (u.hbar**2 / (2.0 * u.mass * a)) ** 0.25
-            case _:
-                return 1.0
-
-
-def _normal(value: float, what: str, cause: str) -> float:
+def _normal(value: float, what: str, cause: object) -> float:
     """``value`` if it is a normal float; DomainError naming ``what`` and ``cause`` otherwise."""
     if not sys.float_info.min <= value < INFINITE:
-        kind = "overflows" if value == INFINITE else "underflows"
-        raise DomainError(f"{what} {kind} to {value!r} for {cause}")
+        kind = "overflows to" if value == INFINITE else "underflows to" if value >= 0 else "is"
+        raise DomainError(f"{what} {kind} {value!r} for {cause}")
     return value
-
-
-def oscillator_strength(omega: float, units: UnitSystem) -> float:
-    """a = m omega^2 / 2 of the oscillator; DomainError unless a is a normal float."""
-    a = 0.5 * units.mass * omega * omega
-    return _normal(a, "oscillator strength m omega^2 / 2", f"omega={omega!r}")
-
-
-def well_energy_scale(L: float, units: UnitSystem) -> float:
-    """hbar^2 / (m L^2) of the hard well; DomainError unless it is a normal float."""
-    # divide twice: L * L alone underflows to 0 for L below about 1e-162
-    scale = units.hbar2_over_m / L / L
-    return _normal(scale, "well energy scale hbar^2 / (m L^2)", f"L={L!r}")
-
-
-def coulomb_energy_scale(Z: int, e: float, units: UnitSystem) -> float:
-    """m (Z e^2)^2 / hbar^2, twice the Rydberg energy; DomainError unless it is a normal float."""
-    a = Z * e * e
-    scale = a * a / units.hbar2_over_m
-    return _normal(scale, "Coulomb energy scale m (Z e^2)^2 / hbar^2", f"Z={Z!r}, e={e!r}")
 
 
 def eval_effective(U: EffectivePotential, r: float) -> float:
@@ -328,7 +300,7 @@ def eval_effective_array(U: EffectivePotential, r: np.ndarray) -> np.ndarray:
         case IsotropicHO(omega=w):
             v = 0.5 * units.mass * w * w * r * r
         case HOSpinOrbit(omega=w):
-            v = 0.5 * units.mass * w * w * r * r - _so_constant_for(U.spec, U.l, units)
+            v = 0.5 * units.mass * w * w * r * r - U.spin_orbit_shift
         case Parabolic(a=a, b=b, c=c):
             v = a * r * r + b * r + c
         case FreeParticle():
@@ -354,25 +326,22 @@ def effective_minimum(U: EffectivePotential) -> tuple[float, float]:
     derivative, to |dr| <= 1e-12 r.
     Raises NoMinimumError when U is monotone without a finite minimum.
     """
-    u = U.units
     b = U.centrifugal_coeff
     match U.spec:
         case IsotropicHO(omega=w) | HOSpinOrbit(omega=w):
             shift = U.spin_orbit_shift
-            a = oscillator_strength(w, u)
+            a = 0.5 * U.units.mass * w * w
             if U.l == 0:
                 return 0.0, -shift
             r_min = (b / a) ** 0.25
             return r_min, 2.0 * math.sqrt(a * b) - shift
         case HydrogenLike(Z=Z, e_charge=e):
-            coulomb_energy_scale(Z, e, u)
             a = Z * e * e
             if U.l == 0:
                 raise NoMinimumError("attractive Coulomb with l = 0 is monotone")
             r_min = 2.0 * b / a
             return r_min, -a * a / (4.0 * b)
         case InfiniteSphericalWell(L=L):
-            well_energy_scale(L, u)
             if U.l == 0:
                 raise NoMinimumError("flat well interior with l = 0 has no interior minimum")
             # centrifugal term decreases monotonically; the minimum sits at the wall

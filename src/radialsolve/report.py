@@ -136,7 +136,7 @@ def _table_hydrogen() -> list[ComparisonRow]:
     oracle = bohr_energy(1, 1, units, e_charge=e).value
     closed = hydrogen_ground_energy(1, 0, units, e_charge=e)
     U = EffectivePotential(HydrogenLike(Z=1, e_charge=e), l=0, units=units)
-    solved = self_consistent_energy(U, Ground(), units, signed=True).value
+    solved = self_consistent_energy(U, Ground(), signed=True).value
     return [ComparisonRow("1s", oracle, closed, solved)]
 
 

@@ -5,7 +5,9 @@ and its excited-state variants K d = (2n-1) pi (symmetric), K d = 2 n pi
 (antisymmetric) and K d = n pi (general): every branch is K d = theta with
 E = g / d^2, g = (1/2)(hbar^2/m) theta^2. Each catalog family has an
 algebraic closed form; Brent's method (``roots.brentq``) solves the implicit
-equation E = g / d(E)^2 for arbitrary members of the catalog.
+equation E = g / d(E)^2 for arbitrary members of the catalog. The solve
+takes its unit system and its starting energy scale from the
+EffectivePotential, which has checked both.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .potentials import (
     EffectivePotential,
     HOSpinOrbit,
     HydrogenLike,
-    Parabolic,
     UnitSystem,
     effective_minimum,
     validate_jls,
@@ -179,7 +180,8 @@ def ho_spin_orbit_energies(
 
 
 #: Brent stops at |dE| <= _E_TOL max(1, |E|); a returned level satisfies
-#: |E - sign g / d^2| <= _RESIDUAL_TOL max(1, |E|)
+#: |E - sign g / d^2| <= _RESIDUAL_TOL max(1, |E|), or has a residual no larger
+#: than half the change of h across E +- _E_TOL max(1, |E|)
 _E_TOL = 1e-15
 _RESIDUAL_TOL = 1e-10
 
@@ -198,10 +200,7 @@ def _lower_energy_edge(U: EffectivePotential) -> Optional[float]:
 
 
 def self_consistent_energy(
-    U: EffectivePotential,
-    branch: EnergyBranch,
-    units: UnitSystem | None = None,
-    signed: bool = False,
+    U: EffectivePotential, branch: EnergyBranch, *, signed: bool = False
 ) -> EnergyLevel:
     """Solve E = g / d(E)^2 with Brent's method (``roots.brentq``).
 
@@ -211,10 +210,11 @@ def self_consistent_energy(
     has none) and searches upward. The signed solve (sign -1, bound Coulomb
     states) starts at 0 and searches downward, no further than the minimum
     of U. A geometric search brackets the sign change; Brent's method then
-    solves it to |dE| <= 1e-15 max(1, |E|).
+    solves it to |dE| <= 1e-15 max(1, |E|). The solve ends in E when
+    |h(E)| <= 1e-10 max(1, |E|), or when moving E by that tolerance moves h
+    by at least |h(E)|: where h is steep, no float meets the first bound.
     """
-    units = units or U.units
-    g = branch_g(branch, units)
+    g = branch_g(branch, U.units)
     j = U.spec.j if isinstance(U.spec, HOSpinOrbit) else None
     floor = _lower_energy_edge(U)
     t_cap = None
@@ -226,7 +226,7 @@ def self_consistent_energy(
             t_cap = -floor * (1.0 - 1e-12)
     else:
         anchor, sign = (0.0 if floor is None else floor), 1.0
-    span = t_cap or max(abs(anchor), units.hbar2_over_m / U.length_scale**2)
+    span = t_cap or max(abs(anchor), U.energy_scale)
 
     def h(E: float) -> float:
         d = _width(U, E)
@@ -259,20 +259,11 @@ def self_consistent_energy(
     d = _width(U, E)
     residual = abs(E - sign * g / (d * d))
     if not residual <= _RESIDUAL_TOL * max(1.0, abs(E)):
-        raise ConvergenceError(
-            f"fixed point not converged: residual {residual}", last_iterate=E, iterations=iterations
-        )
+        # where h is steep, no float meets that bound: accept E when moving it
+        # by its own tolerance moves h by more than the residual
+        dE = _E_TOL * max(1.0, abs(E))
+        if not residual <= abs(h(E + dE) - h(E - dE)) / 2.0:
+            raise ConvergenceError(
+                f"fixed point not converged: residual {residual}", last_iterate=E, iterations=iterations
+            )
     return EnergyLevel(branch=branch, l=U.l, j=j, value=E, d_at_solution=d, iterations=iterations)
-
-
-def parabolic_energies(
-    a: float,
-    b: float,
-    c: float,
-    l: int,
-    branch: EnergyBranch,
-    units: UnitSystem = NATURAL,
-) -> EnergyLevel:
-    """Self-consistent branch energy for V = a r^2 + b r + c."""
-    U = EffectivePotential(Parabolic(a=a, b=b, c=c), l=l, units=units)
-    return self_consistent_energy(U, branch, units)

@@ -32,7 +32,7 @@ from .potentials import (
     Parabolic,
     effective_minimum,
     eval_effective,
-    oscillator_strength,
+    eval_effective_array,
 )
 from .roots import brentq
 
@@ -164,7 +164,7 @@ def _check_single_well(U: EffectivePotential, tp: TurningPoints, samples: int = 
 
     lo = tp.r1 if tp.r1 > 0 else tp.r2 * 1e-9
     rs = np.linspace(lo, tp.r2, samples + 2)[1:-1]
-    vals = np.array([eval_effective(U, float(r)) - tp.energy for r in rs])
+    vals = eval_effective_array(U, rs) - tp.energy
     sign_changes = np.flatnonzero(np.diff(np.sign(vals)) != 0)
     if sign_changes.size:
         roots = [float(rs[i]) for i in sign_changes]
@@ -173,7 +173,6 @@ def _check_single_well(U: EffectivePotential, tp: TurningPoints, samples: int = 
 
 def closed_form_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
     """Algebraic turning points for the families that admit them."""
-    u = U.units
     b = U.centrifugal_coeff
     match U.spec:
         case HydrogenLike(Z=Z, e_charge=e):
@@ -199,7 +198,7 @@ def closed_form_turning_points(U: EffectivePotential, E: float) -> TurningPoints
             return TurningPoints(r1=r1, r2=L, energy=E, method="closed_form")
         case IsotropicHO(omega=w) | HOSpinOrbit(omega=w):
             shift = U.spin_orbit_shift
-            a = oscillator_strength(w, u)
+            a = 0.5 * U.units.mass * w * w
             Es = E + shift
             if U.l > 0 and Es <= 2.0 * math.sqrt(a * b):
                 raise NoClassicalRegionError(f"E={E} at or below the potential minimum")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import DomainError, NotNormalizableError
-from .potentials import NATURAL, EffectivePotential, UnitSystem, eval_effective_array
+from .potentials import EffectivePotential, eval_effective_array
 from .quadrature import Phase, adaptive_integral, adaptive_integral_many, make_phase
 from .spectrum import Antisymmetric, EnergyLevel, Symmetric, branch_theta, self_consistent_energy
 from .turning_points import TurningPoints, turning_points
@@ -82,10 +82,7 @@ class FreeParticleWave:
 
 
 def build_bound_state(
-    U: EffectivePotential,
-    n: int,
-    parity: str,
-    units: UnitSystem | None = None,
+    U: EffectivePotential, n: int, parity: str
 ) -> tuple[RadialWaveFunction, EnergyLevel]:
     """Quantized state: solves the branch energy, then sets K d exactly.
 
@@ -93,9 +90,8 @@ def build_bound_state(
     zeros hold to machine precision; the solved energy keeps K = m1 sqrt(E)
     consistent to the solver tolerance.
     """
-    units = units or U.units
     branch = Symmetric(n) if parity == "symmetric" else Antisymmetric(n)
-    level = self_consistent_energy(U, branch, units)
+    level = self_consistent_energy(U, branch)
     tp = turning_points(U, level.value)
     K = branch_theta(branch) / tp.d
     wf = RadialWaveFunction(potential=U, tp=tp, K=K, parity=parity, n=n, phase=_support_phase(U, tp))

@@ -207,18 +207,18 @@ def _check_closed_vs_self_consistent(failures):
     for l in range(5):
         for n in range(1, 4):
             U = EffectivePotential(InfiniteSphericalWell(L=1.0), l=l)
-            level = self_consistent_energy(U, General(n), NATURAL)
+            level = self_consistent_energy(U, General(n))
             plus, _ = well_energies(1.0, l, branch_g(General(n), NATURAL), NATURAL)
             if abs(level.value - plus) > 1e-8 * abs(plus):
                 failures.append(f"well l={l} n={n}: SC {level.value!r} vs closed {plus!r}")
             U = EffectivePotential(IsotropicHO(omega=1.0), l=l)
-            level = self_consistent_energy(U, General(n), NATURAL)
+            level = self_consistent_energy(U, General(n))
             closed = ho_energies(1.0, l, branch_theta(General(n)) ** 2, NATURAL)
             if abs(level.value - closed) > 1e-8 * abs(closed):
                 failures.append(f"HO l={l} n={n}: SC {level.value!r} vs closed {closed!r}")
             j = l + 0.5
             U = EffectivePotential(HOSpinOrbit(omega=1.0, j=j, s=0.5, c0=0.015), l=l)
-            level = self_consistent_energy(U, General(n), NATURAL)
+            level = self_consistent_energy(U, General(n))
             closed = ho_spin_orbit_energies(
                 1.0, l, j, 0.5, 0.015, branch_theta(General(n)) ** 2 / 4.0, NATURAL
             )

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +35,7 @@ def run_main(argv):
 
 # ---------------------------------------------------------------- robustness
 
-VALUES = ["1e-300", "1e-200", "1e-160", "0.5", "1", "2", "1e200", "1e300", "nan", "inf", "-1", "0"]
+VALUES = ["1e-320", "1e-300", "1e-200", "1e-160", "0.5", "1", "2", "1e200", "1e300", "nan", "inf", "-1", "0"]
 FAMILIES = {
     "hydrogen": ("Z", "e"),
     "well": ("L",),
@@ -74,12 +75,39 @@ def argvs(draw):
 @example(argv=["spectrum", "--potential", "parabolic:a=0.5,b=1e200,c=2", "--l=0"])
 @example(argv=["spectrum", "--potential", "hydrogen:Z=1,e=1e-200", "--l=0", "--signed"])
 @example(argv=["spectrum", "--potential", "hoso:omega=0.5,j=0.5,s=inf,c0=1", "--l=0"])
+@example(argv=["spectrum", "--potential", "parabolic:a=1e-320,b=1,c=1", "--l=1"])
+@example(argv=["turning-points", "--potential", "parabolic:a=1e-320,b=1,c=1", "--l=1", "--energy=2"])
 def test_cli_ends_in_an_exit_code_and_at_most_one_error_line(argv):
     assert_exit_code_and_at_most_one_error_line(argv)
 
 
+#: wall-clock seconds one argv may take before it counts as a hang
+BUDGET_S = 30.0
+
+
+class Hang(BaseException):
+    """An argv outlived its budget. Not an Exception: no handler in the CLI can swallow it."""
+
+
+@contextlib.contextmanager
+def wall_budget(seconds, what):
+    """Raise Hang naming ``what`` in the main thread once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise Hang(f"{what} still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def assert_exit_code_and_at_most_one_error_line(argv):
-    code, out, err = run_main(argv)
+    with wall_budget(BUDGET_S, argv):
+        code, out, err = run_main(argv)
     assert code in (0, 1, 2)
     if code == 0:
         assert err == ""
@@ -117,8 +145,42 @@ def oracle_argvs(draw):
 @example(argv=["oracle", "numerov", "--potential", "ho:omega=1", "--l=15", "--nodes=2", "--bracket=19.6:21.4"])
 @example(argv=["oracle", "numerov", "--potential", "well:L=2000", "--l=0", "--nodes=0", "--bracket=0:2e-6"])
 @example(argv=["oracle", "ho", "--omega=nan", "--l=1", "--n", "1"])
+@example(argv=["oracle", "numerov", "--potential", "hydrogen:e=1e-200", "--l=1", "--nodes=0", "--bracket=-1:0"])
 def test_oracle_ends_in_an_exit_code_and_at_most_one_error_line(argv):
     assert_exit_code_and_at_most_one_error_line(argv)
+
+
+@st.composite
+def wavefunction_argvs(draw):
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    params = ",".join(f"{key}={draw(values)}" for key in FAMILIES[family])
+    return [
+        "wavefunction", "--potential", f"{family}:{params}",
+        f"--l={draw(st.integers(-1, 4))}",
+        "--units", draw(st.sampled_from(["natural", "eV-nm"])),
+        f"--n={draw(st.integers(0, 3))}",
+        "--parity", draw(st.sampled_from(["symmetric", "antisymmetric"])),
+        f"--samples={draw(st.sampled_from([-1, 0, 1, 2, 17]))}",
+        "--format", draw(st.sampled_from(["csv", "json"])),
+    ]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argv=wavefunction_argvs())
+@example(argv=["wavefunction", "--potential", "parabolic:a=1e-320,b=1,c=1", "--l=1", "--samples=2"])
+def test_wavefunction_ends_in_an_exit_code_and_at_most_one_error_line(argv):
+    assert_exit_code_and_at_most_one_error_line(argv)
+
+
+def test_a_hang_fails_and_names_its_argv(monkeypatch):
+    def spin(args):
+        while True:
+            pass
+
+    monkeypatch.setattr(sys.modules["radialsolve.cli"], "cmd_spectrum", spin)
+    monkeypatch.setattr(sys.modules[__name__], "BUDGET_S", 0.2)
+    with pytest.raises(Hang, match="spectrum.*still running"):
+        assert_exit_code_and_at_most_one_error_line(["spectrum", "--potential", "ho:omega=1"])
 
 
 @pytest.mark.parametrize(
@@ -147,6 +209,13 @@ def test_oracle_ho_rejects_a_frequency_out_of_range(omega):
     code, _, err = run_main(["oracle", "ho", f"--omega={omega}"])
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_level_next_to_a_large_floor():
+    # near the floor E = c = 1000, h(E) = E - g / d(E)^2 moves by about 3e-6
+    # per ulp of E, so no float meets |h| <= 1e-10 max(1, |E|)
+    code, out, err = run_main(["spectrum", "--potential", "parabolic:a=0.001,b=0.001,c=1000", "--l", "0"])
+    assert (code, err) == (0, "")
 
 
 def test_level_far_above_the_starting_energy_scale():
@@ -199,8 +268,18 @@ def test_parabolic_turning_points_of_a_wide_well():
         ["oracle", "numerov", "--potential", "hydrogen:e=1e-160", "--l", "1", "--nodes", "0", "--bracket", "0:1e-160"],
         # r * r underflows to 0 on the grid of a 1e-300 well: no numpy warning before the error
         ["oracle", "numerov", "--potential", "well:L=1e-300", "--l", "0", "--nodes", "0", "--bracket", "0:1"],
+        # a subnormal a: the length scale overflows (the minimum search halved inf forever)
+        ["spectrum", "--potential", "parabolic:a=1e-320,b=1,c=1", "--l", "1"],
+        # Z e^2 underflows to 0: hbar^2 / (m Z e^2) divided by zero
+        ["oracle", "numerov", "--potential", "hydrogen:e=1e-200", "--l", "1", "--nodes", "0", "--bracket=-1:0"],
+        # U overflows at the end of the grid: no numpy overflow warning before the error
+        ["oracle", "numerov", "--potential", "parabolic:a=1e-160,b=1e300,c=1e200", "--l", "1", "--nodes", "0",
+         "--bracket", "0:1"],
     ],
-    ids=["wavefunction hoso", "numerov hoso", "well", "numerov hydrogen", "numerov well"],
+    ids=[
+        "wavefunction hoso", "numerov hoso", "well", "numerov hydrogen", "numerov well",
+        "spectrum parabolic", "numerov hydrogen 1e-200", "numerov parabolic overflow",
+    ],
 )
 def test_extreme_parameters_end_in_one_error_line(argv):
     # a fresh process with a timeout, so a search that never ends fails the test

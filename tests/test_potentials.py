@@ -1,11 +1,16 @@
 """Unit tests for the potential catalog and effective-potential evaluation."""
 
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from radialsolve.errors import DomainError, NoMinimumError
+from radialsolve.errors import DomainError, NoMinimumError, RadialSolveError
+from radialsolve.oracles import numerov_bound_state
 from radialsolve.potentials import (
     EV_NM,
     INFINITE,
@@ -21,10 +26,10 @@ from radialsolve.potentials import (
     effective_minimum,
     eval_effective,
     eval_effective_array,
-    eval_potential,
-    spin_orbit_constant,
     validate_jls,
 )
+from radialsolve.spectrum import General, self_consistent_energy
+from radialsolve.turning_points import turning_points
 
 
 class TestUnitSystem:
@@ -43,31 +48,36 @@ class TestUnitSystem:
             UnitSystem(mass=-1.0)
 
 
+def V(spec, r):
+    """V(r) of ``spec`` alone: the potential term of U with l = 0."""
+    return EffectivePotential(spec).eval_potential(r)
+
+
 class TestEvalPotential:
     def test_ho_at_r2(self):
-        assert eval_potential(IsotropicHO(omega=1.0), 2.0, NATURAL) == pytest.approx(2.0)
+        assert V(IsotropicHO(omega=1.0), 2.0) == pytest.approx(2.0)
 
     def test_hydrogen_at_r1(self):
-        assert eval_potential(HydrogenLike(Z=1, e_charge=1.0), 1.0, NATURAL) == pytest.approx(-1.0)
+        assert V(HydrogenLike(Z=1, e_charge=1.0), 1.0) == pytest.approx(-1.0)
 
     def test_parabolic_at_r1(self):
-        assert eval_potential(Parabolic(a=1.0, b=2.0, c=3.0), 1.0, NATURAL) == pytest.approx(6.0)
+        assert V(Parabolic(a=1.0, b=2.0, c=3.0), 1.0) == pytest.approx(6.0)
 
     def test_well_outside_is_infinite(self):
         spec = InfiniteSphericalWell(L=1.0)
-        assert eval_potential(spec, 0.5, NATURAL) == 0.0
-        assert eval_potential(spec, 1.0, NATURAL) == INFINITE
-        assert eval_potential(spec, 2.0, NATURAL) == INFINITE
-        assert eval_potential(spec, 1.5, NATURAL) > 1e300  # above all finite energies
+        assert V(spec, 0.5) == 0.0
+        assert V(spec, 1.0) == INFINITE
+        assert V(spec, 2.0) == INFINITE
+        assert V(spec, 1.5) > 1e300  # above all finite energies
 
     def test_free_particle_zero(self):
-        assert eval_potential(FreeParticle(), 7.3, NATURAL) == 0.0
+        assert V(FreeParticle(), 7.3) == 0.0
 
     def test_rejects_nonpositive_r(self):
         with pytest.raises(DomainError):
-            eval_potential(IsotropicHO(omega=1.0), 0.0, NATURAL)
+            V(IsotropicHO(omega=1.0), 0.0)
         with pytest.raises(DomainError):
-            eval_potential(IsotropicHO(omega=1.0), -1.0, NATURAL)
+            V(IsotropicHO(omega=1.0), -1.0)
 
 
 class TestEvalEffective:
@@ -97,7 +107,7 @@ class TestEvalEffective:
         for spec in specs:
             U = EffectivePotential(spec, l=ls[type(spec)])
             for r in np.linspace(0.1, 2.9, 23):
-                v = eval_potential(spec, float(r), NATURAL, U.l)
+                v = U.eval_potential(float(r))
                 u = eval_effective(U, float(r))
                 if v == INFINITE:
                     assert u == INFINITE
@@ -181,8 +191,9 @@ class TestEffectiveMinimum:
             (InfiniteSphericalWell(L=1e-200), 0, "overflows.*L=1e-200"),
             (InfiniteSphericalWell(L=1e-160), 1, "overflows.*L=1e-160"),
             (InfiniteSphericalWell(L=1e300), 1, "underflows.*L=1e\\+300"),
-            (HydrogenLike(Z=1, e_charge=1e-200), 0, "underflows.*e=1e-200"),
-            (HydrogenLike(Z=2, e_charge=1e300), 1, "overflows.*e=1e\\+300"),
+            # Z e^2 underflows to 0 or overflows: hbar^2 / (m Z e^2) is inf or 0
+            (HydrogenLike(Z=1, e_charge=1e-200), 0, "length scale overflows.*e=1e-200"),
+            (HydrogenLike(Z=2, e_charge=1e300), 1, "length scale underflows.*e=1e\\+300"),
         ],
     )
     def test_rejects_non_normal_energy_scale(self, spec, l, match):
@@ -208,34 +219,31 @@ class TestEffectiveMinimum:
             assert all(a < b for a, b in zip(right, right[1:]))
 
 
+def shift(omega, j, l, units=NATURAL, c0=None):
+    return EffectivePotential(HOSpinOrbit(omega=omega, j=j, c0=c0), l=l, units=units).spin_orbit_shift
+
+
 class TestSpinOrbitConstant:
     def test_c0_mode_d52(self):
         # bracket = 5/2*7/2 - 2*3 - 1/2*3/2 = 8.75 - 6 - 0.75 = 2
-        c = spin_orbit_constant(1.0, 2.5, 2, 0.5, NATURAL, mode="c0", c0=0.015)
-        assert c == pytest.approx(0.015, rel=1e-14)
+        assert shift(1.0, 2.5, 2, c0=0.015) == pytest.approx(0.015, rel=1e-14)
 
     def test_c0_mode_negative_bracket(self):
         # l=3, j=5/2: bracket = 8.75 - 12 - 0.75 = -4
-        c = spin_orbit_constant(1.0, 2.5, 3, 0.5, NATURAL, mode="c0", c0=0.015)
-        assert c == pytest.approx(-0.030, rel=1e-14)
+        assert shift(1.0, 2.5, 3, c0=0.015) == pytest.approx(-0.030, rel=1e-14)
 
     def test_vanishing_bracket(self):
-        # j(j+1) = l(l+1) + s(s+1): l=1, s=1/2 -> need j(j+1) = 2.75; no physical j,
-        # so use s chosen to cancel: l=1, j=3/2, s via bracket 0 impossible for fixed
-        # half-integers -- instead check c0=0 gives 0 for any coupling
-        assert spin_orbit_constant(1.0, 1.5, 1, 0.5, NATURAL, mode="c0", c0=0.0) == 0.0
+        # c0 = 0 gives 0 for any coupling
+        assert shift(1.0, 1.5, 1, c0=0.0) == 0.0
 
     def test_bracket_antisymmetry(self):
-        # l=2, j=5/2 has bracket +2; l=2, j=3/2 has bracket -3... use the pair
-        # (l=3, j=5/2) bracket -4 vs (l=1, j=3/2): 3.75-2-0.75 = +1. Antisymmetry is
-        # over the bracket value itself:
-        up = spin_orbit_constant(1.0, 2.5, 2, 0.5, NATURAL, mode="c0", c0=0.3)
-        down = spin_orbit_constant(1.0, 1.5, 2, 0.5, NATURAL, mode="c0", c0=0.3)
-        # l=2, j=3/2: 3.75 - 6 - 0.75 = -3; ratio -3/2 relative to +2 bracket
+        # l=2: j=5/2 has bracket +2, j=3/2 has 3.75 - 6 - 0.75 = -3
+        up = shift(1.0, 2.5, 2, c0=0.3)
+        down = shift(1.0, 1.5, 2, c0=0.3)
         assert down == pytest.approx(-1.5 * up, rel=1e-13)
 
     def test_relativistic_mode(self):
-        c = spin_orbit_constant(1.0, 2.5, 2, 0.5, EV_NM, mode="relativistic")
+        c = shift(1.0, 2.5, 2, EV_NM)
         expected = EV_NM.hbar**2 * 1.0 / (2.0 * EV_NM.mass * EV_NM.light_speed**2) * 2.0
         assert c == pytest.approx(expected, rel=1e-14)
 
@@ -243,11 +251,11 @@ class TestSpinOrbitConstant:
     def test_relativistic_prefactor_must_be_normal(self, omega, kind):
         # checked like the other energy scales: it must be a normal float
         with pytest.raises(DomainError, match=f"prefactor.*{kind}"):
-            spin_orbit_constant(omega, 1.5, 1, 0.5, NATURAL, mode="relativistic")
+            shift(omega, 1.5, 1)
 
     def test_invalid_triple_rejected(self):
         with pytest.raises(DomainError):
-            spin_orbit_constant(1.0, 4.5, 1, 0.5, NATURAL)
+            shift(1.0, 4.5, 1, c0=0.0)
         with pytest.raises(DomainError):
             validate_jls(0.5, 2, 0.5)
 
@@ -313,3 +321,94 @@ class TestUnderflowingRadius:
         # the centrifugal term is +inf for l >= 1 and absent for l = 0
         expected = U.eval_potential(1e-200) if l == 0 else INFINITE
         assert scalar[0] == expected
+
+
+# ---------------------------------------------------------------- one validation point
+
+VALUES = [1e-320, 1e-300, 1e-200, 1e-160, 0.5, 1.0, 2.0, 1e200, 1e300, math.nan, math.inf, -1.0, 0.0]
+FAMILIES = {
+    HydrogenLike: ("Z", "e_charge"),
+    InfiniteSphericalWell: ("L",),
+    IsotropicHO: ("omega",),
+    HOSpinOrbit: ("omega", "j", "s", "c0"),
+    Parabolic: ("a", "b", "c"),
+    FreeParticle: (),
+}
+# energies and bracket edges, in units of the energy scale of U
+MULTIPLES = [-1e300, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 1e300]
+
+
+@st.composite
+def cases(draw):
+    family = draw(st.sampled_from(list(FAMILIES)))
+    l = draw(st.integers(0, 4))
+    params = {key: draw(st.sampled_from(VALUES)) for key in FAMILIES[family]}
+    if family is HydrogenLike:
+        params["Z"] = draw(st.sampled_from([0, 1, 2, 3]))
+    if family is HOSpinOrbit:
+        # mostly a coupling that validate_jls accepts, so that the scales get checked
+        params["s"] = s = draw(st.just(0.5) | st.sampled_from(VALUES))
+        params["j"] = draw(st.sampled_from([l + s, abs(l - s)]) | st.sampled_from(VALUES))
+        params["c0"] = draw(st.none() | st.sampled_from(VALUES))
+    units = draw(st.sampled_from([NATURAL, EV_NM]))
+    energies = [draw(st.sampled_from(MULTIPLES)) for _ in range(3)]
+    return family, params, l, units, *energies
+
+
+def is_normal(x):
+    return sys.float_info.min <= abs(x) < INFINITE
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=cases())
+@example(case=(Parabolic, {"a": 1e-320, "b": 1.0, "c": 1.0}, 1, NATURAL, 2.0, 0.5, 2.0))
+@example(case=(HydrogenLike, {"Z": 1, "e_charge": 1e-200}, 1, NATURAL, -0.5, -1.0, 0.0))
+def test_scales_are_checked_once_where_U_is_built(case):
+    family, params, l, units, e, lo, hi = case
+    try:
+        U = EffectivePotential(family(**params), l=l, units=units)
+    except DomainError:
+        return
+    assert is_normal(U.length_scale) and is_normal(U.energy_scale)
+    assert U.spin_orbit_shift == 0.0 or is_normal(U.spin_orbit_shift)
+    scale = U.energy_scale
+    for solve in (
+        lambda: turning_points(U, e * scale),
+        lambda: self_consistent_energy(U, General(1), signed=isinstance(U.spec, HydrogenLike)),
+        lambda: numerov_bound_state(U, 0, (lo * scale, hi * scale)),
+    ):
+        try:
+            solve()
+        except RadialSolveError:
+            pass
+
+
+def spec_grid():
+    """(family, parameters, l values) of every catalog spec with its
+    parameters from VALUES; a spin-orbit j is l +- 1/2, so that the scales
+    of the spec get checked."""
+    for Z, e in itertools.product([1, 3], VALUES):
+        yield HydrogenLike, {"Z": Z, "e_charge": e}, range(5)
+    for x in VALUES:
+        yield InfiniteSphericalWell, {"L": x}, range(5)
+        yield IsotropicHO, {"omega": x}, range(5)
+    for omega, c0, l in itertools.product(VALUES, [None, *VALUES], range(5)):
+        for j in {l + 0.5, abs(l - 0.5)}:
+            yield HOSpinOrbit, {"omega": omega, "j": j, "c0": c0}, [l]
+    for a, b, c in itertools.product(VALUES, repeat=3):
+        yield Parabolic, {"a": a, "b": b, "c": c}, range(5)
+    yield FreeParticle, {}, range(5)
+
+
+def test_every_spec_is_rejected_or_has_normal_scales():
+    built = 0
+    for family, params, ls in spec_grid():
+        for l, units in itertools.product(ls, [NATURAL, EV_NM]):
+            try:
+                U = EffectivePotential(family(**params), l=l, units=units)
+            except DomainError:
+                continue
+            built += 1
+            assert is_normal(U.length_scale) and is_normal(U.energy_scale), U
+            assert U.spin_orbit_shift == 0.0 or is_normal(U.spin_orbit_shift), U
+    assert built > 1000

@@ -1,10 +1,12 @@
 """Tests for the energy formulas and the self-consistent solver."""
 
+import itertools
 import math
 
 import pytest
 
-from radialsolve.errors import DomainError
+import radialsolve.spectrum as spectrum
+from radialsolve.errors import ConvergenceError, DomainError
 from radialsolve.potentials import (
     EV_NM,
     E_CHARGE_EV_NM,
@@ -14,6 +16,7 @@ from radialsolve.potentials import (
     HydrogenLike,
     InfiniteSphericalWell,
     IsotropicHO,
+    Parabolic,
     UnitSystem,
 )
 from radialsolve.spectrum import (
@@ -29,7 +32,6 @@ from radialsolve.spectrum import (
     ho_energies,
     ho_spin_orbit_energies,
     hydrogen_ground_energy,
-    parabolic_energies,
     self_consistent_energy,
     well_energies,
 )
@@ -73,7 +75,7 @@ class TestDeltaModel:
         # at the bound fixed point E0 = -2 hbar^2/(m d^2), the product S = E0 d
         # fed back through the delta model reproduces E0
         U = EffectivePotential(HydrogenLike(Z=1, e_charge=1.0), l=0)
-        level = self_consistent_energy(U, Ground(), NATURAL, signed=True)
+        level = self_consistent_energy(U, Ground(), signed=True)
         S = level.value * level.d_at_solution
         _, E, _ = delta_model_energy(S, NATURAL)
         assert E == pytest.approx(level.value, rel=1e-9)
@@ -114,31 +116,56 @@ class TestExcitedEnergyFromD:
 class TestSelfConsistent:
     def test_well_l1_ground(self):
         U = EffectivePotential(InfiniteSphericalWell(L=1.0), l=1)
-        level = self_consistent_energy(U, Ground(), NATURAL)
+        level = self_consistent_energy(U, Ground())
         assert level.value == pytest.approx((1.0 + math.sqrt(2.0)) ** 2, rel=1e-9)
 
     def test_ho_l0_ground(self):
         U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
-        level = self_consistent_energy(U, Ground(), NATURAL)
+        level = self_consistent_energy(U, Ground())
         assert level.value == pytest.approx(1.0, rel=1e-9)
 
     def test_ho_l0_general_1(self):
         U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
-        level = self_consistent_energy(U, General(1), NATURAL)
+        level = self_consistent_energy(U, General(1))
         assert level.value == pytest.approx(math.pi / 2.0, rel=1e-9)
 
     def test_converged_invariant(self):
         U = EffectivePotential(IsotropicHO(omega=1.0), l=2)
-        level = self_consistent_energy(U, Symmetric(2), NATURAL)
+        level = self_consistent_energy(U, Symmetric(2))
         g = branch_g(Symmetric(2), NATURAL)
         residual = abs(level.value - g / level.d_at_solution**2)
         assert residual <= 1e-10 * max(1.0, abs(level.value))
+
+    @pytest.mark.parametrize(
+        "spec, l", [(IsotropicHO(omega=1.0), 1), (Parabolic(a=0.001, b=0.001, c=1000.0), 0)]
+    )
+    def test_planted_level_off_by_1e_9_is_refused(self, monkeypatch, spec, l):
+        # the tolerance of E itself accounts for a residual of a few ulps of
+        # E, never for an E that is 1e-9 off
+        solve = spectrum.brentq
+
+        def off_by_1e_9(f, a, b, **tol):
+            E, iterations = solve(f, a, b, **tol)
+            return E * (1.0 + 1e-9), iterations
+
+        monkeypatch.setattr(spectrum, "brentq", off_by_1e_9)
+        with pytest.raises(ConvergenceError, match="not converged"):
+            self_consistent_energy(EffectivePotential(spec, l=l), General(1))
+
+    def test_levels_next_to_a_large_floor(self):
+        # with c = 1000 and a, b small, h = E - g / d^2 moves by about 3e-6
+        # per ulp of E near the level, so no float meets the 1e-10 residual
+        branches = [Ground(), Symmetric(1), Antisymmetric(1), General(1), General(2)]
+        for a, b, c in itertools.product([1e-3, 1e3], repeat=3):
+            for l, branch in itertools.product(range(4), branches):
+                U = EffectivePotential(Parabolic(a=a, b=b, c=c), l=l)
+                assert self_consistent_energy(U, branch).value > c
 
     def test_matches_well_closed_form(self):
         for l in range(5):
             for n in range(1, 4):
                 U = EffectivePotential(InfiniteSphericalWell(L=1.0), l=l)
-                level = self_consistent_energy(U, General(n), NATURAL)
+                level = self_consistent_energy(U, General(n))
                 plus, _ = well_energies(1.0, l, branch_g(General(n), NATURAL), NATURAL)
                 assert level.value == pytest.approx(plus, rel=1e-8)
 
@@ -146,7 +173,7 @@ class TestSelfConsistent:
         for l in range(5):
             for n in range(1, 4):
                 U = EffectivePotential(IsotropicHO(omega=1.0), l=l)
-                level = self_consistent_energy(U, General(n), NATURAL)
+                level = self_consistent_energy(U, General(n))
                 closed = ho_energies(1.0, l, branch_theta(General(n)) ** 2, NATURAL)
                 assert level.value == pytest.approx(closed, rel=1e-8)
 
@@ -158,7 +185,7 @@ class TestSelfConsistent:
                     continue
                 for n in range(1, 4):
                     U = EffectivePotential(HOSpinOrbit(omega=1.0, j=j, s=0.5, c0=c0), l=l)
-                    level = self_consistent_energy(U, General(n), NATURAL)
+                    level = self_consistent_energy(U, General(n))
                     closed = ho_spin_orbit_energies(
                         1.0, l, j, 0.5, c0, branch_theta(General(n)) ** 2 / 4.0, NATURAL
                     )
@@ -179,12 +206,12 @@ class TestHydrogen:
         assert hydrogen_ground_energy(1, 1, NATURAL) == pytest.approx(-1.0 / 6.0, rel=1e-14)
         # cross-check against the signed self-consistent solver
         U = EffectivePotential(HydrogenLike(Z=1, e_charge=1.0), l=1)
-        level = self_consistent_energy(U, Ground(), NATURAL, signed=True)
+        level = self_consistent_energy(U, Ground(), signed=True)
         assert level.value == pytest.approx(-1.0 / 6.0, rel=1e-8)
 
     def test_signed_solver_matches_closed_form_physical(self):
         U = EffectivePotential(HydrogenLike(Z=1, e_charge=E_CHARGE_EV_NM), l=0, units=EV_NM)
-        level = self_consistent_energy(U, Ground(), EV_NM, signed=True)
+        level = self_consistent_energy(U, Ground(), signed=True)
         closed = hydrogen_ground_energy(1, 0, EV_NM, e_charge=E_CHARGE_EV_NM)
         assert abs(level.value - closed) <= 1e-6 * abs(closed)
 
@@ -256,22 +283,26 @@ class TestHOSpinOrbit:
             ho_spin_orbit_energies(1.0, 2, 4.5, 0.5, 0.015, 1.0, NATURAL)
 
 
+def parabolic_level(a, b, c, l, branch):
+    return self_consistent_energy(EffectivePotential(Parabolic(a=a, b=b, c=c), l=l), branch)
+
+
 class TestParabolic:
     def test_small_b_c_limit_matches_ho(self):
         # V = a r^2 + b r + c tends to the oscillator with a = m omega^2 / 2
         omega = math.sqrt(2.0)  # a = 1
         for l in (0, 1):
-            level = parabolic_energies(1.0, 1e-10, 1e-10, l, General(1), NATURAL)
+            level = parabolic_level(1.0, 1e-10, 1e-10, l, General(1))
             closed = ho_energies(omega, l, branch_theta(General(1)) ** 2, NATURAL)
             assert level.value == pytest.approx(closed, rel=1e-6)
 
     def test_ground_self_consistency(self):
-        level = parabolic_energies(1.0, 1.0, 1.0, 0, Ground(), NATURAL)
+        level = parabolic_level(1.0, 1.0, 1.0, 0, Ground())
         assert abs(level.value - 2.0 / level.d_at_solution**2) <= 1e-10 * max(1.0, level.value)
 
     def test_branch_ordering(self):
-        ground = parabolic_energies(1.0, 1.0, 1.0, 1, Ground(), NATURAL)
-        general = parabolic_energies(1.0, 1.0, 1.0, 1, General(1), NATURAL)
+        ground = parabolic_level(1.0, 1.0, 1.0, 1, Ground())
+        general = parabolic_level(1.0, 1.0, 1.0, 1, General(1))
         assert general.value > ground.value
 
 

@@ -335,6 +335,6 @@ class TestDispatcher:
     @pytest.mark.parametrize("omega, kind", [(1e-160, "underflows"), (1e200, "overflows")])
     def test_rejects_non_normal_oscillator_strength(self, omega, kind):
         # m omega^2 / 2 is subnormal (5e-321) or infinite
-        U = EffectivePotential(IsotropicHO(omega=omega), l=1)
-        with pytest.raises(DomainError, match=f"{kind}.*omega={re.escape(repr(omega))}"):
-            closed_form_turning_points(U, 1.0)
+        # rejected where U is built, before any turning-point solve
+        with pytest.raises(DomainError, match=f"oscillator strength.*{kind}.*omega={re.escape(repr(omega))}"):
+            EffectivePotential(IsotropicHO(omega=omega), l=1)
