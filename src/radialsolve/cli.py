@@ -125,16 +125,20 @@ def parse_bracket(text: str) -> tuple[float, float]:
 
 
 def _load_config(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise UsageError(f"bad config line {line!r}")
-            out[key.strip()] = value.strip()
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise UsageError(f"bad config line {line!r}")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -153,24 +157,18 @@ def _emit(data: bytes, out_path: str | None) -> None:
         sys.stdout.buffer.write(data)
 
 
-def _apply_config(
-    args: argparse.Namespace, explicit: set[str], actions: dict[str, argparse.Action]
-) -> None:
-    if not getattr(args, "config", None):
-        return
-    config = _load_config(args.config)
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr not in actions:
+def _config_defaults(p: argparse.ArgumentParser, path: str) -> dict[str, object]:
+    """The checked and converted values of a config file, as defaults of the verb's options."""
+    actions = {a.dest: a for a in p._actions if a.option_strings and a.dest != "help"}
+    defaults = {}
+    for key, value in _load_config(path).items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise UsageError(f"unknown config key {key!r}")
-        # flags explicitly given on the command line take precedence
-        if attr in explicit:
-            continue
-        action = actions[attr]
         if action.nargs == 0:  # store_true style flags
             if value.lower() not in ("true", "false", "1", "0", "yes", "no"):
                 raise UsageError(f"config value for {key!r} must be a boolean")
-            setattr(args, attr, value.lower() in ("true", "1", "yes"))
+            defaults[action.dest] = value.lower() in ("true", "1", "yes")
             continue
         try:
             parsed = action.type(value) if action.type is not None else value
@@ -178,7 +176,8 @@ def _apply_config(
             raise UsageError(f"bad config value for {key!r}: {exc}") from exc
         if action.choices is not None and parsed not in action.choices:
             raise UsageError(f"config value for {key!r} must be one of {list(action.choices)}")
-        setattr(args, attr, parsed)
+        defaults[action.dest] = parsed
+    return defaults
 
 
 def sample_grid(start: float, stop: float, num: int) -> list[float]:
@@ -276,19 +275,6 @@ def cmd_oracle(args) -> None:
     _emit(("\n".join(lines) + "\n").encode(), args.out)
 
 
-#: default of every option; main() tells a flag given on the command line
-#: (as --opt value or --opt=value) from one left unset by it
-_UNSET = object()
-
-
-def _finish(p: argparse.ArgumentParser, func) -> None:
-    """Register the verb's handler; each option's default moves to ``fallback``."""
-    for action in p._actions:
-        if action.option_strings and action.dest != "help":
-            action.fallback, action.default = action.default, _UNSET
-    p.set_defaults(func=func, subparser=p)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="radialsolve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -302,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=TABLE_IDS, required=True)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     common(p)
-    _finish(p, cmd_tables)
+    p.set_defaults(subparser=p, func=cmd_tables)
 
     p = sub.add_parser("spectrum", help="self-consistent branch energies")
     p.add_argument("--potential", required=True)
@@ -312,14 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signed", action="store_true", help="bound (negative) convention")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     common(p)
-    _finish(p, cmd_spectrum)
+    p.set_defaults(subparser=p, func=cmd_spectrum)
 
     p = sub.add_parser("turning-points", help="solve E = U(r)")
     p.add_argument("--potential", required=True)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--energy", type=float, required=True)
     common(p)
-    _finish(p, cmd_turning_points)
+    p.set_defaults(subparser=p, func=cmd_turning_points)
 
     p = sub.add_parser("wavefunction", help="sample a normalized bound state")
     p.add_argument("--potential", required=True)
@@ -329,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=512)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     common(p)
-    _finish(p, cmd_wavefunction)
+    p.set_defaults(subparser=p, func=cmd_wavefunction)
 
     p = sub.add_parser("oracle", help="independent reference values")
     osub = p.add_subparsers(dest="oracle_kind", required=True)
@@ -337,27 +323,27 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--l", type=int, required=True)
     q.add_argument("--n", default="1")
     common(q)
-    _finish(q, cmd_oracle)
+    q.set_defaults(subparser=q, func=cmd_oracle)
     q = osub.add_parser("well")
     q.add_argument("--L", type=float, required=True)
     q.add_argument("--l", type=int, default=0)
     q.add_argument("--n", default="1")
     common(q)
-    _finish(q, cmd_oracle)
+    q.set_defaults(subparser=q, func=cmd_oracle)
     q = osub.add_parser("ho")
     q.add_argument("--omega", type=float, default=1.0)
     q.add_argument("--l", type=int, default=0)
     q.add_argument("--n", default="1")
     q.add_argument("--indexing", choices=("from_zero", "from_one"), default="from_zero")
     common(q)
-    _finish(q, cmd_oracle)
+    q.set_defaults(subparser=q, func=cmd_oracle)
     q = osub.add_parser("numerov")
     q.add_argument("--potential", required=True)
     q.add_argument("--l", type=int, default=0)
     q.add_argument("--nodes", type=int, default=0)
     q.add_argument("--bracket", required=True, help="lo:hi energy bracket")
     common(q)
-    _finish(q, cmd_oracle)
+    q.set_defaults(subparser=q, func=cmd_oracle)
 
     return parser
 
@@ -365,16 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    actions = {
-        action.dest: action
-        for action in args.subparser._actions
-        if action.option_strings and action.dest != "help"
-    }
-    explicit = {dest for dest in actions if getattr(args, dest) is not _UNSET}
-    for dest in actions.keys() - explicit:
-        setattr(args, dest, actions[dest].fallback)
     try:
-        _apply_config(args, explicit, actions)
+        if args.config:
+            # config values become the verb's defaults: a flag on the command line wins
+            args.subparser.set_defaults(**_config_defaults(args.subparser, args.config))
+            args = parser.parse_args(argv)
         args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -290,10 +290,10 @@ def numerov_bound_state(
         raise DomainError(f"invalid bracket {bracket}")
     scale, eps = U.length_scale, U.energy_scale
     r_min = 1e-6 * scale
-    if isinstance(U.spec, InfiniteSphericalWell):
+    if U.wall < INFINITE:
         # stop just inside the wall; the F(r_max) = 0 condition shifts levels
         # by only O(1e-9) relative
-        r_max = U.spec.L * (1.0 - 1e-9)
+        r_max = U.wall * (1.0 - 1e-9)
     else:
         # step out of any centrifugal barrier while U falls (once U(r_max) is
         # no lower than U one step in, r_max lies past the minimum), then past

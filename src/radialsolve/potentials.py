@@ -9,9 +9,16 @@ by the distinguished value ``INFINITE`` (IEEE +inf), which orders above every
 finite energy, so no spurious turning points can appear from a large-but-
 finite sentinel.
 
-``EffectivePotential`` is the one validation point of the scales: it
-computes the spin-orbit shift, the length scale and the energy scale once,
-rejects any that is not a normal float, and every solver reads them.
+Every catalog potential is one case of the coefficient form
+
+    V(r) = a r^2 + b r + c - k / r,   V = INFINITE for r >= L (a hard wall)
+
+with a = m omega^2 / 2 and c = -C_lsj for the oscillator (C_lsj = 0 without
+spin-orbit), a, b, c for the parabolic well, k = Z e^2 for hydrogen, L for
+the infinite well and all zero for the free particle.
+``EffectivePotential`` computes the coefficients, the wall and the scales
+once and rejects any scale that is not a normal float; the solvers'
+formulas read these fields, not the spec's parameters.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ class HydrogenLike:
     e_charge: float = 1.0
 
     def __post_init__(self):
-        if self.Z < 1 or int(self.Z) != self.Z:
+        if not (1 <= self.Z < INFINITE and int(self.Z) == self.Z):
             raise DomainError(f"Z must be a positive integer, got {self.Z}")
         if not self.e_charge > 0:
             raise DomainError("e_charge must be positive")
@@ -169,14 +176,16 @@ def validate_jls(j: float, l: int, s: float) -> None:
 class EffectivePotential:
     """A potential spec combined with an angular momentum quantum number.
 
-    Construction computes, once, the scales every solver reads:
+    Construction computes, once, the fields every solver reads:
 
+    - ``quadratic``, ``linear``, ``offset``, ``coulomb``: a, b, c, k of the
+      coefficient form; ``wall``: L of a hard wall, ``INFINITE`` without one;
     - ``spin_orbit_shift``: C_lsj of a HOSpinOrbit spec, 0 otherwise;
     - ``length_scale``: a characteristic length that seeds numeric searches;
     - ``energy_scale``: hbar^2 / (m length_scale^2).
 
     It raises one DomainError, naming the quantity and the spec, when any of
-    them, the oscillator strength m omega^2 / 2 or the relativistic
+    the scales, the oscillator strength m omega^2 / 2 or the relativistic
     spin-orbit prefactor is not a normal float (a shift of exactly 0 is
     allowed). No consumer checks a scale again.
     """
@@ -188,6 +197,11 @@ class EffectivePotential:
     spin_orbit_shift: float = field(init=False)
     length_scale: float = field(init=False)
     energy_scale: float = field(init=False)
+    quadratic: float = field(init=False)
+    linear: float = field(init=False)
+    offset: float = field(init=False)
+    coulomb: float = field(init=False)
+    wall: float = field(init=False)
 
     def __post_init__(self):
         spec, l, u = self.spec, self.l, self.units
@@ -205,16 +219,21 @@ class EffectivePotential:
                 shift = 0.5 * spec.c0 * bracket
             if shift:
                 _normal(abs(shift), "spin-orbit shift C_lsj", spec)
+        quadratic = linear = offset = coulomb = 0.0
+        wall = INFINITE
         try:
             match spec:
                 case InfiniteSphericalWell(L=L):
-                    length = L
+                    wall = length = L
                 case IsotropicHO(omega=w) | HOSpinOrbit(omega=w):
-                    _normal(0.5 * u.mass * w * w, "oscillator strength m omega^2 / 2", spec)
+                    quadratic = _normal(0.5 * u.mass * w * w, "oscillator strength m omega^2 / 2", spec)
+                    offset = -shift
                     length = math.sqrt(u.hbar / (u.mass * w))
                 case HydrogenLike(Z=Z, e_charge=e):
+                    coulomb = Z * e * e
                     length = u.hbar**2 / (u.mass * Z * e * e)
-                case Parabolic(a=a):
+                case Parabolic(a=a, b=b, c=c):
+                    quadratic, linear, offset = a, b, c
                     length = (u.hbar**2 / (2.0 * u.mass * a)) ** 0.25
                 case _:
                     length = 1.0
@@ -224,29 +243,20 @@ class EffectivePotential:
         _normal(length, "length scale", spec)
         # divided twice: length * length alone underflows to 0 below about 1e-162
         energy = _normal(u.hbar2_over_m / length / length, "energy scale hbar^2 / (m length^2)", spec)
-        object.__setattr__(self, "centrifugal_coeff", u.hbar**2 * l * (l + 1) / (2.0 * u.mass))
-        object.__setattr__(self, "spin_orbit_shift", shift)
-        object.__setattr__(self, "length_scale", length)
-        object.__setattr__(self, "energy_scale", energy)
+        # frozen: the computed fields go past __setattr__
+        vars(self).update(
+            centrifugal_coeff=u.hbar**2 * l * (l + 1) / (2.0 * u.mass),
+            spin_orbit_shift=shift, length_scale=length, energy_scale=energy,
+            quadratic=quadratic, linear=linear, offset=offset, coulomb=coulomb, wall=wall,
+        )
 
     def eval_potential(self, r: float) -> float:
-        """Value of the central potential V(r); hard walls return ``INFINITE``."""
-        if not r > 0:
-            raise DomainError(f"r must be positive, got {r}")
-        match self.spec:
-            case HydrogenLike(Z=Z, e_charge=e):
-                return -Z * e * e / r
-            case InfiniteSphericalWell(L=L):
-                return 0.0 if r < L else INFINITE
-            case IsotropicHO(omega=w):
-                return 0.5 * self.units.mass * w * w * r * r
-            case HOSpinOrbit(omega=w):
-                return 0.5 * self.units.mass * w * w * r * r - self.spin_orbit_shift
-            case Parabolic(a=a, b=b, c=c):
-                return a * r * r + b * r + c
-            case FreeParticle():
-                return 0.0
-        raise DomainError(f"unknown potential spec {self.spec!r}")
+        """V(r) = a r^2 + b r + c - k / r inside the wall, ``INFINITE`` on and past it."""
+        if not 0 < r < INFINITE:
+            raise DomainError(f"r must be positive and finite, got {r}")
+        if r >= self.wall:
+            return INFINITE
+        return self.quadratic * r * r + self.linear * r + self.offset - self.coulomb / r
 
     def __call__(self, r: float) -> float:
         return eval_effective(self, r)
@@ -261,13 +271,11 @@ def _normal(value: float, what: str, cause: object) -> float:
 
 
 def eval_effective(U: EffectivePotential, r: float) -> float:
-    """U(r) = V(r) + centrifugal_coeff / r^2.
+    """U(r) = V(r) + centrifugal_coeff / r^2 for finite r > 0.
 
     Below r of about 1.5e-162, r * r underflows to 0: the centrifugal term is
     then +inf, or absent when its coefficient is 0 (l = 0).
     """
-    if not r > 0:
-        raise DomainError(f"r must be positive, got {r}")
     v = U.eval_potential(r)
     if v == INFINITE:
         return INFINITE
@@ -280,41 +288,29 @@ def eval_effective(U: EffectivePotential, r: float) -> float:
 def eval_effective_array(U: EffectivePotential, r: np.ndarray) -> np.ndarray:
     """U on an array of radii, equal bit for bit to ``eval_effective`` at each point.
 
-    Each formula repeats the scalar one operation for operation, so numpy
-    rounds every element exactly as the scalar path does, the underflow of
-    r * r included, without a RuntimeWarning there. ``r`` may have any shape.
+    The expression is the scalar one, so numpy rounds every element exactly
+    as the scalar path does, the underflow of r * r included. Like the scalar
+    path it overflows to inf without a RuntimeWarning. ``r`` may have any
+    shape; every element must be finite and positive.
     """
     import numpy as np
 
     r = np.asarray(r, dtype=float)
-    # min is nan when any element is nan
-    r_min = float(r.min()) if r.size else 1.0
-    if not r_min > 0:
-        raise DomainError("r must be positive")
-    units = U.units
-    match U.spec:
-        case HydrogenLike(Z=Z, e_charge=e):
-            v = -Z * e * e / r
-        case InfiniteSphericalWell(L=L):
-            v = np.where(r < L, 0.0, INFINITE)
-        case IsotropicHO(omega=w):
-            v = 0.5 * units.mass * w * w * r * r
-        case HOSpinOrbit(omega=w):
-            v = 0.5 * units.mass * w * w * r * r - U.spin_orbit_shift
-        case Parabolic(a=a, b=b, c=c):
-            v = a * r * r + b * r + c
-        case FreeParticle():
-            v = np.zeros_like(r)
-        case _:
-            raise DomainError(f"unknown potential spec {U.spec!r}")
+    # min and max are nan when any element is nan
+    r_min, r_max = (float(r.min()), float(r.max())) if r.size else (1.0, 1.0)
+    if not 0 < r_min <= r_max < INFINITE:
+        raise DomainError("r must be positive and finite")
     coeff = U.centrifugal_coeff
-    rr = r * r
-    if r_min * r_min >= sys.float_info.min:
-        # a wall stays INFINITE: inf plus the finite centrifugal term is inf
-        return v + coeff / rr
-    # r * r is subnormal or 0 somewhere: coeff / rr may overflow or divide by 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        v = U.quadratic * r * r + U.linear * r + U.offset - U.coulomb / r
+        if U.wall < INFINITE:
+            v = np.where(r < U.wall, v, INFINITE)
+        rr = r * r
+        # a wall stays INFINITE: inf plus the finite centrifugal term is inf
         u = v + coeff / rr
+    if r_min * r_min >= sys.float_info.min:
+        return u
+    # r * r is subnormal or 0 somewhere: coeff / rr may overflow or divide by 0
     return np.where(rr == 0.0, v if coeff == 0.0 else INFINITE, u)
 
 
@@ -328,25 +324,26 @@ def effective_minimum(U: EffectivePotential) -> tuple[float, float]:
     """
     b = U.centrifugal_coeff
     match U.spec:
-        case IsotropicHO(omega=w) | HOSpinOrbit(omega=w):
-            shift = U.spin_orbit_shift
-            a = 0.5 * U.units.mass * w * w
+        case IsotropicHO() | HOSpinOrbit():
+            a = U.quadratic
             if U.l == 0:
-                return 0.0, -shift
+                return 0.0, U.offset
             r_min = (b / a) ** 0.25
-            return r_min, 2.0 * math.sqrt(a * b) - shift
-        case HydrogenLike(Z=Z, e_charge=e):
-            a = Z * e * e
+            return r_min, 2.0 * math.sqrt(a * b) + U.offset
+        case HydrogenLike():
+            a = U.coulomb
             if U.l == 0:
                 raise NoMinimumError("attractive Coulomb with l = 0 is monotone")
             r_min = 2.0 * b / a
             return r_min, -a * a / (4.0 * b)
-        case InfiniteSphericalWell(L=L):
+        case InfiniteSphericalWell():
             if U.l == 0:
                 raise NoMinimumError("flat well interior with l = 0 has no interior minimum")
             # centrifugal term decreases monotonically; the minimum sits at the wall
+            L = U.wall
             return L, b / (L * L)
-        case Parabolic(a=a, b=pb, c=c):
+        case Parabolic():
+            a, pb, c = U.quadratic, U.linear, U.offset
             if U.l == 0:
                 return 0.0, c
             # U'(r) = 2 a r + b - 2 coeff / r^3 is strictly increasing

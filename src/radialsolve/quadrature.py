@@ -1,10 +1,12 @@
 """Area integral S and phase function Q(r).
 
 S = integral of U(r) over [r1, r2]; Q(r) = m1 * integral of sqrt(U) from a
-reference radius. Both come in a closed-form flavor (re-derived
-antiderivatives per potential family) and a numeric flavor backed by a
-globally adaptive 15-point Gauss-Kronrod rule. Closed forms are normalized
-so that Q(r_ref) = 0; only Q differences are meaningful.
+reference radius. Both come in a closed-form flavor and a numeric flavor
+backed by a globally adaptive 15-point Gauss-Kronrod rule. The closed forms
+read the coefficients of U = a r^2 + b r + c - k / r + coeff / r^2: S has
+one antiderivative, term by term, for every family; Q has one where
+b = k = 0 (oscillator, free particle, well interior). Closed forms are
+normalized so that Q(r_ref) = 0; only Q differences are meaningful.
 
 The integrand of the adaptive loop takes the 15 nodes of a panel in one
 call, so that an array integrand costs one numpy call per panel.
@@ -25,17 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ComplexPhaseError, DomainError, IntegrationError
-from .potentials import (
-    EffectivePotential,
-    FreeParticle,
-    HOSpinOrbit,
-    HydrogenLike,
-    InfiniteSphericalWell,
-    IsotropicHO,
-    Parabolic,
-    eval_effective,
-    eval_effective_array,
-)
+from .potentials import EffectivePotential, eval_effective, eval_effective_array
 from .turning_points import TurningPoints
 
 if TYPE_CHECKING:
@@ -201,62 +193,51 @@ class PhaseResult:
 
 
 def area_S(U: EffectivePotential, tp: TurningPoints, method: str = "auto") -> PhaseResult:
-    """S = integral of U(r) over [r1, r2], the delta-model strength."""
+    """S = integral of U(r) over [r1, r2], the delta-model strength.
+
+    ``auto`` takes the closed form and falls back to the numeric integral
+    where a power of the closed form overflows; ``closed_form`` raises a
+    DomainError there.
+    """
     if method not in ("auto", "closed_form", "numeric"):
         raise DomainError(f"unknown method {method!r}")
     r1, r2 = tp.r1, tp.r2
-    b = U.centrifugal_coeff
     if method != "numeric":
-        closed = _area_closed_form(U, r1, r2, b)
-        if closed is not None:
-            return PhaseResult(closed, "closed_form", r1, 0.0)
-        if method == "closed_form":
-            raise DomainError(f"no closed-form area for {type(U.spec).__name__}")
-    if r1 == 0.0 and _diverges_at_origin(U):
+        try:
+            return PhaseResult(_area_closed_form(U, r1, r2), "closed_form", r1, 0.0)
+        except OverflowError:
+            if method == "closed_form":
+                raise DomainError(f"closed-form area overflows on [{r1!r}, {r2!r}] for {U.spec}") from None
+    if r1 == 0.0 and (U.l > 0 or U.coulomb > 0):
         raise IntegrationError("integrand of S is non-integrable at r = 0")
     lo = r1 if r1 > 0 else 0.0
     val, err = adaptive_integral(lambda r: eval_effective(U, r), lo, r2, tol=1e-10)
     return PhaseResult(val, "numeric", r1, err)
 
 
-def _diverges_at_origin(U: EffectivePotential) -> bool:
-    if U.l > 0:
-        return True  # 1/r^2 centrifugal term
-    return isinstance(U.spec, HydrogenLike)  # logarithmic divergence of -1/r
+def _area_closed_form(U: EffectivePotential, r1: float, r2: float) -> float:
+    """S from the antiderivative of a r^2 + b r + c - k / r + coeff / r^2, term by term.
 
-
-def _area_closed_form(U: EffectivePotential, r1: float, r2: float, b: float) -> float | None:
-    u = U.units
-
-    def inv_diff():
+    A term whose coefficient is 0 is skipped, so it can neither overflow nor
+    diverge; a power that overflows raises OverflowError.
+    """
+    s = 0.0
+    if U.quadratic:
+        s += U.quadratic * (r2**3 - r1**3) / 3.0
+    if U.linear:
+        s += U.linear * (r2**2 - r1**2) / 2.0
+    if U.offset:
+        s += U.offset * (r2 - r1)
+    if U.coulomb:
+        if r1 == 0.0:
+            raise IntegrationError("integral of -Ze^2/r diverges logarithmically at r = 0")
+        s -= U.coulomb * math.log(r2 / r1)
+    b = U.centrifugal_coeff
+    if b:
         if r1 == 0.0:
             raise IntegrationError("integrand of S is non-integrable at r = 0")
-        return 1.0 / r1 - 1.0 / r2
-
-    match U.spec:
-        case FreeParticle() | InfiniteSphericalWell():
-            return 0.0 if b == 0.0 else b * inv_diff()
-        case IsotropicHO(omega=w) | HOSpinOrbit(omega=w):
-            a = 0.5 * u.mass * w * w
-            s = a * (r2**3 - r1**3) / 3.0 - U.spin_orbit_shift * (r2 - r1)
-            if b != 0.0:
-                s += b * inv_diff()
-            return s
-        case HydrogenLike(Z=Z, e_charge=e):
-            if r1 == 0.0:
-                raise IntegrationError(
-                    "integral of -Ze^2/r diverges logarithmically at r = 0"
-                )
-            s = -Z * e * e * math.log(r2 / r1)
-            if b != 0.0:
-                s += b * inv_diff()
-            return s
-        case Parabolic(a=a, b=pb, c=c):
-            s = a * (r2**3 - r1**3) / 3.0 + pb * (r2**2 - r1**2) / 2.0 + c * (r2 - r1)
-            if b != 0.0:
-                s += b * inv_diff()
-            return s
-    return None
+        s += b * (1.0 / r1 - 1.0 / r2)
+    return s
 
 
 def _check_nonnegative(U: EffectivePotential, lo: float, hi: float, samples: int = 257) -> None:
@@ -316,24 +297,27 @@ def _ho_l0_antiderivative(a: float, C: float, r: float) -> float:
 
 
 def _phase_closed_form(U: EffectivePotential, r: float, r_ref: float) -> float | None:
-    u = U.units
+    """Q in closed form where V has no linear and no Coulomb term, None elsewhere.
+
+    Without a quadratic term (free particle, well interior) only the
+    centrifugal term is left, and Q is a logarithm; otherwise the oscillator
+    antiderivative applies, with C = -offset.
+    """
+    if U.linear or U.coulomb:
+        return None
     b = U.centrifugal_coeff
-    m1 = u.m1
-    match U.spec:
-        case FreeParticle() | InfiniteSphericalWell():
-            if b == 0.0:
-                return 0.0
-            return m1 * math.sqrt(b) * math.log(r / r_ref)
-        case IsotropicHO(omega=w) | HOSpinOrbit(omega=w):
-            a = 0.5 * u.mass * w * w
-            C = U.spin_orbit_shift
-            try:
-                if b == 0.0:
-                    return m1 * (_ho_l0_antiderivative(a, C, r) - _ho_l0_antiderivative(a, C, r_ref))
-                return m1 * (_ho_antiderivative(a, b, C, r) - _ho_antiderivative(a, b, C, r_ref))
-            except ValueError:
-                return None
-    return None
+    m1 = U.units.m1
+    if not U.quadratic:
+        if b == 0.0:
+            return 0.0
+        return m1 * math.sqrt(b) * math.log(r / r_ref)
+    a, C = U.quadratic, -U.offset
+    try:
+        if b == 0.0:
+            return m1 * (_ho_l0_antiderivative(a, C, r) - _ho_l0_antiderivative(a, C, r_ref))
+        return m1 * (_ho_antiderivative(a, b, C, r) - _ho_antiderivative(a, b, C, r_ref))
+    except ValueError:
+        return None
 
 
 def phase_Q(

@@ -5,7 +5,8 @@ the parabolic well with l = 0. With l >= 1 the parabolic U is strictly
 convex, so Brent's method on its two flanks finds the only two roots. The
 free particle has no outer turning point. ``solve_turning_points`` runs the
 same flank solves for any single well, then samples the interval for extra
-roots, and serves as the cross-check of the closed forms.
+roots, and serves as the cross-check of the closed forms. Every formula
+reads the coefficients a, b, c, k and the wall of U (see ``potentials``).
 """
 
 from __future__ import annotations
@@ -64,22 +65,11 @@ class TurningPoints:
 
 
 def _inner_edge_is_origin(U: EffectivePotential, E: float) -> bool:
-    """True when the classically allowed region extends down to r = 0."""
-    if U.l > 0:
-        return False
-    # l = 0: U(0+) is V(0+); allowed iff E exceeds it
-    match U.spec:
-        case HydrogenLike():
-            return True  # V -> -inf
-        case InfiniteSphericalWell() | FreeParticle():
-            return E > 0
-        case IsotropicHO():
-            return E > 0
-        case HOSpinOrbit():
-            return E > -U.spin_orbit_shift
-        case Parabolic(c=c):
-            return E > c
-    return False
+    """True when the classically allowed region extends down to r = 0.
+
+    With l = 0, U(0+) = V(0+): -inf under a Coulomb term, else the offset c.
+    """
+    return U.l == 0 and (U.coulomb > 0 or E > U.offset)
 
 
 def solve_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
@@ -102,8 +92,7 @@ def _flank_turning_points(U: EffectivePotential, E: float, g: Callable[[float], 
     Brent's method to a few ulps. These are the only roots when U has a
     single well, as a convex U does.
     """
-    scale = U.length_scale
-    wall = U.spec.L if isinstance(U.spec, InfiniteSphericalWell) else None
+    scale, wall = U.length_scale, U.wall
 
     if _inner_edge_is_origin(U, E):
         r1 = 0.0
@@ -122,7 +111,7 @@ def _flank_turning_points(U: EffectivePotential, E: float, g: Callable[[float], 
         if E <= u_min:
             raise NoClassicalRegionError(f"E={E} at or below the minimum U={u_min}")
         r_in = r_min
-        if wall is not None and r_in >= wall:
+        if r_in >= wall:
             # minimum sits on the hard wall; step just inside it
             r_in = wall * (1.0 - 1e-12)
         if g(r_in) >= 0:
@@ -143,7 +132,7 @@ def _flank_turning_points(U: EffectivePotential, E: float, g: Callable[[float], 
         r1 = brentq(g, lo, 2.0 * lo)[0]
 
     # outer flank: hard wall caps r2, otherwise double outward until U > E
-    if wall is not None:
+    if wall < INFINITE:
         if g(wall * (1.0 - 1e-12)) < 0:
             r2 = wall
         else:
@@ -175,10 +164,10 @@ def closed_form_turning_points(U: EffectivePotential, E: float) -> TurningPoints
     """Algebraic turning points for the families that admit them."""
     b = U.centrifugal_coeff
     match U.spec:
-        case HydrogenLike(Z=Z, e_charge=e):
+        case HydrogenLike():
             if E >= 0:
                 raise DomainError("hydrogen-like closed form requires a bound energy E < 0")
-            a = Z * e * e
+            a = U.coulomb
             absE = -E
             disc = a * a - 4.0 * b * absE
             if disc < 0:
@@ -189,17 +178,17 @@ def closed_form_turning_points(U: EffectivePotential, E: float) -> TurningPoints
             if U.l == 0:
                 r1 = 0.0
             return TurningPoints(r1=r1, r2=r2, energy=E, method="closed_form")
-        case InfiniteSphericalWell(L=L):
+        case InfiniteSphericalWell():
+            L = U.wall
             if E <= 0:
                 raise NoClassicalRegionError("well requires E > 0")
             r1 = 0.0 if U.l == 0 else math.sqrt(b / E)
             if r1 >= L:
                 raise NoClassicalRegionError(f"E={E} below the centrifugal floor at the wall")
             return TurningPoints(r1=r1, r2=L, energy=E, method="closed_form")
-        case IsotropicHO(omega=w) | HOSpinOrbit(omega=w):
-            shift = U.spin_orbit_shift
-            a = 0.5 * U.units.mass * w * w
-            Es = E + shift
+        case IsotropicHO() | HOSpinOrbit():
+            a = U.quadratic
+            Es = E - U.offset
             if U.l > 0 and Es <= 2.0 * math.sqrt(a * b):
                 raise NoClassicalRegionError(f"E={E} at or below the potential minimum")
             disc = Es * Es - 4.0 * a * b
@@ -226,7 +215,7 @@ def parabolic_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
     """
     if not isinstance(U.spec, Parabolic):
         raise DomainError("parabolic_turning_points requires a Parabolic spec")
-    a, b, c = U.spec.a, U.spec.b, U.spec.c
+    a, b, c = U.quadratic, U.linear, U.offset
     # subtract c once: near the minimum it would swamp U(r) - E in rounding
     t = E - c
     if U.l > 0:
@@ -244,12 +233,10 @@ def turning_points(U: EffectivePotential, E: float) -> TurningPoints:
     if not math.isfinite(E):
         raise DomainError(f"energy must be finite, got {E}")
     match U.spec:
-        case HydrogenLike() | InfiniteSphericalWell() | IsotropicHO() | HOSpinOrbit():
-            return closed_form_turning_points(U, E)
         case Parabolic():
             return parabolic_turning_points(U, E)
         case FreeParticle():
             raise NoClassicalRegionError(
                 f"free particle: U never rises above E={E}, so there is no outer turning point"
             )
-    raise DomainError(f"unknown potential spec {U.spec!r}")
+    return closed_form_turning_points(U, E)

@@ -28,7 +28,8 @@ from radialsolve.potentials import (
     eval_effective_array,
     validate_jls,
 )
-from radialsolve.spectrum import General, self_consistent_energy
+from radialsolve.quadrature import area_S, phase_Q
+from radialsolve.spectrum import Antisymmetric, General, Ground, Symmetric, self_consistent_energy
 from radialsolve.turning_points import turning_points
 
 
@@ -266,6 +267,11 @@ class TestSpinOrbitConstant:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("Z", [math.inf, -math.inf, math.nan, 0, 1.5])
+    def test_hydrogen_rejects_a_charge_number_that_is_no_positive_integer(self, Z):
+        with pytest.raises(DomainError, match="Z must be a positive integer"):
+            HydrogenLike(Z=Z)
+
     def test_effective_potential_validates_coupling(self):
         with pytest.raises(DomainError):
             EffectivePotential(HOSpinOrbit(omega=1.0, j=4.5, c0=0.015), l=1)
@@ -305,22 +311,74 @@ CATALOG = [
 ]
 
 
+#: 10^k and 1.37 10^k for k from -320 to 307: subnormal r, r * r underflowing, U overflowing
+RADII = [m * 10.0**k for k in range(-320, 308) for m in (1.0, 1.37)]
+
+
 class TestUnderflowingRadius:
     """Below r of about 1.5e-162, r * r underflows to 0."""
 
     @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: type(spec).__name__)
-    @pytest.mark.parametrize("l", [0, 1])
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
     def test_scalar_and_array_agree(self, spec, l):
         if isinstance(spec, HOSpinOrbit):
             spec = HOSpinOrbit(omega=spec.omega, j=l + 0.5, c0=spec.c0)
-        U = EffectivePotential(spec, l=l)
-        r = [1e-200, 1e-160, 1.0]
-        scalar = np.array([eval_effective(U, x) for x in r])
-        array = eval_effective_array(U, np.array(r))  # a RuntimeWarning fails the test
-        assert array.tobytes() == scalar.tobytes()
-        # the centrifugal term is +inf for l >= 1 and absent for l = 0
-        expected = U.eval_potential(1e-200) if l == 0 else INFINITE
-        assert scalar[0] == expected
+        for units in (NATURAL, EV_NM):
+            U = EffectivePotential(spec, l=l, units=units)
+            scalar = np.array([eval_effective(U, x) for x in RADII])
+            array = eval_effective_array(U, np.array(RADII))  # a RuntimeWarning fails the test
+            assert array.tobytes() == scalar.tobytes()
+            # the centrifugal term is +inf for l >= 1 and absent for l = 0
+            expected = U.eval_potential(1e-200) if l == 0 else INFINITE
+            assert eval_effective(U, 1e-200) == expected
+
+
+class TestNonFiniteRadius:
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    def test_eval_potential_rejects_it(self, r):
+        for spec in CATALOG:
+            with pytest.raises(DomainError, match="finite"):
+                EffectivePotential(spec, l=1).eval_potential(r)
+
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    def test_eval_effective_rejects_it(self, r):
+        for spec in CATALOG:
+            with pytest.raises(DomainError, match="finite"):
+                eval_effective(EffectivePotential(spec, l=1), r)
+
+    @pytest.mark.parametrize("r", [[math.inf], [1.0, math.inf], [math.nan, 1.0], [[1.0], [-math.inf]]])
+    def test_eval_effective_array_rejects_it(self, r):
+        for spec in CATALOG:
+            with pytest.raises(DomainError, match="finite"):
+                eval_effective_array(EffectivePotential(spec, l=1), np.array(r))
+
+
+def same_bits(x, y) -> bool:
+    return repr(x) == repr(y)
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+@pytest.mark.parametrize("omega", [0.5, 1.7])
+def test_spin_orbit_without_coupling_is_the_oscillator(l, omega):
+    """HOSpinOrbit with c0 = 0 has the oscillator's coefficients: every result matches bit for bit."""
+    ho = EffectivePotential(IsotropicHO(omega), l)
+    r = np.geomspace(1e-3, 1e3, 97)
+    for j in {l + 0.5, abs(l - 0.5)}:
+        so = EffectivePotential(HOSpinOrbit(omega, j=j, c0=0.0), l)
+        assert eval_effective_array(so, r).tobytes() == eval_effective_array(ho, r).tobytes()
+        assert all(same_bits(eval_effective(so, x), eval_effective(ho, x)) for x in r)
+        for branch in (Ground(), Symmetric(2), Antisymmetric(1), General(3)):
+            level_ho = self_consistent_energy(ho, branch)
+            level_so = self_consistent_energy(so, branch)
+            assert same_bits(level_so.value, level_ho.value)
+            assert same_bits(level_so.d_at_solution, level_ho.d_at_solution)
+            E = level_ho.value
+            tp_ho, tp_so = turning_points(ho, E), turning_points(so, E)
+            assert same_bits((tp_so.r1, tp_so.r2), (tp_ho.r1, tp_ho.r2))
+            for method in ("closed_form", "numeric"):
+                assert same_bits(area_S(so, tp_so, method), area_S(ho, tp_ho, method))
+                q_so = phase_Q(so, tp_so.r2, tp_so.r0, method)
+                assert same_bits(q_so, phase_Q(ho, tp_ho.r2, tp_ho.r0, method))
 
 
 # ---------------------------------------------------------------- one validation point

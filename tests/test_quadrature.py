@@ -15,6 +15,7 @@ from radialsolve.potentials import (
     InfiniteSphericalWell,
     IsotropicHO,
     Parabolic,
+    effective_minimum,
     eval_effective,
 )
 from radialsolve.quadrature import adaptive_integral, area_S, make_phase, phase_Q
@@ -103,6 +104,26 @@ class TestAreaS:
             closed = area_S(U, tp, method="closed_form")
             numeric = area_S(U, tp, method="numeric")
             assert numeric.value == pytest.approx(closed.value, rel=1e-8)
+
+    def test_overflowing_closed_form_falls_back_to_numeric(self):
+        # r2 = 1e150: r2**3 overflows, while S itself is about 4/3 1e150
+        U = EffectivePotential(Parabolic(a=1e-300, b=1e-300, c=1.0))
+        tp = turning_points(U, 2.0)
+        auto = area_S(U, tp)
+        assert auto.method == "numeric"
+        assert auto == area_S(U, tp, method="numeric")
+        assert auto.value == pytest.approx(1.3333333333333332e150, rel=1e-12)
+        with pytest.raises(DomainError, match="closed-form area overflows"):
+            area_S(U, tp, method="closed_form")
+
+    def test_zero_coefficient_takes_no_power(self):
+        # r2 is about 7e150, so a polynomial term would overflow were it evaluated
+        U = EffectivePotential(HydrogenLike(Z=1, e_charge=1e-75), l=1)
+        tp = turning_points(U, 0.9 * effective_minimum(U)[1])
+        assert tp.r2 > 1e150
+        res = area_S(U, tp)
+        assert res.method == "closed_form"
+        assert math.isfinite(res.value)
 
 
 class TestPhaseQ:

@@ -4,6 +4,8 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialsolve.cli import main, parse_branch, parse_n_range, parse_potential, UsageError
 from radialsolve.potentials import (
@@ -17,10 +19,13 @@ from radialsolve.report import (
     TABLE_IDS,
     ComparisonRow,
     render,
+    render_samples,
     reproduce_table,
     rows_from_json,
+    samples_from_csv,
 )
 from radialsolve.spectrum import General, branch_g, branch_theta, ho_energies, well_energies
+from radialsolve.wavefunctions import SamplePoint
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -322,6 +327,19 @@ class TestCli:
         assert main(["tables", "--which", "part2_table1", "--config", str(cfg)]) == 2
         capsys.readouterr()
 
+    def test_config_value_is_checked_even_where_a_flag_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("format=xml\n")
+        argv = ["tables", "--which", "part2_table1", "--format", "csv", "--config", str(cfg)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "usage error: config value for 'format' must be one of ['text', 'csv', 'json']\n"
+
+    def test_unreadable_config_is_a_usage_error(self, tmp_path, capsys):
+        argv = ["tables", "--which", "part2_table1", "--config", str(tmp_path / "missing")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot read config file:") and err.count("\n") == 1
+
     def test_units_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RADIALSOLVE_UNITS", "eV-nm")
         out = tmp_path / "o.json"
@@ -349,3 +367,39 @@ class TestCli:
             out = tmp_path / f"{table_id}.txt"
             assert main(["tables", "--which", table_id, "--out", str(out)]) == 0
             assert out.read_bytes().startswith(b"state")
+
+
+# ---------------------------------------------------------------- round trips
+
+#: subnormal, signed zero, the largest finite and the infinite values
+EXTREMES = [1e-320, 5e-324, 0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf]
+VALUE = st.sampled_from(EXTREMES) | st.floats(allow_nan=False)
+PLAIN = st.builds(SamplePoint, VALUE, VALUE)
+FLAGGED = st.builds(SamplePoint, VALUE, VALUE, VALUE, st.booleans())
+ROW = st.builds(
+    ComparisonRow, st.sampled_from(["1s", "2p", "general:3"]), VALUE, VALUE, st.none() | VALUE
+)
+
+
+def sample_bits(samples) -> list[str]:
+    """repr of every field: equal lists mean equal floats with equal signs of zero."""
+    return [repr(v) for p in samples for v in (p.r, p.value, p.imag, p.in_inner_forbidden)]
+
+
+def row_bits(rows) -> list[str]:
+    return [repr(v) for r in rows for v in (r.state_label, r.oracle, r.method_primary, r.method_secondary)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(samples=st.lists(PLAIN, max_size=6) | st.lists(FLAGGED, min_size=1, max_size=6))
+def test_samples_round_trip_through_csv(samples):
+    again = samples_from_csv(render_samples(samples, "csv"))
+    assert again == samples
+    assert sample_bits(again) == sample_bits(samples)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rows=st.lists(ROW, max_size=6))
+def test_rows_round_trip_through_json(rows):
+    again = rows_from_json(render(rows, "json", meta={"table": "t"}))
+    assert row_bits(again) == row_bits(rows)
