@@ -14,13 +14,11 @@ from .potentials import (  # noqa: F401
     IsotropicHO,
     Parabolic,
     UnitSystem,
-    effective_minimum,
     eval_effective,
     eval_effective_array,
 )
 from .turning_points import (  # noqa: F401
     TurningPoints,
-    closed_form_turning_points,
     solve_turning_points,
     turning_points,
 )

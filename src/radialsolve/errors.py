@@ -21,10 +21,6 @@ class AmbiguousRootsError(RadialSolveError):
         super().__init__(f"ambiguous turning points, found roots {self.roots}")
 
 
-class NoMinimumError(RadialSolveError):
-    """The effective potential is monotone or flat: no interior minimum."""
-
-
 class BelowBarrierError(RadialSolveError):
     """Discriminant of the closed-form turning-point equation is negative."""
 

@@ -16,9 +16,10 @@ Every catalog potential is one case of the coefficient form
 with a = m omega^2 / 2 and c = -C_lsj for the oscillator (C_lsj = 0 without
 spin-orbit), a, b, c for the parabolic well, k = Z e^2 for hydrogen, L for
 the infinite well and all zero for the free particle.
-``EffectivePotential`` computes the coefficients, the wall and the scales
-once and rejects any scale that is not a normal float; the solvers'
-formulas read these fields, not the spec's parameters.
+``EffectivePotential`` computes the coefficients, the wall, the scales and
+the minimum of U once and rejects any scale that is not a normal float, or
+a spec outside the catalog; the solvers' formulas read these fields, not
+the spec's parameters.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
-from .errors import DomainError, NoMinimumError
+from .errors import DomainError
 from .roots import brentq
 
 if TYPE_CHECKING:
@@ -182,12 +183,15 @@ class EffectivePotential:
       coefficient form; ``wall``: L of a hard wall, ``INFINITE`` without one;
     - ``spin_orbit_shift``: C_lsj of a HOSpinOrbit spec, 0 otherwise;
     - ``length_scale``: a characteristic length that seeds numeric searches;
-    - ``energy_scale``: hbar^2 / (m length_scale^2).
+    - ``energy_scale``: hbar^2 / (m length_scale^2);
+    - ``minimum``: (r_min, u_min) of U on its domain, None where U is
+      monotone or u_min is not finite (see ``_minimum``).
 
     It raises one DomainError, naming the quantity and the spec, when any of
     the scales, the oscillator strength m omega^2 / 2 or the relativistic
     spin-orbit prefactor is not a normal float (a shift of exactly 0 is
-    allowed). No consumer checks a scale again.
+    allowed), or when the spec is not a catalog potential. No consumer
+    checks a scale again.
     """
 
     spec: PotentialSpec
@@ -202,6 +206,7 @@ class EffectivePotential:
     offset: float = field(init=False)
     coulomb: float = field(init=False)
     wall: float = field(init=False)
+    minimum: tuple[float, float] | None = field(init=False)
 
     def __post_init__(self):
         spec, l, u = self.spec, self.l, self.units
@@ -235,8 +240,10 @@ class EffectivePotential:
                 case Parabolic(a=a, b=b, c=c):
                     quadratic, linear, offset = a, b, c
                     length = (u.hbar**2 / (2.0 * u.mass * a)) ** 0.25
-                case _:
+                case FreeParticle():
                     length = 1.0
+                case _:
+                    raise DomainError(f"unknown potential spec {spec!r}")
         except ZeroDivisionError:
             # the denominator underflowed to 0
             length = INFINITE
@@ -249,6 +256,7 @@ class EffectivePotential:
             spin_orbit_shift=shift, length_scale=length, energy_scale=energy,
             quadratic=quadratic, linear=linear, offset=offset, coulomb=coulomb, wall=wall,
         )
+        vars(self)["minimum"] = _minimum(self)
 
     def eval_potential(self, r: float) -> float:
         """V(r) = a r^2 + b r + c - k / r inside the wall, ``INFINITE`` on and past it."""
@@ -314,52 +322,38 @@ def eval_effective_array(U: EffectivePotential, r: np.ndarray) -> np.ndarray:
     return np.where(rr == 0.0, v if coeff == 0.0 else INFINITE, u)
 
 
-def effective_minimum(U: EffectivePotential) -> tuple[float, float]:
-    """Location and value of the minimum of U on its domain.
+def _minimum(U: EffectivePotential) -> tuple[float, float] | None:
+    """(r_min, u_min) of U from its coefficients, or None without a finite minimum.
 
-    Closed forms exist for every catalog family; the parabolic well with
-    l >= 1 falls back to Brent's method on the (strictly increasing)
-    derivative, to |dr| <= 1e-12 r.
-    Raises NoMinimumError when U is monotone without a finite minimum.
+    With l = 0, U = V: its minimum is c at r = 0 under a quadratic or linear
+    term; a flat well, a free particle and a bare Coulomb term have none.
+    With l >= 1 the closed forms are hydrogen's, the oscillator's and the
+    wall's (the centrifugal term falls toward it); a linear term needs
+    Brent's method on the strictly increasing U', to |dr| <= 1e-12 r.
     """
-    b = U.centrifugal_coeff
-    match U.spec:
-        case IsotropicHO() | HOSpinOrbit():
-            a = U.quadratic
-            if U.l == 0:
-                return 0.0, U.offset
-            r_min = (b / a) ** 0.25
-            return r_min, 2.0 * math.sqrt(a * b) + U.offset
-        case HydrogenLike():
-            a = U.coulomb
-            if U.l == 0:
-                raise NoMinimumError("attractive Coulomb with l = 0 is monotone")
-            r_min = 2.0 * b / a
-            return r_min, -a * a / (4.0 * b)
-        case InfiniteSphericalWell():
-            if U.l == 0:
-                raise NoMinimumError("flat well interior with l = 0 has no interior minimum")
-            # centrifugal term decreases monotonically; the minimum sits at the wall
-            L = U.wall
-            return L, b / (L * L)
-        case Parabolic():
-            a, pb, c = U.quadratic, U.linear, U.offset
-            if U.l == 0:
-                return 0.0, c
-            # U'(r) = 2 a r + b - 2 coeff / r^3 is strictly increasing
-            def dU(r):
-                return 2.0 * a * r + pb - 2.0 * b / r**3
+    a, b, c, k, coeff = U.quadratic, U.linear, U.offset, U.coulomb, U.centrifugal_coeff
+    if U.l == 0:
+        return (0.0, c) if a or b else None
+    if k > 0:
+        r_min, u_min = 2.0 * coeff / k, -k * k / (4.0 * coeff)
+    elif b > 0:
+        # U'(r) = 2 a r + b - 2 coeff / r^3 is strictly increasing
+        def dU(r):
+            return 2.0 * a * r + b - 2.0 * coeff / r**3
 
-            # double, then halve, to a bracket [lo, 2 lo] around the root
-            lo = U.length_scale
-            while dU(lo) < 0:
-                lo *= 2.0
-            while dU(lo) > 0:
-                lo *= 0.5
-            r_min, _ = brentq(dU, lo, 2.0 * lo, rtol=1e-12)
-            return r_min, eval_effective(U, r_min)
-        case FreeParticle():
-            if U.l == 0:
-                raise NoMinimumError("free particle with l = 0 is flat")
-            raise NoMinimumError("pure centrifugal barrier is monotone")
-    raise DomainError(f"unknown potential spec {U.spec!r}")
+        # double, then halve, to a bracket [lo, 2 lo] around the root
+        lo = U.length_scale
+        while dU(lo) < 0:
+            lo *= 2.0
+        while dU(lo) > 0:
+            lo *= 0.5
+        r_min, _ = brentq(dU, lo, 2.0 * lo, rtol=1e-12)
+        u_min = eval_effective(U, r_min)
+    elif a > 0:
+        r_min, u_min = (coeff / a) ** 0.25, 2.0 * math.sqrt(a * coeff) + c
+    elif U.wall < INFINITE:
+        L = U.wall
+        r_min, u_min = L, coeff / (L * L)
+    else:
+        return None
+    return (r_min, u_min) if math.isfinite(u_min) else None

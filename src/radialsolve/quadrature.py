@@ -34,6 +34,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_PANELS = 1 << 16
+#: even points of [lo, hi], both ends included, where ``_check_nonnegative`` evaluates U
+_NONNEGATIVE_SAMPLES = 257
+#: relative tolerance of a state's phase table and of its numeric fallback
+_PHASE_TOL = 1e-10
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]
 _XK = (
@@ -240,14 +244,14 @@ def _area_closed_form(U: EffectivePotential, r1: float, r2: float) -> float:
     return s
 
 
-def _check_nonnegative(U: EffectivePotential, lo: float, hi: float, samples: int = 257) -> None:
-    """Raise ComplexPhaseError if U < 0 at any of ``samples`` even points of [lo, hi]."""
+def _check_nonnegative(U: EffectivePotential, lo: float, hi: float) -> None:
+    """Raise ComplexPhaseError if U < 0 at any of ``_NONNEGATIVE_SAMPLES`` even points of [lo, hi]."""
     import numpy as np
 
     if hi <= lo:
         lo, hi = hi, lo
-    step = (hi - lo) / (samples - 1) if samples > 1 else 0.0
-    r = lo + np.arange(samples) * step
+    step = (hi - lo) / (_NONNEGATIVE_SAMPLES - 1)
+    r = lo + np.arange(_NONNEGATIVE_SAMPLES) * step
     negative = np.flatnonzero(eval_effective_array(U, r) < 0.0)
     if negative.size:
         i = int(negative[0])
@@ -370,7 +374,7 @@ class Phase:
         return self.many([r])[0]
 
 
-def make_phase(U: EffectivePotential, lo: float, hi: float, tol: float = 1e-10) -> Phase:
+def make_phase(U: EffectivePotential, lo: float, hi: float) -> Phase:
     """Fast evaluator for Q(r) anchored at Q(lo) = 0, built for r in [lo, hi].
 
     Closed-form families evaluate their antiderivative at each r, in plain
@@ -386,7 +390,7 @@ def make_phase(U: EffectivePotential, lo: float, hi: float, tol: float = 1e-10) 
         raise DomainError(f"phase span must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
 
     def q_reference(r: float) -> float:
-        return phase_Q(U, r, lo, method="numeric", tol=tol).value
+        return phase_Q(U, r, lo, method="numeric", tol=_PHASE_TOL).value
 
     if _phase_closed_form(U, lo, lo) is not None:
 
@@ -399,7 +403,7 @@ def make_phase(U: EffectivePotential, lo: float, hi: float, tol: float = 1e-10) 
     import numpy as np
 
     _check_nonnegative(U, lo, hi)
-    _, _, panels = _adaptive_panels(_phase_integrand(U), lo, hi, tol)
+    _, _, panels = _adaptive_panels(_phase_integrand(U), lo, hi, _PHASE_TOL)
     panels.sort()
     edges = np.array([a for a, _ in panels])
     prefix = np.cumsum([0.0] + [v for _, v in panels[:-1]])

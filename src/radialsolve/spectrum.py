@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import ConvergenceError, DomainError, NoClassicalRegionError, NoMinimumError
+from .errors import ConvergenceError, DomainError, NoClassicalRegionError
 from .potentials import (
     NATURAL,
     EffectivePotential,
     HOSpinOrbit,
     HydrogenLike,
     UnitSystem,
-    effective_minimum,
     validate_jls,
 )
 from .roots import brentq
@@ -190,15 +189,6 @@ def _width(U: EffectivePotential, E: float) -> float:
     return turning_points(U, E).d
 
 
-def _lower_energy_edge(U: EffectivePotential) -> Optional[float]:
-    """Minimum of U, or None when U has no finite minimum."""
-    try:
-        _, u_min = effective_minimum(U)
-    except NoMinimumError:
-        return None
-    return u_min if math.isfinite(u_min) else None
-
-
 def self_consistent_energy(
     U: EffectivePotential, branch: EnergyBranch, *, signed: bool = False
 ) -> EnergyLevel:
@@ -216,7 +206,7 @@ def self_consistent_energy(
     """
     g = branch_g(branch, U.units)
     j = U.spec.j if isinstance(U.spec, HOSpinOrbit) else None
-    floor = _lower_energy_edge(U)
+    floor = None if U.minimum is None else U.minimum[1]
     t_cap = None
     if signed:
         if not isinstance(U.spec, HydrogenLike):

@@ -1,12 +1,13 @@
 """Classical turning points: roots of E = U(r).
 
-Closed forms cover the hydrogen-like, hard-well and oscillator families and
-the parabolic well with l = 0. With l >= 1 the parabolic U is strictly
-convex, so Brent's method on its two flanks finds the only two roots. The
-free particle has no outer turning point. ``solve_turning_points`` runs the
-same flank solves for any single well, then samples the interval for extra
-roots, and serves as the cross-check of the closed forms. Every formula
-reads the coefficients a, b, c, k and the wall of U (see ``potentials``).
+``turning_points`` dispatches on the coefficients a, b, c, k and the wall
+of U (see ``potentials``). The Coulomb, oscillator and hard-well cases and
+the parabolic well with l = 0 have closed forms. With l >= 1 the parabolic
+U is strictly convex, so Brent's method on the two flanks of ``U.minimum``
+finds its only two roots. The free particle has no outer turning point.
+``solve_turning_points`` runs the same flank solves for any single well,
+then samples the interval for extra roots, and serves as the cross-check of
+the closed forms.
 """
 
 from __future__ import annotations
@@ -20,22 +21,12 @@ from .errors import (
     BelowBarrierError,
     DomainError,
     NoClassicalRegionError,
-    NoMinimumError,
 )
-from .potentials import (
-    INFINITE,
-    EffectivePotential,
-    FreeParticle,
-    HOSpinOrbit,
-    HydrogenLike,
-    InfiniteSphericalWell,
-    IsotropicHO,
-    Parabolic,
-    effective_minimum,
-    eval_effective,
-    eval_effective_array,
-)
+from .potentials import INFINITE, EffectivePotential, eval_effective, eval_effective_array
 from .roots import brentq
+
+#: interior points of [r1, r2] that ``_check_single_well`` samples for extra roots
+_SINGLE_WELL_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -64,14 +55,6 @@ class TurningPoints:
         return self.r2 - self.r1
 
 
-def _inner_edge_is_origin(U: EffectivePotential, E: float) -> bool:
-    """True when the classically allowed region extends down to r = 0.
-
-    With l = 0, U(0+) = V(0+): -inf under a Coulomb term, else the offset c.
-    """
-    return U.l == 0 and (U.coulomb > 0 or E > U.offset)
-
-
 def solve_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
     """Generic numeric solution of E = U(r) around the potential-well minimum.
 
@@ -93,35 +76,22 @@ def _flank_turning_points(U: EffectivePotential, E: float, g: Callable[[float], 
     single well, as a convex U does.
     """
     scale, wall = U.length_scale, U.wall
-
-    if _inner_edge_is_origin(U, E):
-        r1 = 0.0
-        r_lo_allowed = scale * 1e-9
-        if g(r_lo_allowed) >= 0:
+    if U.l == 0 and (U.coulomb > 0 or E > U.offset):
+        # U(0+) = V(0+), -inf under a Coulomb term and c otherwise, lies below
+        # E: the allowed region reaches down to r = 0
+        r1, r_in = 0.0, scale * 1e-9
+        if g(r_in) >= 0:
             raise NoClassicalRegionError(f"E={E} not above the potential near r=0")
+    elif U.l == 0 or U.minimum is None:
+        raise NoClassicalRegionError(f"no classically allowed region found for E={E}")
     else:
-        r1 = None
-
-    # locate a point inside the allowed region
-    try:
-        r_min, u_min = effective_minimum(U)
-    except NoMinimumError:
-        r_min, u_min = None, None
-    if r_min is not None and r_min > 0 and math.isfinite(u_min):
+        r_min, u_min = U.minimum
         if E <= u_min:
             raise NoClassicalRegionError(f"E={E} at or below the minimum U={u_min}")
-        r_in = r_min
-        if r_in >= wall:
-            # minimum sits on the hard wall; step just inside it
-            r_in = wall * (1.0 - 1e-12)
+        # a minimum on the hard wall: step just inside it
+        r_in = r_min if r_min < wall else wall * (1.0 - 1e-12)
         if g(r_in) >= 0:
             raise NoClassicalRegionError(f"E={E} not above the potential at r={r_in}")
-    elif r1 == 0.0:
-        r_in = scale * 1e-9
-    else:
-        raise NoClassicalRegionError(f"no classically allowed region found for E={E}")
-
-    if r1 is None:
         # halve toward r = 0 until U > E: with l >= 1 the centrifugal term
         # rises without bound, so only r^2 underflowing to 0 ends the march
         lo = r_in
@@ -148,11 +118,11 @@ def _flank_turning_points(U: EffectivePotential, E: float, g: Callable[[float], 
     return TurningPoints(r1=r1, r2=r2, energy=E, method="numeric")
 
 
-def _check_single_well(U: EffectivePotential, tp: TurningPoints, samples: int = 512) -> None:
+def _check_single_well(U: EffectivePotential, tp: TurningPoints) -> None:
     import numpy as np
 
     lo = tp.r1 if tp.r1 > 0 else tp.r2 * 1e-9
-    rs = np.linspace(lo, tp.r2, samples + 2)[1:-1]
+    rs = np.linspace(lo, tp.r2, _SINGLE_WELL_SAMPLES + 2)[1:-1]
     vals = eval_effective_array(U, rs) - tp.energy
     sign_changes = np.flatnonzero(np.diff(np.sign(vals)) != 0)
     if sign_changes.size:
@@ -160,83 +130,62 @@ def _check_single_well(U: EffectivePotential, tp: TurningPoints, samples: int = 
         raise AmbiguousRootsError([tp.r1, *roots, tp.r2])
 
 
-def closed_form_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
-    """Algebraic turning points for the families that admit them."""
-    b = U.centrifugal_coeff
-    match U.spec:
-        case HydrogenLike():
-            if E >= 0:
-                raise DomainError("hydrogen-like closed form requires a bound energy E < 0")
-            a = U.coulomb
-            absE = -E
-            disc = a * a - 4.0 * b * absE
-            if disc < 0:
-                raise BelowBarrierError(f"E={E} below the centrifugal barrier (disc={disc})")
-            root = math.sqrt(disc)
-            r1 = (a - root) / (2.0 * absE)
-            r2 = (a + root) / (2.0 * absE)
-            if U.l == 0:
-                r1 = 0.0
-            return TurningPoints(r1=r1, r2=r2, energy=E, method="closed_form")
-        case InfiniteSphericalWell():
-            L = U.wall
-            if E <= 0:
-                raise NoClassicalRegionError("well requires E > 0")
-            r1 = 0.0 if U.l == 0 else math.sqrt(b / E)
-            if r1 >= L:
-                raise NoClassicalRegionError(f"E={E} below the centrifugal floor at the wall")
-            return TurningPoints(r1=r1, r2=L, energy=E, method="closed_form")
-        case IsotropicHO() | HOSpinOrbit():
-            a = U.quadratic
-            Es = E - U.offset
-            if U.l > 0 and Es <= 2.0 * math.sqrt(a * b):
-                raise NoClassicalRegionError(f"E={E} at or below the potential minimum")
-            disc = Es * Es - 4.0 * a * b
-            if disc < 0:
-                raise BelowBarrierError(f"E={E} below the centrifugal barrier (disc={disc})")
-            delta = math.sqrt(disc)
-            if Es - delta < 0:
-                raise NoClassicalRegionError(f"E={E} not above the potential minimum")
-            r1 = math.sqrt((Es - delta) / (2.0 * a))
-            r2 = math.sqrt((Es + delta) / (2.0 * a))
-            if U.l == 0:
-                r1 = 0.0
-            return TurningPoints(r1=r1, r2=r2, energy=E, method="closed_form")
-    raise DomainError(f"no closed-form turning points for {type(U.spec).__name__}")
-
-
-def parabolic_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
-    """Turning points of the parabolic well a r^2 + b r + c.
-
-    With l >= 1, U'' = 2 a + 6 coeff / r^4 > 0: U is strictly convex on
-    r > 0, so the flank solves find its only two roots. With l = 0, r1 = 0
-    and r2 is the positive root of a r^2 + b r - t, t = E - c, in the
-    non-cancelling form t / (b/2 + sqrt(b^2/4 + a t)).
-    """
-    if not isinstance(U.spec, Parabolic):
-        raise DomainError("parabolic_turning_points requires a Parabolic spec")
-    a, b, c = U.quadratic, U.linear, U.offset
-    # subtract c once: near the minimum it would swamp U(r) - E in rounding
-    t = E - c
-    if U.l > 0:
-        coeff = U.centrifugal_coeff
-        return _flank_turning_points(U, E, lambda r: a * r * r + b * r + coeff / (r * r) - t)
-    if not t > 0:
-        raise NoClassicalRegionError(f"E={E} at or below the l=0 minimum {c}")
-    # hypot and sqrt(a) sqrt(t) keep b^2 and a t from overflowing
-    r2 = t / (0.5 * b + math.hypot(0.5 * b, math.sqrt(a) * math.sqrt(t)))
-    return TurningPoints(r1=0.0, r2=r2, energy=E, method="closed_form")
-
-
 def turning_points(U: EffectivePotential, E: float) -> TurningPoints:
-    """Turning points of a catalog potential: closed form or flank solves."""
+    """Turning points of a catalog U at E, dispatched on its coefficients.
+
+    - k > 0: the quadratic -E r^2 - k r + coeff = 0 in r (bound E < 0 only);
+    - b > 0: with l = 0, r1 = 0 and r2 is the positive root of
+      a r^2 + b r - t, t = E - c, in the non-cancelling form
+      t / (b/2 + sqrt(b^2/4 + a t)); with l >= 1, U'' = 2 a + 6 coeff / r^4
+      > 0, so the flank solves find the only two roots;
+    - a > 0: the quadratic a x^2 - (E - c) x + coeff = 0 in x = r^2;
+    - a finite wall: r1 = sqrt(coeff / E) in the flat interior, r2 = L;
+    - otherwise (the free particle) U never rises above E.
+
+    With l = 0 the closed forms put r1 at the origin.
+    """
     if not math.isfinite(E):
         raise DomainError(f"energy must be finite, got {E}")
-    match U.spec:
-        case Parabolic():
-            return parabolic_turning_points(U, E)
-        case FreeParticle():
-            raise NoClassicalRegionError(
-                f"free particle: U never rises above E={E}, so there is no outer turning point"
-            )
-    return closed_form_turning_points(U, E)
+    a, b, c, k, coeff = U.quadratic, U.linear, U.offset, U.coulomb, U.centrifugal_coeff
+    if k > 0:
+        if E >= 0:
+            raise DomainError("hydrogen-like closed form requires a bound energy E < 0")
+        absE = -E
+        disc = k * k - 4.0 * coeff * absE
+        if disc < 0:
+            raise BelowBarrierError(f"E={E} below the centrifugal barrier (disc={disc})")
+        root = math.sqrt(disc)
+        r1 = (k - root) / (2.0 * absE)
+        r2 = (k + root) / (2.0 * absE)
+    elif b > 0:
+        # subtract c once: near the minimum it would swamp U(r) - E in rounding
+        t = E - c
+        if U.l > 0:
+            return _flank_turning_points(U, E, lambda r: a * r * r + b * r + coeff / (r * r) - t)
+        if not t > 0:
+            raise NoClassicalRegionError(f"E={E} at or below the l=0 minimum {c}")
+        # hypot and sqrt(a) sqrt(t) keep b^2 and a t from overflowing
+        r1, r2 = 0.0, t / (0.5 * b + math.hypot(0.5 * b, math.sqrt(a) * math.sqrt(t)))
+    elif a > 0:
+        Es = E - c
+        if U.l > 0 and Es <= 2.0 * math.sqrt(a * coeff):
+            raise NoClassicalRegionError(f"E={E} at or below the potential minimum")
+        disc = Es * Es - 4.0 * a * coeff
+        if disc < 0:
+            raise BelowBarrierError(f"E={E} below the centrifugal barrier (disc={disc})")
+        delta = math.sqrt(disc)
+        if Es - delta < 0:
+            raise NoClassicalRegionError(f"E={E} not above the potential minimum")
+        r1 = math.sqrt((Es - delta) / (2.0 * a))
+        r2 = math.sqrt((Es + delta) / (2.0 * a))
+    elif U.wall < INFINITE:
+        if E <= 0:
+            raise NoClassicalRegionError("well requires E > 0")
+        r1, r2 = math.sqrt(coeff / E), U.wall
+        if r1 >= r2:
+            raise NoClassicalRegionError(f"E={E} below the centrifugal floor at the wall")
+    else:
+        raise NoClassicalRegionError(
+            f"free particle: U never rises above E={E}, so there is no outer turning point"
+        )
+    return TurningPoints(r1=0.0 if U.l == 0 else r1, r2=r2, energy=E, method="closed_form")

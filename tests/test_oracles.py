@@ -1,5 +1,6 @@
 """Tests for the independent reference solvers (Bessel, ladders, Numerov)."""
 
+import ast
 import math
 import pathlib
 
@@ -336,10 +337,41 @@ def test_array_potential_rejects_nonpositive_r():
             eval_effective_array(U, np.array(bad))
 
 
+def _package_imports(tree: ast.Module) -> set[str]:
+    """Modules of the radialsolve package that ``tree`` imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.split(".")[0] == "radialsolve"}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "radialsolve":
+                continue
+            module = module.removeprefix("radialsolve").lstrip(".")
+            # ``from . import x`` and ``from radialsolve import x`` import the module x
+            found |= {module} if module else {a.name for a in node.names}
+    return found
+
+
 def test_oracle_module_is_independent():
-    # the reference solvers must not import the machinery they validate
-    src = pathlib.Path(oracles.__file__).read_text()
-    forbidden_modules = ("spectrum", "quadrature", "turning_points", "wavefunctions", "report", "roots")
-    for forbidden in forbidden_modules:
-        assert f"from .{forbidden}" not in src
-        assert f"import {forbidden}" not in src
+    # the reference solvers import only the potential catalog (and the error
+    # types), and never read the minimum that the machinery's Brent solve finds
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
+    assert _package_imports(tree) <= {"errors", "potentials"}
+    reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "minimum"]
+    names = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value == "minimum"]
+    assert reads == names == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("from .spectrum import x", {"spectrum"}),
+        ("from . import roots", {"roots"}),
+        ("from radialsolve import quadrature", {"quadrature"}),
+        ("import radialsolve.turning_points", {"radialsolve.turning_points"}),
+        ("from radialsolve.potentials import x\nimport numpy\nfrom math import inf", {"potentials"}),
+    ],
+)
+def test_package_imports_sees_every_spelling(source, expected):
+    assert _package_imports(ast.parse(source)) == expected

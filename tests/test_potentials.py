@@ -2,14 +2,16 @@
 
 import itertools
 import math
+import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radialsolve.errors import DomainError, NoMinimumError, RadialSolveError
+from radialsolve.errors import DomainError, RadialSolveError
 from radialsolve.oracles import numerov_bound_state
 from radialsolve.potentials import (
     EV_NM,
@@ -23,7 +25,6 @@ from radialsolve.potentials import (
     IsotropicHO,
     Parabolic,
     UnitSystem,
-    effective_minimum,
     eval_effective,
     eval_effective_array,
     validate_jls,
@@ -144,13 +145,13 @@ def _golden_section_min(f, lo, hi, tol=1e-12):
 
 class TestEffectiveMinimum:
     def test_ho_l0_is_origin(self):
-        r_min, u_min = effective_minimum(EffectivePotential(IsotropicHO(omega=1.0), l=0))
+        r_min, u_min = EffectivePotential(IsotropicHO(omega=1.0), l=0).minimum
         assert r_min == 0.0
         assert u_min == 0.0
 
     def test_ho_l1_closed_form(self):
         U = EffectivePotential(IsotropicHO(omega=1.0), l=1)
-        r_min, u_min = effective_minimum(U)
+        r_min, u_min = U.minimum
         assert r_min == pytest.approx(2.0**0.25, rel=1e-12)
         assert u_min == pytest.approx(math.sqrt(2.0), rel=1e-12)
         # independent check by golden-section search
@@ -160,7 +161,7 @@ class TestEffectiveMinimum:
 
     def test_hydrogen_l1_closed_form(self):
         U = EffectivePotential(HydrogenLike(Z=1, e_charge=1.0), l=1)
-        r_min, u_min = effective_minimum(U)
+        r_min, u_min = U.minimum
         assert r_min == pytest.approx(2.0, rel=1e-12)
         assert u_min == pytest.approx(-0.25, rel=1e-12)
         r_gs, u_gs = _golden_section_min(lambda r: eval_effective(U, r), 0.1, 20.0)
@@ -169,7 +170,7 @@ class TestEffectiveMinimum:
 
     def test_parabolic_l1_stationary(self):
         U = EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=1)
-        r_min, u_min = effective_minimum(U)
+        r_min, u_min = U.minimum
         h = 1e-6 * r_min
         grad = (eval_effective(U, r_min + h) - eval_effective(U, r_min - h)) / (2 * h)
         assert abs(grad) < 1e-5
@@ -179,7 +180,7 @@ class TestEffectiveMinimum:
         # r_min ~ 6e-34: an absolute 1e-12 stop would leave U' of one sign
         a, b = 1e-300, 1e100
         U = EffectivePotential(Parabolic(a=a, b=b, c=1.0), l=1)
-        r_min, _ = effective_minimum(U)
+        r_min, _ = U.minimum
 
         def dU(r):
             return 2.0 * a * r + b - 2.0 * U.centrifugal_coeff / r**3
@@ -200,20 +201,17 @@ class TestEffectiveMinimum:
     def test_rejects_non_normal_energy_scale(self, spec, l, match):
         # hbar^2 / (m L^2) and m (Z e^2)^2 / hbar^2 are 0, subnormal or infinite
         with pytest.raises(DomainError, match=match):
-            effective_minimum(EffectivePotential(spec, l=l))
+            EffectivePotential(spec, l=l)
 
     def test_monotone_cases_raise(self):
-        with pytest.raises(NoMinimumError):
-            effective_minimum(EffectivePotential(FreeParticle(), l=0))
-        with pytest.raises(NoMinimumError):
-            effective_minimum(EffectivePotential(InfiniteSphericalWell(L=1.0), l=0))
-        with pytest.raises(NoMinimumError):
-            effective_minimum(EffectivePotential(HydrogenLike(), l=0))
+        assert EffectivePotential(FreeParticle(), l=0).minimum is None
+        assert EffectivePotential(InfiniteSphericalWell(L=1.0), l=0).minimum is None
+        assert EffectivePotential(HydrogenLike(), l=0).minimum is None
 
     def test_unimodal_shape_for_l1(self):
         for spec in (IsotropicHO(omega=1.0), HOSpinOrbit(omega=1.0, j=1.5, c0=0.015), Parabolic(a=1.0, b=1.0, c=1.0)):
             U = EffectivePotential(spec, l=1)
-            r_min, _ = effective_minimum(U)
+            r_min, _ = U.minimum
             left = [eval_effective(U, r) for r in np.linspace(0.05 * r_min, 0.95 * r_min, 500)]
             right = [eval_effective(U, r) for r in np.linspace(1.05 * r_min, 5.0 * r_min, 500)]
             assert all(a > b for a, b in zip(left, left[1:]))
@@ -470,3 +468,67 @@ def test_every_spec_is_rejected_or_has_normal_scales():
             assert is_normal(U.length_scale) and is_normal(U.energy_scale), U
             assert U.spin_orbit_shift == 0.0 or is_normal(U.spin_orbit_shift), U
     assert built > 1000
+
+
+# ---------------------------------------------------------------- the minimum of U
+
+# log-uniform over six decades
+MODERATE = st.floats(-3.0, 3.0).map(lambda x: 10.0**x)
+
+
+@st.composite
+def catalog_potentials(draw, family):
+    """A U of the catalog ``family``, either unit preset and l 0-3, with moderate parameters."""
+    l = draw(st.integers(0, 3))
+    if family is HydrogenLike:
+        spec = HydrogenLike(Z=draw(st.integers(1, 3)), e_charge=draw(st.floats(0.1, 10.0)))
+    elif family is InfiniteSphericalWell:
+        spec = InfiniteSphericalWell(L=draw(MODERATE))
+    elif family is IsotropicHO:
+        spec = IsotropicHO(omega=draw(MODERATE))
+    elif family is HOSpinOrbit:
+        j = draw(st.sampled_from(sorted({l + 0.5, abs(l - 0.5)})))
+        spec = HOSpinOrbit(omega=draw(MODERATE), j=j, c0=draw(st.none() | MODERATE))
+    elif family is Parabolic:
+        spec = Parabolic(a=draw(MODERATE), b=draw(MODERATE), c=draw(MODERATE))
+    else:
+        spec = FreeParticle()
+    return EffectivePotential(spec, l=l, units=draw(st.sampled_from([NATURAL, EV_NM])))
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_minimum_and_turning_points_agree(family, data):
+    U = data.draw(catalog_potentials(family))
+    f = data.draw(st.floats(1e-3, 0.99))
+    if U.minimum is None:
+        monotone = isinstance(U.spec, FreeParticle) or (
+            U.l == 0 and isinstance(U.spec, (InfiniteSphericalWell, HydrogenLike))
+        )
+        assert monotone, U
+        return
+    r_min, u_min = U.minimum
+    if r_min > 0:
+        assert eval_effective(U, r_min * (1 - 1e-6)) >= u_min
+        assert eval_effective(U, r_min * (1 + 1e-6)) >= u_min
+    else:
+        assert eval_effective(U, 1e-6 * U.length_scale) >= u_min
+    # a bound Coulomb level stays below 0
+    t = f * (-u_min if U.coulomb > 0 else 10.0 * U.energy_scale)
+    E = u_min + t
+    tp = turning_points(U, E)
+    assert tp.r1 <= r_min <= tp.r2
+    # E lies between U one part in 1e12 inside and outside each root
+    for r in (tp.r1, tp.r2):
+        if r > 0:
+            lo, hi = sorted((eval_effective(U, r * (1 - 1e-12)), eval_effective(U, r * (1 + 1e-12))))
+            assert lo <= E <= hi, (r, lo, E, hi)
+
+
+class TestUnknownSpec:
+    @pytest.mark.parametrize("spec", ["hello", SimpleNamespace(a=1.0, b=1.0, c=1.0)])
+    def test_is_rejected_where_U_is_built(self, spec):
+        # not a catalog class: no family fills the coefficients, so U must not pass for free
+        with pytest.raises(DomainError, match=f"unknown potential spec {re.escape(repr(spec))}"):
+            EffectivePotential(spec, l=1)

@@ -15,7 +15,6 @@ from radialsolve.potentials import (
     InfiniteSphericalWell,
     IsotropicHO,
     Parabolic,
-    effective_minimum,
     eval_effective,
 )
 from radialsolve.quadrature import adaptive_integral, area_S, make_phase, phase_Q
@@ -119,7 +118,7 @@ class TestAreaS:
     def test_zero_coefficient_takes_no_power(self):
         # r2 is about 7e150, so a polynomial term would overflow were it evaluated
         U = EffectivePotential(HydrogenLike(Z=1, e_charge=1e-75), l=1)
-        tp = turning_points(U, 0.9 * effective_minimum(U)[1])
+        tp = turning_points(U, 0.9 * U.minimum[1])
         assert tp.r2 > 1e150
         res = area_S(U, tp)
         assert res.method == "closed_form"

@@ -15,7 +15,6 @@ from radialsolve.potentials import (
     InfiniteSphericalWell,
     IsotropicHO,
     Parabolic,
-    effective_minimum,
     eval_effective,
 )
 from radialsolve import roots
@@ -140,7 +139,7 @@ def test_parabolic_turning_points_lie_on_the_level(l, kind, n, a, b, c):
     tp = turning_points(U, E)
     tol = 1e-10 * max(1.0, abs(E))
     assert abs(eval_effective(U, tp.r2) - E) <= tol
-    r_min, _ = effective_minimum(U)
+    r_min, _ = U.minimum
     if l == 0:
         assert tp.r1 == 0.0
     else:

@@ -19,13 +19,10 @@ from radialsolve.potentials import (
     InfiniteSphericalWell,
     IsotropicHO,
     Parabolic,
-    effective_minimum,
     eval_effective,
 )
 from radialsolve.turning_points import (
     TurningPoints,
-    closed_form_turning_points,
-    parabolic_turning_points,
     solve_turning_points,
     turning_points,
 )
@@ -74,7 +71,7 @@ class TestSolveTurningPoints:
 
     def test_below_minimum_raises(self):
         U = EffectivePotential(IsotropicHO(omega=1.0), l=1)
-        _, u_min = effective_minimum(U)
+        _, u_min = U.minimum
         with pytest.raises(NoClassicalRegionError):
             solve_turning_points(U, u_min)
         with pytest.raises(NoClassicalRegionError):
@@ -95,7 +92,7 @@ class TestSolveTurningPoints:
 class TestClosedForm:
     def test_hydrogen_l0(self):
         U = EffectivePotential(HydrogenLike(Z=1, e_charge=1.0), l=0)
-        tp = closed_form_turning_points(U, -0.5)
+        tp = turning_points(U, -0.5)
         assert tp.r1 == 0.0
         assert tp.r2 == pytest.approx(2.0, rel=1e-14)
         assert tp.d == pytest.approx(2.0, rel=1e-14)
@@ -105,21 +102,21 @@ class TestClosedForm:
     def test_ho_at_minimum_degenerate(self):
         U = EffectivePotential(IsotropicHO(omega=1.0), l=1)
         with pytest.raises(NoClassicalRegionError):
-            closed_form_turning_points(U, math.sqrt(2.0))
+            turning_points(U, math.sqrt(2.0))
 
     def test_hoso_zero_coupling_reduces_to_ho(self):
         Uso = EffectivePotential(HOSpinOrbit(omega=1.0, j=2.5, c0=0.0), l=2)
         Uho = EffectivePotential(IsotropicHO(omega=1.0), l=2)
         for E in (3.0, 4.5, 7.0, 11.0):
-            a = closed_form_turning_points(Uso, E)
-            b = closed_form_turning_points(Uho, E)
+            a = turning_points(Uso, E)
+            b = turning_points(Uho, E)
             assert a.r1 == pytest.approx(b.r1, rel=1e-14)
             assert a.r2 == pytest.approx(b.r2, rel=1e-14)
 
     def test_well_requires_positive_energy(self):
         U = EffectivePotential(InfiniteSphericalWell(L=1.0), l=0)
         with pytest.raises(NoClassicalRegionError):
-            closed_form_turning_points(U, -1.0)
+            turning_points(U, -1.0)
 
     def test_closed_vs_numeric_sweep(self):
         rng = np.random.default_rng(42)
@@ -134,14 +131,11 @@ class TestClosedForm:
                 if isinstance(spec, HOSpinOrbit) and not (abs(l - 0.5) <= spec.j <= l + 0.5):
                     continue
                 U = EffectivePotential(spec, l=l)
-                try:
-                    _, u_min = effective_minimum(U)
-                except Exception:
-                    u_min = 0.0
-                base = max(u_min, 0.0)
+                # the well with l = 0 has no minimum
+                base = max(U.minimum[1], 0.0) if U.minimum else 0.0
                 for _ in range(20):
                     E = base + 0.05 + 8.0 * rng.random()
-                    closed = closed_form_turning_points(U, E)
+                    closed = turning_points(U, E)
                     numeric = solve_turning_points(U, E)
                     assert numeric.r1 == pytest.approx(closed.r1, abs=1e-9 * max(1.0, closed.r2))
                     assert numeric.r2 == pytest.approx(closed.r2, abs=1e-9 * max(1.0, closed.r2))
@@ -152,10 +146,10 @@ class TestClosedForm:
             if l == 0:
                 energies = [-0.05, -0.2, -0.4]
             else:
-                _, u_min = effective_minimum(U)
+                _, u_min = U.minimum
                 energies = [u_min * f for f in (0.8, 0.5, 0.1)]
             for E in energies:
-                closed = closed_form_turning_points(U, E)
+                closed = turning_points(U, E)
                 numeric = solve_turning_points(U, E)
                 assert numeric.r1 == pytest.approx(closed.r1, abs=1e-9 * max(1.0, closed.r2))
                 assert numeric.r2 == pytest.approx(closed.r2, abs=1e-9 * max(1.0, closed.r2))
@@ -178,7 +172,7 @@ def _quartic_turning_points(a, b, c, l, E):
     roots = _quartic_roots(a, b, c, l, E)
     if l == 0:
         return 0.0, roots[0]
-    r_min, _ = effective_minimum(EffectivePotential(Parabolic(a=a, b=b, c=c), l=l))
+    r_min, _ = EffectivePotential(Parabolic(a=a, b=b, c=c), l=l).minimum
     return max(x for x in roots if x < r_min), min(x for x in roots if x > r_min)
 
 
@@ -189,7 +183,7 @@ class TestQuarticRoots:
         # (r - 1)(r - 2)(r^2 + 6 r + 4) / 8 = r^4 / 8 + 3 r^3 / 8 - 3 r^2 / 2 + 1:
         # a = 1/8, b = 3/8, c - E = -3/2 and coeff = 1 (l = 1)
         U = EffectivePotential(Parabolic(a=0.125, b=0.375, c=1.0), l=1)
-        tp = parabolic_turning_points(U, 2.5)
+        tp = turning_points(U, 2.5)
         assert tp.r1 == pytest.approx(1.0, rel=1e-13)
         assert tp.r2 == pytest.approx(2.0, rel=1e-13)
         assert tp.method == "numeric"
@@ -198,7 +192,7 @@ class TestQuarticRoots:
         # U = r^2 + r + 2 + 1/r^2 > 1 everywhere: r^4 + r^3 + r^2 + 1 has no positive root
         assert _quartic_roots(1.0, 1.0, 2.0, 1, 1.0) == []
         with pytest.raises(NoClassicalRegionError):
-            parabolic_turning_points(EffectivePotential(Parabolic(a=1.0, b=1.0, c=2.0), l=1), 1.0)
+            turning_points(EffectivePotential(Parabolic(a=1.0, b=1.0, c=2.0), l=1), 1.0)
 
     def test_parabolic_case_vs_grid_oracle(self):
         U = EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=1)
@@ -211,7 +205,7 @@ class TestQuarticRoots:
         vals = np.array([f(float(x)) for x in grid])
         brackets = np.flatnonzero(np.diff(np.sign(vals)) != 0)
         oracle = sorted(_bisect(f, grid[i], grid[i + 1]) for i in brackets)
-        tp = parabolic_turning_points(U, E)
+        tp = turning_points(U, E)
         assert len(oracle) == 2
         assert tp.r1 == pytest.approx(oracle[0], rel=1e-12)
         assert tp.r2 == pytest.approx(oracle[1], rel=1e-12)
@@ -220,7 +214,7 @@ class TestQuarticRoots:
         a, b, c, E = 2.0, 3.0, 1.0, 8.0  # l = 1: coeff = 1
         coeffs = (a, b, c - E, 1.0)
         scale = max(1.0, max(abs(x) for x in coeffs))
-        tp = parabolic_turning_points(EffectivePotential(Parabolic(a=a, b=b, c=c), l=1), E)
+        tp = turning_points(EffectivePotential(Parabolic(a=a, b=b, c=c), l=1), E)
         for x in (tp.r1, tp.r2):
             residual = ((a * x + b) * x + c - E) * x * x + 1.0
             assert abs(residual) <= 1e-12 * scale
@@ -238,9 +232,9 @@ class TestQuarticRoots:
     )
     def test_matches_companion_matrix(self, a, b, c, l, dE):
         U = EffectivePotential(Parabolic(a=a, b=b, c=c), l=l)
-        _, u_min = effective_minimum(U)
+        _, u_min = U.minimum
         E = u_min + dE
-        tp = parabolic_turning_points(U, E)
+        tp = turning_points(U, E)
         r1, r2 = _quartic_turning_points(a, b, c, l, E)
         assert tp.r1 == pytest.approx(r1, rel=1e-9)
         assert tp.r2 == pytest.approx(r2, rel=1e-9)
@@ -249,7 +243,7 @@ class TestQuarticRoots:
         # at E = 101000 the companion roots span six decades (0.0077 and
         # 9050); both flanks are found although the minimum sits at 1.8
         a, b, c, l, E = 0.001, 2.0, 1000.0, 3, 101000.0
-        tp = parabolic_turning_points(EffectivePotential(Parabolic(a=a, b=b, c=c), l=l), E)
+        tp = turning_points(EffectivePotential(Parabolic(a=a, b=b, c=c), l=l), E)
         r1, r2 = _quartic_turning_points(a, b, c, l, E)
         assert tp.r1 == pytest.approx(r1, rel=1e-9)
         assert tp.r2 == pytest.approx(r2, rel=1e-9)
@@ -265,7 +259,7 @@ class TestQuarticRoots:
     )
     def test_extreme_coefficients(self, a, b, c, l, E):
         U = EffectivePotential(Parabolic(a=a, b=b, c=c), l=l)
-        tp = parabolic_turning_points(U, E)
+        tp = turning_points(U, E)
         coeff = U.centrifugal_coeff
 
         def u(r):  # divides by r twice, so r^2 may underflow
@@ -281,29 +275,29 @@ class TestQuarticRoots:
 class TestParabolic:
     def test_roots_bracket_minimum(self):
         U = EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=1)
-        r_min, u_min = effective_minimum(U)
-        tp = parabolic_turning_points(U, u_min + 3.0)
+        r_min, u_min = U.minimum
+        tp = turning_points(U, u_min + 3.0)
         assert tp.r1 < r_min < tp.r2
         assert abs(eval_effective(U, tp.r1) - tp.energy) < 1e-9
         assert abs(eval_effective(U, tp.r2) - tp.energy) < 1e-9
 
     def test_l0_single_root(self):
         U = EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=0)
-        tp = parabolic_turning_points(U, 6.0)
+        tp = turning_points(U, 6.0)
         assert tp.r1 == 0.0
         assert abs(eval_effective(U, tp.r2) - 6.0) < 1e-9
 
     def test_below_minimum(self):
         U = EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=0)
         with pytest.raises(NoClassicalRegionError):
-            parabolic_turning_points(U, 0.5)
+            turning_points(U, 0.5)
 
 
 class TestMonotonicity:
     def test_width_increases_with_energy(self):
         for spec, l in ((IsotropicHO(omega=1.0), 1), (Parabolic(a=1.0, b=1.0, c=1.0), 1)):
             U = EffectivePotential(spec, l=l)
-            _, u_min = effective_minimum(U)
+            _, u_min = U.minimum
             widths = [turning_points(U, u_min + dE).d for dE in np.linspace(0.3, 6.0, 15)]
             assert all(a < b for a, b in zip(widths, widths[1:]))
 
