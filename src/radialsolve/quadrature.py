@@ -5,16 +5,18 @@ reference radius. Both come in a closed-form flavor and a numeric flavor
 backed by a globally adaptive 15-point Gauss-Kronrod rule. The closed forms
 read the coefficients of U = a r^2 + b r + c - k / r + coeff / r^2: S has
 one antiderivative, term by term, for every family; Q has one where
-b = k = 0 (oscillator, free particle, well interior). Closed forms are
-normalized so that Q(r_ref) = 0; only Q differences are meaningful.
+b = k = 0 (oscillator, free particle, well interior), built once per
+reference radius by ``_closed_phase``. Closed forms are normalized so that
+Q(r_ref) = 0; only Q differences are meaningful.
 
 The integrand of the adaptive loop takes the 15 nodes of a panel in one
 call, so that an array integrand costs one numpy call per panel.
 
 ``phase_Q`` integrates from r_ref on every call. ``make_phase`` is the fast
-path for a state: for a family without a closed form it integrates the
-state's span once and keeps the final Gauss-Kronrod panels with prefix sums
-(the QK15 panel layout of QUADPACK, Piessens et al. 1983). A list of radii
+path for a state: a closed form costs one plain-Python evaluation per
+radius; for a family without one it integrates the state's span once and
+keeps the final Gauss-Kronrod panels with prefix sums (the QK15 panel
+layout of QUADPACK, Piessens et al. 1983). A list of radii
 then costs one ``searchsorted`` over the panel edges and one
 ``eval_effective_array`` call on the 15 nodes of every radius.
 """
@@ -259,69 +261,56 @@ def _check_nonnegative(U: EffectivePotential, lo: float, hi: float) -> None:
         raise ComplexPhaseError(prev, min(float(r[i]) + step, hi))
 
 
-def _ho_antiderivative(a: float, b: float, C: float, r: float) -> float:
-    """Antiderivative of sqrt(a r^2 + b / r^2 - C) in the variable r.
+def _closed_phase(U: EffectivePotential, r_ref: float) -> Callable[[float], float] | None:
+    """Q(r) = m1 (F(r) - F(r_ref)) in closed form where V has no linear and no Coulomb term.
 
-    Via u = r^2 the integrand is sqrt(P(u))/(2u) with P = a u^2 - C u + b.
-    Returns one half of the standard decomposition; valid where P > 0 and
-    both logarithm arguments stay positive (guaranteed for 4ab >= C^2).
-    """
-    uu = r * r
-    P = (a * uu - C) * uu + b
-    if P <= 0:
-        raise ValueError("P(u) <= 0")
-    sqP = math.sqrt(P)
-    total = sqP
-    if C != 0.0:
-        arg = 2.0 * math.sqrt(a * P) + 2.0 * a * uu - C
-        if arg <= 0:
-            raise ValueError("log argument <= 0")
-        total -= C / (2.0 * math.sqrt(a)) * math.log(arg)
-    if b > 0.0:
-        arg = (2.0 * math.sqrt(b * P) + 2.0 * b - C * uu) / uu
-        if arg <= 0:
-            raise ValueError("log argument <= 0")
-        total -= math.sqrt(b) * math.log(arg)
-    return 0.5 * total
-
-
-def _ho_l0_antiderivative(a: float, C: float, r: float) -> float:
-    """Antiderivative of sqrt(a r^2 - C) for the b = 0 (l = 0) case."""
-    phi = a * r * r - C
-    if phi < 0:
-        raise ValueError("a r^2 - C < 0")
-    sq = math.sqrt(phi)
-    total = 0.5 * r * sq
-    if C != 0.0:
-        arg = math.sqrt(a) * r + sq
-        if arg <= 0:
-            raise ValueError("log argument <= 0")
-        total -= C / (2.0 * math.sqrt(a)) * math.log(arg)
-    return total
-
-
-def _phase_closed_form(U: EffectivePotential, r: float, r_ref: float) -> float | None:
-    """Q in closed form where V has no linear and no Coulomb term, None elsewhere.
-
-    Without a quadratic term (free particle, well interior) only the
-    centrifugal term is left, and Q is a logarithm; otherwise the oscillator
-    antiderivative applies, with C = -offset.
+    None for any other family, and where F(r_ref) does not exist. Without a
+    quadratic term (free particle, well interior) only the centrifugal term
+    b / r^2 is left, and Q is a logarithm. Otherwise F is the oscillator
+    antiderivative of sqrt(a r^2 + b / r^2 - C), C = -offset: via u = r^2
+    the integrand is sqrt(P(u)) / (2u) with P = a u^2 - C u + b, and F is one
+    half of the standard decomposition (for b = 0, that of sqrt(a r^2 - C)).
+    Every constant, F(r_ref) included, is computed here once. Q(r) raises
+    ValueError where P <= 0 or a square root or logarithm leaves its domain,
+    which for 4ab > C^2 only rounding brings about.
     """
     if U.linear or U.coulomb:
         return None
-    b = U.centrifugal_coeff
-    m1 = U.units.m1
+    b, m1 = U.centrifugal_coeff, U.units.m1
     if not U.quadratic:
         if b == 0.0:
-            return 0.0
-        return m1 * math.sqrt(b) * math.log(r / r_ref)
+            return lambda r: 0.0
+        m1_root_b = m1 * math.sqrt(b)
+        return lambda r: m1_root_b * math.log(r / r_ref)
     a, C = U.quadratic, -U.offset
+    root_a, two_a, two_b, root_b = math.sqrt(a), 2.0 * a, 2.0 * b, math.sqrt(b)
+    c_half = C / (2.0 * root_a)
+
+    def F_l0(r: float) -> float:
+        sq = math.sqrt(a * r * r - C)
+        total = 0.5 * r * sq
+        if C != 0.0:
+            total -= c_half * math.log(root_a * r + sq)
+        return total
+
+    def F_centrifugal(r: float) -> float:
+        uu = r * r
+        P = (a * uu - C) * uu + b
+        if P <= 0:
+            raise ValueError("P(u) <= 0")
+        total = math.sqrt(P)
+        if C != 0.0:
+            total -= c_half * math.log(2.0 * math.sqrt(a * P) + two_a * uu - C)
+        # b > 0 here: the centrifugal coefficient is never negative
+        arg = (2.0 * math.sqrt(b * P) + two_b - C * uu) / uu
+        return 0.5 * (total - root_b * math.log(arg))
+
+    F = F_l0 if b == 0.0 else F_centrifugal
     try:
-        if b == 0.0:
-            return m1 * (_ho_l0_antiderivative(a, C, r) - _ho_l0_antiderivative(a, C, r_ref))
-        return m1 * (_ho_antiderivative(a, b, C, r) - _ho_antiderivative(a, b, C, r_ref))
+        F_ref = F(r_ref)
     except ValueError:
         return None
+    return lambda r: m1 * (F(r) - F_ref)
 
 
 def phase_Q(
@@ -340,9 +329,12 @@ def phase_Q(
     if r == r_ref:
         return PhaseResult(0.0, "closed_form", r_ref, 0.0)
     if method != "numeric":
-        closed = _phase_closed_form(U, r, r_ref)
+        closed = _closed_phase(U, r_ref)
         if closed is not None:
-            return PhaseResult(closed, "closed_form", r_ref, 0.0)
+            try:
+                return PhaseResult(closed(r), "closed_form", r_ref, 0.0)
+            except ValueError:
+                pass
         if method == "closed_form":
             raise DomainError(f"no closed-form phase for {type(U.spec).__name__}")
     val, err = adaptive_integral_many(_phase_integrand(U), r_ref, r, tol=tol)
@@ -377,10 +369,12 @@ class Phase:
 def make_phase(U: EffectivePotential, lo: float, hi: float) -> Phase:
     """Fast evaluator for Q(r) anchored at Q(lo) = 0, built for r in [lo, hi].
 
-    Closed-form families evaluate their antiderivative at each r, in plain
-    Python. Any other family gets a table: [lo, hi] is integrated once by the
-    adaptive loop of ``adaptive_integral``, and Q(r) is the prefix sum of the
-    panels left of r plus one K15 rule from the edge of the panel holding r.
+    Closed-form families get the evaluator of ``_closed_phase``: the
+    antiderivative at lo and every constant are computed here, and each r
+    costs one evaluation in plain Python. Any other family gets a table:
+    [lo, hi] is integrated once by the adaptive loop of ``adaptive_integral``,
+    and Q(r) is the prefix sum of the panels left of r plus one K15 rule from
+    the edge of the panel holding r.
     ``many`` finds the panels of all radii with one ``searchsorted`` and
     evaluates U on all their nodes with one ``eval_effective_array`` call.
     The closed form falls back to ``phase_Q`` where it does not apply, the
@@ -392,13 +386,19 @@ def make_phase(U: EffectivePotential, lo: float, hi: float) -> Phase:
     def q_reference(r: float) -> float:
         return phase_Q(U, r, lo, method="numeric", tol=_PHASE_TOL).value
 
-    if _phase_closed_form(U, lo, lo) is not None:
+    closed = _closed_phase(U, lo)
+    if closed is not None:
 
-        def q_closed(r: float) -> float:
-            val = _phase_closed_form(U, r, lo)
-            return q_reference(r) if val is None else val
+        def many_closed(rs: Sequence[float]) -> list[float]:
+            q = []
+            for r in rs:
+                try:
+                    q.append(closed(r))
+                except ValueError:
+                    q.append(q_reference(r))
+            return q
 
-        return Phase(lambda rs: [q_closed(r) for r in rs])
+        return Phase(many_closed)
 
     import numpy as np
 

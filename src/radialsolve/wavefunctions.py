@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, NotNormalizableError
 from .potentials import EffectivePotential, eval_effective_array
 from .quadrature import Phase, adaptive_integral, adaptive_integral_many, make_phase
 from .spectrum import Antisymmetric, EnergyLevel, Symmetric, branch_theta, self_consistent_energy
 from .turning_points import TurningPoints, turning_points
+
+#: the carrier of each parity, as a function of K (r - r0)
+_WAVES = {"symmetric": math.cos, "antisymmetric": math.sin}
 
 
 @dataclass(frozen=True)
@@ -44,8 +47,7 @@ class RadialWaveFunction:
             raise DomainError("amplitude must be non-negative")
 
     def carrier(self, r: float) -> float:
-        arg = self.K * (r - self.tp.r0)
-        return math.cos(arg) if self.parity == "symmetric" else math.sin(arg)
+        return _WAVES[self.parity](self.K * (r - self.tp.r0))
 
     def radial_F(self, r: float) -> float:
         """F(r) = r R(r) on the supported interval, 0 outside."""
@@ -55,12 +57,10 @@ class RadialWaveFunction:
 
     def radial_F_many(self, rs: Sequence[float]) -> list[float]:
         """``radial_F`` at each of ``rs``, with one phase call for the points in the support."""
-        r1, r2 = self.tp.r1, self.tp.r2
+        r1, r2, r0 = self.tp.r1, self.tp.r2, self.tp.r0
         q = iter(self.phase.many([r for r in rs if r1 <= r <= r2]))
-        return [
-            self.amplitude * self.carrier(r) * math.exp(-next(q)) if r1 <= r <= r2 else 0.0
-            for r in rs
-        ]
+        A, K, wave, exp = self.amplitude, self.K, _WAVES[self.parity], math.exp
+        return [A * wave(K * (r - r0)) * exp(-next(q)) if r1 <= r <= r2 else 0.0 for r in rs]
 
 
 @dataclass(frozen=True)
@@ -203,8 +203,7 @@ def boundary_residuals(wf: RadialWaveFunction) -> tuple[float, float]:
     return at_r1, at_r2
 
 
-@dataclass(frozen=True)
-class SamplePoint:
+class SamplePoint(NamedTuple):
     r: float
     value: float
     imag: float = 0.0

@@ -349,6 +349,14 @@ NO_ARRAY_VERBS = [
     ["oracle", "well", "--L", "1", "--l", "1", "--n", "1:2"],
     ["oracle", "bessel-zeros", "--l", "2", "--n", "1:3"],
     ["wavefunction", "--potential", "ho:omega=1", "--l", "1", "--samples", "64"],
+    pytest.param(
+        ["wavefunction", "--potential", "well:L=1", "--l", "0", "--samples", "64"],
+        id="wavefunction --potential well:L=1 --l 0",
+    ),
+    pytest.param(
+        ["wavefunction", "--potential", "well:L=1", "--l", "2", "--samples", "64"],
+        id="wavefunction --potential well:L=1 --l 2",
+    ),
     ["turning-points", "--potential", "parabolic:a=1,b=1,c=1", "--l", "1", "--energy", "6"],
     ["spectrum", "--potential", "parabolic:a=1,b=1,c=1", "--l", "1", "--n", "1:2"],
 ]

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialsolve.errors import ComplexPhaseError, DomainError, IntegrationError
 from radialsolve.potentials import (
+    EV_NM,
     NATURAL,
     EffectivePotential,
     FreeParticle,
@@ -17,7 +20,14 @@ from radialsolve.potentials import (
     Parabolic,
     eval_effective,
 )
-from radialsolve.quadrature import adaptive_integral, area_S, make_phase, phase_Q
+from radialsolve.quadrature import (
+    _check_nonnegative,
+    _closed_phase,
+    adaptive_integral,
+    area_S,
+    make_phase,
+    phase_Q,
+)
 from radialsolve.turning_points import TurningPoints, turning_points
 
 
@@ -320,3 +330,127 @@ class TestPhaseTable:
             i = max(j for j, a in enumerate(edges) if a <= r)
             expected = prefix[i] if r == edges[i] else prefix[i] + _gk15(integrand, edges[i], r)[0]
             assert value == expected
+
+
+# ------------------------------------------- closed-form Q against the per-point formula
+
+
+def _pointwise_F(U, r: float) -> float:
+    """Oscillator antiderivative of sqrt(a r^2 + b / r^2 - C), evaluated from scratch
+    at each r; raises ValueError where it does not exist."""
+    a, b, C = U.quadratic, U.centrifugal_coeff, -U.offset
+    if b == 0.0:
+        phi = a * r * r - C
+        if phi < 0:
+            raise ValueError
+        sq = math.sqrt(phi)
+        total = 0.5 * r * sq
+        if C != 0.0:
+            arg = math.sqrt(a) * r + sq
+            if arg <= 0:
+                raise ValueError
+            total -= C / (2.0 * math.sqrt(a)) * math.log(arg)
+        return total
+    uu = r * r
+    P = (a * uu - C) * uu + b
+    if P <= 0:
+        raise ValueError
+    total = math.sqrt(P)
+    if C != 0.0:
+        arg = 2.0 * math.sqrt(a * P) + 2.0 * a * uu - C
+        if arg <= 0:
+            raise ValueError
+        total -= C / (2.0 * math.sqrt(a)) * math.log(arg)
+    arg = (2.0 * math.sqrt(b * P) + 2.0 * b - C * uu) / uu
+    if arg <= 0:
+        raise ValueError
+    total -= math.sqrt(b) * math.log(arg)
+    return 0.5 * total
+
+
+def _pointwise_closed(U, r: float, r_ref: float) -> float | None:
+    """m1 (F(r) - F(r_ref)), both ends from scratch; None where either end raises."""
+    b, m1 = U.centrifugal_coeff, U.units.m1
+    if not U.quadratic:
+        return 0.0 if b == 0.0 else m1 * math.sqrt(b) * math.log(r / r_ref)
+    try:
+        return m1 * (_pointwise_F(U, r) - _pointwise_F(U, r_ref))
+    except ValueError:
+        return None
+
+
+def _outcome(f) -> str:
+    """repr of f()'s value (tells -0.0 from 0.0), or the type and message of its error."""
+    try:
+        return repr(f())
+    except (ComplexPhaseError, IntegrationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _expected_many(U, rs, lo):
+    out = []
+    for r in rs:
+        closed = _pointwise_closed(U, r, lo)
+        out.append(phase_Q(U, r, lo, method="numeric").value if closed is None else closed)
+    return out
+
+
+def _expected_phase_Q(U, r, lo):
+    closed = _pointwise_closed(U, r, lo)
+    if closed is None:
+        return phase_Q(U, r, lo, method="numeric").value
+    _check_nonnegative(U, lo, r)
+    return closed
+
+
+def _touching_hoso(omega: float, l: int, units) -> HOSpinOrbit:
+    """HOSO with j = l + 1/2 and c0 where C^2 = 4ab: U touches 0 at its minimum, and
+    rounding leaves the antiderivative undefined at some radii."""
+    U = EffectivePotential(HOSpinOrbit(omega=omega, j=l + 0.5, c0=1.0), l=l, units=units)
+    c0 = math.sqrt(4.0 * U.quadratic * U.centrifugal_coeff) / -U.offset  # C is linear in c0
+    return HOSpinOrbit(omega=omega, j=l + 0.5, c0=c0)
+
+
+@st.composite
+def closed_potentials(draw) -> EffectivePotential:
+    """Oscillators and wells from 1e-3 to 1e3, l 0-5, and the touching HOSO, in both presets."""
+    units = draw(st.sampled_from([NATURAL, EV_NM]))
+    family = draw(st.sampled_from(["ho", "well", "touching"]))
+    size = 10.0 ** draw(st.floats(-3.0, 3.0))
+    l = draw(st.integers(1 if family == "touching" else 0, 5))
+    if family == "ho":
+        spec = IsotropicHO(omega=size)
+    elif family == "well":
+        spec = InfiniteSphericalWell(L=size)
+    else:
+        spec = _touching_hoso(size, l, units)
+    return EffectivePotential(spec, l=l, units=units)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    U=closed_potentials(),
+    lo_scale=st.floats(0.05, 3.0),
+    span=st.floats(1.0, 4.0),
+    fractions=st.lists(st.floats(0.1, 8.0), min_size=1, max_size=8),
+)
+def test_closed_phase_matches_the_pointwise_formula(U, lo_scale, span, fractions):
+    lo = lo_scale * U.length_scale
+    rs = [lo, *(lo * f for f in fractions)]  # inside and outside [lo, lo * span]
+    if _pointwise_closed(U, lo, lo) is None:
+        # no antiderivative at the anchor: make_phase builds the numeric table
+        assert _closed_phase(U, lo) is None
+        return
+    assert _outcome(lambda: make_phase(U, lo, lo * span).many(rs)) == _outcome(lambda: _expected_many(U, rs, lo))
+    for r in rs:
+        assert _outcome(lambda: phase_Q(U, r, lo).value) == _outcome(lambda: _expected_phase_Q(U, r, lo))
+
+
+def test_closed_phase_falls_back_where_the_antiderivative_raises():
+    U = EffectivePotential(_touching_hoso(1.0, 2, NATURAL), l=2)
+    lo, hi = 0.2, 3.0
+    rs = [0.1 * i for i in range(1, 40)]
+    raising = [r for r in rs if _pointwise_closed(U, r, lo) is None]
+    assert raising and _pointwise_closed(U, lo, lo) is not None
+    assert repr(make_phase(U, lo, hi).many(rs)) == repr(_expected_many(U, rs, lo))
+    assert [phase_Q(U, r, lo).value for r in raising] == [phase_Q(U, r, lo, method="numeric").value for r in raising]

@@ -374,7 +374,8 @@ class TestCli:
 #: subnormal, signed zero, the largest finite and the infinite values
 EXTREMES = [1e-320, 5e-324, 0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf]
 VALUE = st.sampled_from(EXTREMES) | st.floats(allow_nan=False)
-PLAIN = st.builds(SamplePoint, VALUE, VALUE)
+# the defaulted fields pinned: builds() would draw them for a NamedTuple
+PLAIN = st.builds(SamplePoint, VALUE, VALUE, st.just(0.0), st.none())
 FLAGGED = st.builds(SamplePoint, VALUE, VALUE, VALUE, st.booleans())
 ROW = st.builds(
     ComparisonRow, st.sampled_from(["1s", "2p", "general:3"]), VALUE, VALUE, st.none() | VALUE

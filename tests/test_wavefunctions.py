@@ -363,3 +363,37 @@ class TestSampling:
         pts = sample_wavefunction(fp, [0.5, 1.0, 2.0, 4.0])
         blob = render_samples(pts, format="csv")
         assert samples_from_csv(blob) == pts
+
+    def test_sample_point_is_immutable_and_hashable(self):
+        p = SamplePoint(1.5, -0.25)
+        with pytest.raises(AttributeError):
+            p.value = 0.0
+        assert hash(p) == hash(SamplePoint(1.5, -0.25))
+        assert len({p, SamplePoint(1.5, -0.25), SamplePoint(1.5, 0.25, 0.0, True)}) == 2
+
+    def test_sample_point_repr(self):
+        assert repr(SamplePoint(1.5, -0.25)) == (
+            "SamplePoint(r=1.5, value=-0.25, imag=0.0, in_inner_forbidden=None)"
+        )
+        assert repr(SamplePoint(2.0, 1e-320, -0.0, True)) == (
+            "SamplePoint(r=2.0, value=1e-320, imag=-0.0, in_inner_forbidden=True)"
+        )
+
+
+@pytest.mark.parametrize("parity", ["symmetric", "antisymmetric"])
+@pytest.mark.parametrize(
+    "U",
+    [HO1, WELL, EffectivePotential(IsotropicHO(omega=0.7), l=0), EffectivePotential(Parabolic(1.0, 1.0, 1.0), l=2)],
+    ids=["ho-l1", "well-l1", "ho-l0", "parabolic-l2"],
+)
+def test_radial_F_many_is_the_pointwise_product(U, parity):
+    # amplitude * carrier(r) * exp(-Q(r)) in this order, 0 outside [r1, r2]
+    wf = normalize(build_bound_state(U, 2, parity)[0])
+    rs = [float(r) for r in np.linspace(wf.tp.r1 * 0.5 or wf.tp.r2 * 1e-3, wf.tp.r2 * 1.2, 97)]
+    rs += [wf.tp.r1 or wf.tp.r2 * 1e-12, wf.tp.r0, wf.tp.r2]
+    expected = [
+        wf.amplitude * wf.carrier(r) * math.exp(-wf.phase(r)) if wf.tp.r1 <= r <= wf.tp.r2 else 0.0
+        for r in rs
+    ]
+    # repr tells the signs of zero apart
+    assert [repr(F) for F in wf.radial_F_many(rs)] == [repr(F) for F in expected]
