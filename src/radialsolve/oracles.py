@@ -46,8 +46,9 @@ class OracleEnergy:
 def spherical_bessel(l: int, x: float) -> float:
     """j_l(x) by upward recurrence from j0 = sin x / x.
 
-    Stable for the low orders used here (l <= 10) provided x is not far
-    below l; zeros of j_l all lie above l, which is the regime we scan.
+    Upward recurrence loses digits once x falls below l. ``bessel_zero``
+    takes l in 0..6 and scans only x >= l, where every zero of j_l lies;
+    there the error stays within a few ulps of 1.
     """
     if l < 0:
         raise DomainError(f"l must be >= 0, got {l}")
@@ -173,82 +174,48 @@ def bohr_energy(
 MAX_GRID_POINTS = 1_000_000
 # Fewest grid points, and the sample that finds min U before the step is set.
 _MIN_POINTS = 512
-# Phase, in radians, that the fastest local wave advances per Numerov step.
-# Numerov's error in a level goes as (k h)^4: a few 1e-11 relative here.
-_PHASE_PER_STEP = 0.01
-# |u| above which an overflowing sweep is rescaled.
-_RESCALE = 1e250
-# Stride of the grid points that estimate max |u| over the allowed region.
-_AMPLITUDE_STRIDE = 8
+# Relative error a level may carry, from the step and from the stop rule each.
+_LEVEL_TOL = 1e-10
+# Phase, in radians, that the fastest local wave advances per Numerov step:
+# Numerov moves a level by (k h)^4 / 240 of itself, so this spends _LEVEL_TOL.
+_PHASE_PER_STEP = (240.0 * _LEVEL_TOL) ** 0.25
 # The r_max search gives up this many length scales out.
 _MAX_R_SCALES = 1e6
-# Sweeps one eigenvalue may take; isolating and converging need about 5-40.
+# Sweeps one eigenvalue may take; isolating and converging need about 3-15.
 _MAX_SWEEPS = 200
 
 
-def _numerov_sweep(a: memoryview, u0: float, u1: float) -> tuple[list[float], bool]:
-    """Every u_i of the recurrence u_{i+1} = a_i u_i - u_{i-1}, from (u0, u1).
+def _matched_sweep(x: np.ndarray, y0: float) -> tuple[int, float, float]:
+    """(levels below E, D, sum_i (u_i / u_m)^2) of one sweep over x_i = h^2 f_i(E).
 
-    Iterating a memoryview of the float64 coefficients yields plain floats,
-    so the loop runs on Python floats without building a list of them. The
-    plain loop runs first. If it overflows, the sweep is redone dividing
-    u by 1e250 whenever |u| passes that: every u_i keeps its sign, which is
-    all the node count needs, but the u_i no longer share one scale, which
-    the returned flag reports.
+    Outward R_i from R_0 = u_1 / u_0 with F_0 / F_1 = y0, inward from u_N = 0
+    past the last point of ``x``, matched at m (see ``numerov_bound_state``).
+    A ratio that is exactly 0 raises ZeroDivisionError.
     """
-    us = [u0, u1]
-    append = us.append
-    for ai in a:
-        u0, u1 = u1, ai * u1 - u0
-        append(u1)
-    if math.isfinite(u1):
-        return us, False
-    u0, u1 = us[0], us[1]
-    us = [u0, u1]
-    append = us.append
-    for ai in a:
-        u0, u1 = u1, ai * u1 - u0
-        if not -_RESCALE < u1 < _RESCALE:
-            u0 /= _RESCALE
-            u1 /= _RESCALE
-        append(u1)
-    return us, True
-
-
-def _node_count(us: list[float], w: np.ndarray) -> int:
-    """Interior sign changes of y = u / w, zeros skipped.
-
-    The sign of y is taken as sign(u) sign(w), because w = 1 + h^2 f / 12 is
-    negative near r_min when the centrifugal term is large. y_1 = r_1^(l+1)
-    counts as positive, as in the start of the sweep.
-    """
-    import numpy as np
-
-    sign = np.sign(np.asarray(us[1:])) * np.sign(w[1:])
-    sign[0] = 1.0
-    sign = sign[sign != 0.0]
-    return int(np.count_nonzero(sign[1:] != sign[:-1]))
-
-
-def _boundary_residual(us: list[float], rescaled: bool, x: np.ndarray) -> float:
-    """u(r_max) over max |u| in the classically allowed region (x > 0).
-
-    Smooth in E near an eigenvalue, where it changes sign together with
-    y(r_max). The maximum is taken over every ``_AMPLITUDE_STRIDE``-th point
-    between the first and last allowed ones. Where the ratio cannot be formed
-    (no allowed point, or a rescaled sweep) it is +-inf, which sends the
-    root finder to a bisection step.
-    """
-    import numpy as np
-
-    u_end = us[-1]
-    allowed = np.flatnonzero(x > 0.0)
-    if allowed.size and not rescaled:
-        inside = us[allowed[0] : allowed[-1] + 1 : _AMPLITUDE_STRIDE]
-        amplitude = max(max(inside), -min(inside))
-        if amplitude > 0.0:
-            return u_end / amplitude
-    return math.copysign(math.inf, u_end)
+    w = 1.0 + x / 12.0
+    a = 2.0 - x / w
+    last = len(x) - 1
+    if x[last] > 0.0:
+        m = max(0, last - round(0.5 * math.pi / math.sqrt(x[last])))
+    else:  # the last allowed point; with none, m = last: a plain outward sweep
+        m = last - int((x[::-1] > 0.0).argmax())
+    # outward R and S = sum_{j <= i} (u_j / u_i)^2, inward q = 1 / T_i and
+    # S_in = sum_{j > i} (u_j / u_i)^2: each step takes one division
+    nodes, R, S = 0, float(w[1] / (y0 * w[0])), 1.0
+    for ai in memoryview(a[1 : m + 1]):
+        if R < 0.0:
+            nodes += 1
+        p = 1.0 / R
+        S = S * p * p + 1.0
+        R = ai - p
+    q, S_in = 0.0, 0.0
+    for ai in memoryview(a[:m:-1]):
+        q = 1.0 / (ai - q)
+        if q < 0.0:
+            nodes += 1
+        S_in = (S_in + 1.0) * q * q
+    D = R - q
+    return nodes + (D < 0.0), D, S + S_in
 
 
 def numerov_bound_state(
@@ -256,29 +223,46 @@ def numerov_bound_state(
     node_target: int,
     bracket: tuple[float, float],
 ) -> OracleEnergy:
-    """Eigenvalue with the requested interior node count, by Numerov shooting.
+    """Eigenvalue with the requested interior node count, by matched Numerov shooting.
 
-    Integrates -(hbar^2/2m) F'' + U F = E F outward with F ~ r^{l+1} from
-    r_min up to r_max: just inside a hard wall, or, past any centrifugal
-    barrier, far into the outer forbidden region. The interior node count is
-    a nondecreasing step function of E that jumps exactly where F(r_max)
-    changes sign. Bisection on the node count first narrows the bracket
-    until it holds only the target jump; Illinois regula falsi on the
-    boundary residual, F(r_max) over the largest |F| in the classically
-    allowed region, then converges on it. A lower edge below min U on the
-    grid is raised to it. ``sweeps`` on the result counts the outward
-    integrations spent.
+    Solves -(hbar^2/2m) F'' + U F = E F with F ~ r^{l+1} at r_min and F = 0
+    at the last grid point r_N = r_max: the hard wall, which is never
+    evaluated, or, past any centrifugal barrier, a point far into the outer
+    forbidden region. With x_i = h^2 f_i, f = (2m/hbar^2)(E - U), and
+    u_i = (1 + x_i / 12) F_i, Numerov reads u_{i+1} = A_i u_i - u_{i-1},
+    A_i = 2 - x_i / (1 + x_i / 12). A sweep runs it in Johnson's renormalized
+    form (J. Chem. Phys. 67, 4086 (1977); 69, 4678 (1978)), on ratios that
+    cannot overflow: R_i = u_{i+1}/u_i = A_i - 1/R_{i-1} outward from the
+    start values, T_i = u_i/u_{i+1} = A_{i+1} - 1/T_{i+1} inward from
+    u_N = 0. They meet at the match point m, the last classically allowed
+    point, or, where the region is allowed right up to r_N, a quarter wave
+    inside it: m = N - 1 - round(pi / 2 / sqrt(x_{N-1})). The solutions
+    join smoothly where D = R_m - 1/T_m vanishes.
 
-    The step comes from the problem, not from a setting: h = c / k_top, where
-    k_top = sqrt(2 m (e_hi - min U)) / hbar is the largest local wavenumber
-    at the bracket's upper edge (min U over a 512-point sample) and
-    c = ``_PHASE_PER_STEP`` radians. The grid has at least 512 points and
+    Node count: the number of levels below E, the interior nodes of the
+    outward solution, is the number of negative ratios on both sides plus
+    1 where D < 0 (the inertia of the Numerov matrix, from its pivots taken
+    from both ends). This needs 1 + x/12 > 0 on the grid, which is checked
+    at the bracket's lower edge. Bisection on the count first narrows the
+    bracket until it holds only the target level. Newton steps
+    dE = D / (k sum_i (u_i / u_m)^2), k = 2 m h^2 / hbar^2 (Cooley, Math.
+    Comp. 15, 363 (1961)), with the norm summed in the same two loops, then
+    converge on it: each count moves one edge, and a step that leaves the
+    bracket, or is more than half the move before it, becomes a bisection.
+    A lower edge below min U on the grid is raised to it. ``sweeps`` on the
+    result counts the sweeps spent.
+
+    The step comes from an error budget. Numerov lowers a level by
+    (k h)^4 / 240 of itself for the local wavenumber k, so h = c / k_top
+    with c = (240 * 1e-10)^(1/4) ~ 0.0124 rad (``_PHASE_PER_STEP``) keeps
+    that below 1e-10, where k_top = sqrt(2 m (e_hi - min U)) / hbar is the
+    largest wavenumber at the bracket's upper edge (min U over a 512-point
+    sample). The grid has at least 512 points, and
     r_min = max(1e-6 scale, h sqrt(l (l + 1) / 6)), where the centrifugal
-    term leaves w = 1 + h^2 f / 12 >= 1/2. Accuracy budget, relative to the
-    level: the step's own error is a few 1e-11; both root-finding phases
-    stop on hi - lo <= 1e-10 max(eps, |mid|), with eps = hbar^2 / (m scale^2)
-    the problem's energy unit; truncating the decay tail or stopping short
-    of the wall shifts a level by at most about 1e-8.
+    term leaves 1 + x/12 >= 1/2. Newton stops once its step is at most
+    1e-10 max(eps, |E|), with eps = hbar^2 / (m scale^2) the problem's
+    energy unit, and returns E plus that step. Truncating the decay tail
+    shifts a level by at most about 1e-8.
     """
     import numpy as np
 
@@ -290,11 +274,8 @@ def numerov_bound_state(
         raise DomainError(f"invalid bracket {bracket}")
     scale, eps = U.length_scale, U.energy_scale
     r_min = 1e-6 * scale
-    if U.wall < INFINITE:
-        # stop just inside the wall; the F(r_max) = 0 condition shifts levels
-        # by only O(1e-9) relative
-        r_max = U.wall * (1.0 - 1e-9)
-    else:
+    r_max = U.wall
+    if r_max == INFINITE:
         # step out of any centrifugal barrier while U falls (once U(r_max) is
         # no lower than U one step in, r_max lies past the minimum), then past
         # the outer turning point until U exceeds E by many level spacings, so
@@ -320,17 +301,18 @@ def numerov_bound_state(
     span = (r_max - r_min) * k_top / _PHASE_PER_STEP
     if not span < MAX_GRID_POINTS:
         raise DomainError(
-            f"a step of {_PHASE_PER_STEP} / k_top needs {span:.3g} points, "
+            f"a step of {_PHASE_PER_STEP:.3g} / k_top needs {span:.3g} points, "
             f"above the cap of {MAX_GRID_POINTS}"
         )
     # the grid step only shrinks below this as r_min rises towards r_max
     h_top = (r_max - r_min) / max(span, _MIN_POINTS - 1)
     r_min = max(r_min, h_top * math.sqrt(U.l * (U.l + 1) / 6.0))
     r = np.linspace(r_min, r_max, max(int(span) + 1, _MIN_POINTS))
-    h = r[1] - r[0]
-    u_vals = eval_effective_array(U, r)
+    h = float(r[1] - r[0])
+    # r_N = r_max carries u_N = 0 and is left out
+    u_vals = eval_effective_array(U, r[:-1])
     if np.any(u_vals == INFINITE):
-        raise DomainError("grid crosses a hard wall")
+        raise DomainError("U overflows to inf on the Numerov grid")
     # x_i = h^2 f_i, with f = (2m/hbar^2)(E - U)
     k = 2.0 * units.mass / units.hbar**2 * h * h
     ku = k * u_vals
@@ -339,13 +321,15 @@ def numerov_bound_state(
     e_lo = max(e_lo, float(u_vals.min()))
     if not e_hi > e_lo:
         raise DomainError(below)
-    # y ~ r^(l+1), scaled to y_1 = 1 so that no power of a tiny r underflows
+    # w = 1 + x / 12 grows with E: positive at e_lo, it is positive in every sweep
+    if not float((k * e_lo - ku).min()) > -12.0:
+        raise DomainError(f"the Numerov step leaves 1 + h^2 f / 12 <= 0 on the grid at E = {e_lo:.6g}")
+    # R_0 = u_1 / u_0 for y ~ r^(l+1), with y_1 = 1 so that no power of a tiny r underflows
     y0 = (float(r[0]) / float(r[1])) ** (U.l + 1)
-    y1 = 1.0
     sweeps = 0
 
-    def shoot(E: float, count_nodes: bool = True) -> tuple[int | None, float]:
-        """(node count, boundary residual) of one outward sweep at energy E."""
+    def shoot(E: float) -> tuple[int, float]:
+        """(levels below E, Newton step D / (k sum_i (u_i / u_m)^2)) at energy E."""
         nonlocal sweeps
         if sweeps == _MAX_SWEEPS:
             raise ConvergenceError(
@@ -354,50 +338,48 @@ def numerov_bound_state(
                 iterations=sweeps,
             )
         sweeps += 1
-        x = k * E - ku
-        w = 1.0 + x / 12.0
-        a = memoryview(2.0 - x[1:-1] / w[1:-1])
-        us, rescaled = _numerov_sweep(a, y0 * float(w[0]), y1 * float(w[1]))
-        nodes = _node_count(us, w) if count_nodes else None
-        return nodes, _boundary_residual(us, rescaled, x)
+        try:
+            nodes, D, S = _matched_sweep(k * E - ku, y0)
+        except ZeroDivisionError:
+            # a node sits exactly on a grid point: sweep one ulp higher
+            sweeps -= 1
+            return shoot(math.nextafter(E, INFINITE))
+        return nodes, D / (k * S)
 
     def converged(lo: float, hi: float) -> bool:
-        return hi - lo <= 1e-10 * max(eps, abs(0.5 * (lo + hi)))
+        return hi - lo <= _LEVEL_TOL * max(eps, abs(0.5 * (lo + hi)))
 
     lo, hi = e_lo, e_hi
-    n_lo, g_lo = shoot(lo)
+    n_lo, step_lo = shoot(lo)
     if n_lo > node_target:
         raise DomainError(f"bracket lower edge already has more than {node_target} nodes")
-    n_hi, g_hi = shoot(hi)
+    n_hi, step_hi = shoot(hi)
     if n_hi <= node_target:
         raise DomainError(f"bracket contains no state with {node_target} nodes")
-    # phase 1: bisect on the node count until only the target jump is left
+    # phase 1: bisect on the node count until only the target level is left
     while not (n_lo == node_target and n_hi == node_target + 1 or converged(lo, hi)):
         mid = 0.5 * (lo + hi)
-        n_mid, g_mid = shoot(mid)
+        n_mid, step_mid = shoot(mid)
         if n_mid <= node_target:
-            lo, n_lo, g_lo = mid, n_mid, g_mid
+            lo, n_lo, step_lo = mid, n_mid, step_mid
         else:
-            hi, n_hi, g_hi = mid, n_mid, g_mid
-    # phase 2: Illinois regula falsi on the residual, which now changes sign
-    # once in [lo, hi]; an edge kept twice in a row has its residual halved
-    side = 0
+            hi, n_hi, step_hi = mid, n_mid, step_mid
+    # phase 2: Newton from the edge with the shorter step. A step that leaves
+    # the bracket, or is more than half the move before it (near a pole of D,
+    # where u_m = 0, Newton crawls away from the pole), becomes a bisection.
+    E, step = (lo, step_lo) if abs(step_lo) <= abs(step_hi) else (hi, step_hi)
+    moved = INFINITE
     while not converged(lo, hi):
-        trial = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        if not lo < trial < hi:  # an infinite residual: bisect
+        if abs(step) <= _LEVEL_TOL * max(eps, abs(E)):
+            return OracleEnergy(source="numerov", value=E + step, n=node_target, l=U.l, sweeps=sweeps)
+        trial = E + step
+        if not (lo < trial < hi and abs(step) <= 0.5 * moved):
             trial = 0.5 * (lo + hi)
-        _, g = shoot(trial, count_nodes=False)
-        if g == 0.0:
-            return OracleEnergy(source="numerov", value=trial, n=node_target, l=U.l, sweeps=sweeps)
-        if (g > 0.0) == (g_lo > 0.0):
-            lo, g_lo = trial, g
-            if side < 0:
-                g_hi *= 0.5
-            side = -1
+        moved, E = abs(trial - E), trial
+        n, step = shoot(E)
+        if n <= node_target:
+            lo = E
         else:
-            hi, g_hi = trial, g
-            if side > 0:
-                g_lo *= 0.5
-            side = 1
+            hi = E
     value = 0.5 * (lo + hi)
     return OracleEnergy(source="numerov", value=value, n=node_target, l=U.l, sweeps=sweeps)

@@ -271,8 +271,9 @@ def _closed_phase(U: EffectivePotential, r_ref: float) -> Callable[[float], floa
     the integrand is sqrt(P(u)) / (2u) with P = a u^2 - C u + b, and F is one
     half of the standard decomposition (for b = 0, that of sqrt(a r^2 - C)).
     Every constant, F(r_ref) included, is computed here once. Q(r) raises
-    ValueError where P <= 0 or a square root or logarithm leaves its domain,
-    which for 4ab > C^2 only rounding brings about.
+    ValueError where P <= 0, where u = r^2 underflows to 0, or where a
+    square root or logarithm leaves its domain, which for 4ab > C^2 only
+    rounding brings about.
     """
     if U.linear or U.coulomb:
         return None
@@ -296,8 +297,8 @@ def _closed_phase(U: EffectivePotential, r_ref: float) -> Callable[[float], floa
     def F_centrifugal(r: float) -> float:
         uu = r * r
         P = (a * uu - C) * uu + b
-        if P <= 0:
-            raise ValueError("P(u) <= 0")
+        if P <= 0 or uu == 0.0:
+            raise ValueError("P(u) <= 0 or r * r underflows")
         total = math.sqrt(P)
         if C != 0.0:
             total -= c_half * math.log(2.0 * math.sqrt(a * P) + two_a * uu - C)

@@ -6,6 +6,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialsolve import oracles
 from radialsolve.errors import ConvergenceError, DomainError
@@ -177,13 +179,22 @@ class TestNumerov:
         assert res.value == pytest.approx(3.5, rel=1e-4)
 
     @pytest.mark.parametrize("nodes", [0, 1])
-    def test_ho_l3(self, nodes):
-        # the centrifugal term makes w = 1 + h^2 f / 12 negative at r_min,
-        # so the start value u_0 = y_0 w_0 is negative while y_0 > 0
+    def test_ho_l3(self, nodes, monkeypatch):
+        # the r_min rule keeps w = 1 + h^2 f / 12 >= 1/2 against the
+        # centrifugal term, so u = w y has the sign of y on the whole grid and
+        # negative ratios count the nodes of y
+        sweep, lowest_w = oracles._matched_sweep, []
+
+        def watched(x, y0):
+            lowest_w.append(1.0 + float(x.min()) / 12.0)
+            return sweep(x, y0)
+
+        monkeypatch.setattr(oracles, "_matched_sweep", watched)
         U = EffectivePotential(IsotropicHO(omega=1.0), l=3)
         exact = 2 * nodes + 4.5
         res = numerov_bound_state(U, nodes, (exact - 0.9, exact + 0.9))
         assert res.value == pytest.approx(exact, rel=1e-4)
+        assert len(lowest_w) == res.sweeps and min(lowest_w) >= 0.5
 
     @pytest.mark.parametrize("l", range(16))
     @pytest.mark.parametrize("nodes", [0, 2])
@@ -233,19 +244,85 @@ class TestNumerov:
         for a, b in zip(coarse, levels()):
             assert abs(a - b) <= 1e-10 * abs(a)
 
-    def test_node_count_follows_y_not_u(self):
-        # y = u / w keeps its sign where u flips only because w < 0
-        us = [-1.0, -1.0, -2.0, 3.0, -1.0]
-        w = np.array([-1.0, -1.0, -1.0, 1.0, 1.0])
-        assert oracles._node_count(us, w) == 1
+    @pytest.mark.parametrize(
+        "spec, l",
+        [(IsotropicHO(omega=1.0), l) for l in range(4)]
+        + [(InfiniteSphericalWell(L=L), l) for L in (1e-3, 1.0, 2000.0) for l in range(3)],
+    )
+    def test_matched_node_count_equals_outward_sign_changes(self, spec, l):
+        # negative ratios on both sides of the match point, plus 1 where D < 0,
+        # against the sign changes of u_0 .. u_N from the plain outward
+        # recurrence, at 40 energies over 1-120 energy units; a step of
+        # 0.05 rad keeps the grid small, and w > 0 on it is all the rule needs
+        U = EffectivePotential(spec, l=l)
+        unit = U.energy_scale
+        r_max = 16.0 * U.length_scale if U.wall == INFINITE else U.wall
+        n = max(int(r_max * U.units.m1 * math.sqrt(120.0 * unit) / 0.05) + 1, oracles._MIN_POINTS)
+        r_min = max(1e-6 * U.length_scale, r_max / n * math.sqrt(l * (l + 1) / 6.0))
+        r = np.linspace(r_min, r_max, n)
+        k = 2.0 * U.units.mass / U.units.hbar**2 * float(r[1] - r[0]) ** 2
+        ku = k * eval_effective_array(U, r[:-1])
+        y0 = (r[0] / r[1]) ** (l + 1)
+        for E in np.linspace(1.0, 120.0, 40) * unit:
+            x = k * E - ku
+            w = 1.0 + x / 12.0
+            assert w.min() > 0.0
+            u = [y0 * w[0], w[1]]
+            for xi, wi in zip(x[1:].tolist(), w[1:].tolist()):
+                u.append((2.0 - xi / wi) * u[-1] - u[-2])
+            u = np.array(u)
+            assert np.all(np.isfinite(u)) and np.all(u != 0.0)
+            changes = int(np.count_nonzero((u[1:] < 0.0) != (u[:-1] < 0.0)))
+            assert oracles._matched_sweep(x, y0)[0] == changes, E
 
     def test_overflowing_sweep_keeps_sign(self):
-        # at E = -1e4 the solution grows by about e^800 before r_max and
-        # overflows; the rescaled sweep must still count 0 nodes and give
-        # the residual a sign the root finder can bracket with
+        # the lower edge -1e4 is raised to min U on the grid; below (0, 700)
+        # the plain recurrence would grow by about e^985 before r_max and
+        # overflow, while the ratios of the renormalized sweep stay finite and
+        # their signs keep the node count
         U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
         res = numerov_bound_state(U, 0, (-1e4, 2.0))
         assert res.value == pytest.approx(1.5, rel=1e-4)
+        assert numerov_bound_state(U, 0, (0.0, 700.0)).value == pytest.approx(1.5, rel=1e-8)
+
+    def test_a_zero_ratio_resweeps_one_ulp_higher(self, monkeypatch):
+        # a node exactly on a grid point makes a ratio 0, and the next step
+        # divides by it; the sweep is redone at the next float above E and
+        # counted once
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=1)
+        plain = numerov_bound_state(U, 1, (3.6, 5.4))
+        sweep, calls = oracles._matched_sweep, []
+
+        def zero_once(x, y0):
+            calls.append(x)
+            if len(calls) == 2:
+                raise ZeroDivisionError("float division by zero")
+            return sweep(x, y0)
+
+        monkeypatch.setattr(oracles, "_matched_sweep", zero_once)
+        res = numerov_bound_state(U, 1, (3.6, 5.4))
+        assert res.sweeps == plain.sweeps and len(calls) == plain.sweeps + 1
+        assert np.all(calls[2] >= calls[1]) and np.any(calls[2] > calls[1])
+        assert res.value == pytest.approx(plain.value, rel=1e-12)
+
+    def test_a_step_leaving_w_nonpositive_is_refused(self, monkeypatch):
+        # at 4 rad per step, 1 + h^2 f / 12 <= 0 far out at the lower edge:
+        # u = w y would flip sign there without a node of y
+        monkeypatch.setattr(oracles, "_PHASE_PER_STEP", 4.0)
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
+        with pytest.raises(DomainError, match=r"1 \+ h\^2 f / 12 <= 0"):
+            numerov_bound_state(U, 0, (0.0, 1e5))
+
+    @pytest.mark.parametrize("L", [1e-3, 1.0, 2000.0, 1e100])
+    def test_well_levels_agree_with_bessel_to_1e_10(self, L):
+        # the grid ends on the wall, where u_N = 0 is imposed, so no
+        # shortened radius floors the error at 2e-9
+        for l in range(3):
+            for n in (1, 2):
+                exact = well_oracle_energy(L, l, n).value
+                U = EffectivePotential(InfiniteSphericalWell(L=L), l=l)
+                res = numerov_bound_state(U, n - 1, (0.8 * exact, 1.2 * exact))
+                assert abs(res.value - exact) <= 1e-10 * exact, (l, n)
 
     def test_lower_edge_far_below_the_potential(self):
         # at E = -1e7, h^2 |f| / 12 > 1 on the whole grid, so a node count
@@ -262,11 +339,25 @@ class TestNumerov:
     def test_sweeps_recorded(self):
         U = EffectivePotential(IsotropicHO(omega=1.0), l=1)
         res = numerov_bound_state(U, 1, (3.6, 5.4))
-        # node-count bisection alone took 34 sweeps to reach the tolerance
-        assert 2 < res.sweeps <= 20
+        # node-count bisection alone took 34 sweeps to reach the tolerance and
+        # Illinois on u(r_max) / max|u| took 15; Newton on D takes 4
+        assert 2 < res.sweeps <= 6
         assert numerov_bound_state(U, 1, (3.6, 5.4)).sweeps == res.sweeps
         assert ho_oracle_energy(1, 1, 1.0).sweeps is None
         assert well_oracle_energy(1.0, 1, 1).sweeps is None
+
+    @pytest.mark.parametrize(
+        "omega, bracket",
+        [(0.7, (3.99, 5.57)), (0.6992375089666436, (3.9873492039043006, 5.57408064314256))],
+    )
+    def test_newton_near_a_pole_of_D_bisects(self, omega, bracket):
+        # the first bisection lands where the outward u_m is almost 0, next to
+        # a pole of D; Newton's steps from there only double away from it (12
+        # and 16 sweeps in all), so a step above half the move before it bisects
+        U = EffectivePotential(IsotropicHO(omega=omega), l=3)
+        res = numerov_bound_state(U, 1, bracket)
+        assert res.value == pytest.approx(6.5 * omega, rel=1e-10)
+        assert res.sweeps <= 10
 
     def test_sweep_budget_raises(self, monkeypatch):
         monkeypatch.setattr(oracles, "_MAX_SWEEPS", 3)
@@ -303,6 +394,33 @@ class TestNumerov:
         U = EffectivePotential(spec, l=0)
         with pytest.raises(DomainError, match="confine"):
             numerov_bound_state(U, 0, bracket)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(["ho", "well"]),
+    size=st.floats(0.5, 2.0),
+    l=st.integers(0, 3),
+    nodes=st.integers(0, 2),
+    below=st.floats(0.0, 1.0),
+    above=st.floats(0.0, 1.0),
+)
+def test_numerov_levels_match_the_closed_forms(family, size, l, nodes, below, above):
+    # omega or L from [0.5, 2], and each half-width of the bracket drawn as the
+    # benchmark's oracle workload draws it: omega * [0.3, 1.5] for the
+    # oscillator, [0.5, 3] / L^2 for the well. Over 12,000 such draws a level
+    # took at most 12 sweeps (Illinois on u(r_max) / max|u| took up to 21)
+    if family == "ho":
+        U = EffectivePotential(IsotropicHO(omega=size), l=l)
+        exact, rel = ho_oracle_energy(nodes, l, size).value, 1e-8
+        lo, hi = exact - size * (0.3 + 1.2 * below), exact + size * (0.3 + 1.2 * above)
+    else:
+        U = EffectivePotential(InfiniteSphericalWell(L=size), l=l)
+        exact, rel = well_oracle_energy(size, l, nodes + 1).value, 1e-10
+        lo, hi = exact - (0.5 + 2.5 * below) / size**2, exact + (0.5 + 2.5 * above) / size**2
+    res = numerov_bound_state(U, nodes, (lo, hi))
+    assert abs(res.value - exact) <= rel * exact
+    assert res.sweeps <= 12
 
 
 @pytest.mark.parametrize(

@@ -454,3 +454,18 @@ def test_closed_phase_falls_back_where_the_antiderivative_raises():
     assert raising and _pointwise_closed(U, lo, lo) is not None
     assert repr(make_phase(U, lo, hi).many(rs)) == repr(_expected_many(U, rs, lo))
     assert [phase_Q(U, r, lo).value for r in raising] == [phase_Q(U, r, lo, method="numeric").value for r in raising]
+
+
+@pytest.mark.parametrize("l", [1, 3])
+def test_closed_phase_steps_aside_where_r_squared_underflows(l):
+    # below r ~ 1.5e-162, u = r * r is 0.0 and the centrifugal logarithm
+    # divided by it; the closed form now raises ValueError there, and both
+    # entry points fall back to the numeric integral, which fails at 1e-170 too
+    U = EffectivePotential(IsotropicHO(omega=1.0), l=l)
+    assert _closed_phase(U, 1e-170) is None
+    with pytest.raises(ValueError):
+        _closed_phase(U, 1.0)(1e-170)
+    with pytest.raises(IntegrationError):
+        phase_Q(U, 1e-170, 1.0)
+    with pytest.raises(IntegrationError):
+        make_phase(U, 1e-170, 1.0)
