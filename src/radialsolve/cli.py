@@ -264,13 +264,11 @@ def cmd_oracle(args) -> None:
             ho_oracle_energy(n, args.l, args.omega, units, indexing=args.indexing)
             for n in parse_n_range(args.n)
         ]
-    elif args.oracle_kind == "numerov":
+    else:  # numerov
         spec = parse_potential(args.potential)
         U = EffectivePotential(spec, l=args.l, units=units)
         bracket = parse_bracket(args.bracket)
         vals = [numerov_bound_state(U, args.nodes, bracket)]
-    else:
-        raise UsageError(f"unknown oracle {args.oracle_kind!r}")
     lines = [f"{v.source} n={v.n} l={v.l} E={v.value!r}" for v in vals]
     _emit(("\n".join(lines) + "\n").encode(), args.out)
 

@@ -21,10 +21,6 @@ class AmbiguousRootsError(RadialSolveError):
         super().__init__(f"ambiguous turning points, found roots {self.roots}")
 
 
-class BelowBarrierError(RadialSolveError):
-    """Discriminant of the closed-form turning-point equation is negative."""
-
-
 class ComplexPhaseError(RadialSolveError):
     """U(r) < 0 somewhere on the integration path of the phase integral."""
 

@@ -76,7 +76,7 @@ def bessel_zero(l: int, n: int) -> float:
     x = max(l, 0.5)
     found = 0
     f_prev = spherical_bessel(l, x)
-    while found < n:
+    while True:
         x_next = x + step
         f_next = spherical_bessel(l, x_next)
         if f_prev == 0.0:
@@ -102,7 +102,6 @@ def bessel_zero(l: int, n: int) -> float:
         x, f_prev = x_next, f_next
         if x > 200.0:
             raise DomainError(f"zero ({n}, {l}) not found below x = 200")
-    raise AssertionError("unreachable")
 
 
 def well_oracle_energy(L: float, l: int, n: int, units: UnitSystem = NATURAL) -> OracleEnergy:

@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 MAX_PANELS = 1 << 16
 #: even points of [lo, hi], both ends included, where ``_check_nonnegative`` evaluates U
 _NONNEGATIVE_SAMPLES = 257
-#: relative tolerance of a state's phase table and of its numeric fallback
+#: relative tolerance of ``phase_Q``'s numeric integral and of a state's phase table
 _PHASE_TOL = 1e-10
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]
@@ -319,7 +319,6 @@ def phase_Q(
     r: float,
     r_ref: float,
     method: str = "auto",
-    tol: float = 1e-10,
 ) -> PhaseResult:
     """Q(r) = m1 * integral of sqrt(U(x)) dx from r_ref to r, with Q(r_ref) = 0."""
     if method not in ("auto", "closed_form", "numeric"):
@@ -338,7 +337,7 @@ def phase_Q(
                 pass
         if method == "closed_form":
             raise DomainError(f"no closed-form phase for {type(U.spec).__name__}")
-    val, err = adaptive_integral_many(_phase_integrand(U), r_ref, r, tol=tol)
+    val, err = adaptive_integral_many(_phase_integrand(U), r_ref, r, tol=_PHASE_TOL)
     return PhaseResult(val, "numeric", r_ref, err)
 
 
@@ -385,7 +384,7 @@ def make_phase(U: EffectivePotential, lo: float, hi: float) -> Phase:
         raise DomainError(f"phase span must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
 
     def q_reference(r: float) -> float:
-        return phase_Q(U, r, lo, method="numeric", tol=_PHASE_TOL).value
+        return phase_Q(U, r, lo, method="numeric").value
 
     closed = _closed_phase(U, lo)
     if closed is not None:

@@ -89,9 +89,7 @@ def branch_g(branch: EnergyBranch, units: UnitSystem = NATURAL) -> float:
 
 def ground_energy_from_d(d: float, units: UnitSystem = NATURAL, signed: bool = False) -> float:
     """Ground-state energy 2 hbar^2 / (m d^2); negative when signed (bound)."""
-    if not d > 0:
-        raise DomainError(f"width d must be positive, got {d}")
-    magnitude = 2.0 * units.hbar2_over_m / (d * d)
+    magnitude = excited_energy_from_d(d, Ground(), units)
     return -magnitude if signed else magnitude
 
 

@@ -1,8 +1,9 @@
 """Classical turning points: roots of E = U(r).
 
-``turning_points`` dispatches on the coefficients a, b, c, k and the wall
-of U (see ``potentials``). The Coulomb, oscillator and hard-well cases and
-the parabolic well with l = 0 have closed forms. With l >= 1 the parabolic
+``turning_points`` checks E against ``U.minimum`` once, then dispatches on
+the coefficients a, b, c, k and the wall of U (see ``potentials``). The
+Coulomb, oscillator and hard-well cases are one non-cancelling quadratic,
+the parabolic well with l = 0 another closed form. With l >= 1 the parabolic
 U is strictly convex, so Brent's method on the two flanks of ``U.minimum``
 finds its only two roots. The free particle has no outer turning point.
 ``solve_turning_points`` runs the same flank solves for any single well,
@@ -16,12 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import (
-    AmbiguousRootsError,
-    BelowBarrierError,
-    DomainError,
-    NoClassicalRegionError,
-)
+from .errors import AmbiguousRootsError, DomainError, NoClassicalRegionError
 from .potentials import INFINITE, EffectivePotential, eval_effective, eval_effective_array
 from .roots import brentq
 
@@ -130,62 +126,65 @@ def _check_single_well(U: EffectivePotential, tp: TurningPoints) -> None:
         raise AmbiguousRootsError([tp.r1, *roots, tp.r2])
 
 
+def _quadratic_roots(A: float, B: float, C: float) -> tuple[float, float]:
+    """Roots y1 <= y2 of A y^2 - B y + C = 0 (A, C >= 0, B > 0), neither cancelling.
+
+    y1 = 2C / (B + sqrt(disc)) and y2 = (B + sqrt(disc)) / (2A), y2 = INFINITE
+    for A = 0. A disc <= 0 (a double root, to rounding) counts as 0; a disc
+    that overflows has B^2 factored out. DomainError where y2 overflows.
+    """
+    if A == 0.0:
+        return C / B, INFINITE
+    disc, scale = B * B - 4.0 * A * C, 1.0
+    if not -INFINITE < disc < INFINITE:
+        disc, scale = 1.0 - 4.0 * (A / B) * (C / B), B
+    root = scale * math.sqrt(disc) if disc > 0 else 0.0
+    half = 0.5 * B + 0.5 * root  # B + root may overflow
+    y2 = half / A
+    if y2 == INFINITE:
+        raise DomainError(f"outer turning point overflows: y2 = {half!r} / {A!r}")
+    return C / half, y2
+
+
 def turning_points(U: EffectivePotential, E: float) -> TurningPoints:
     """Turning points of a catalog U at E, dispatched on its coefficients.
 
-    - k > 0: the quadratic -E r^2 - k r + coeff = 0 in r (bound E < 0 only);
-    - b > 0: with l = 0, r1 = 0 and r2 is the positive root of
-      a r^2 + b r - t, t = E - c, in the non-cancelling form
-      t / (b/2 + sqrt(b^2/4 + a t)); with l >= 1, U'' = 2 a + 6 coeff / r^4
-      > 0, so the flank solves find the only two roots;
-    - a > 0: the quadratic a x^2 - (E - c) x + coeff = 0 in x = r^2;
-    - a finite wall: r1 = sqrt(coeff / E) in the flat interior, r2 = L;
+    E at or below ``U.minimum`` raises NoClassicalRegionError. Otherwise:
+
+    - k > 0: -E y^2 - k y + coeff = 0 in y = r (bound E < 0 only);
+    - b > 0: with l = 0, r1 = 0 and r2 = t / (b/2 + sqrt(b^2/4 + a t)),
+      t = E - c; with l >= 1, U'' = 2 a + 6 coeff / r^4 > 0, so the flank
+      solves find the only two roots;
+    - a > 0 or a wall: a y^2 - (E - c) y + coeff = 0 in y = r^2 (``_quadratic_roots``),
+      one root for the well (a = 0), whose wall is r2;
     - otherwise (the free particle) U never rises above E.
 
-    With l = 0 the closed forms put r1 at the origin.
+    With l = 0, coeff = 0 puts r1 at the origin.
     """
     if not math.isfinite(E):
         raise DomainError(f"energy must be finite, got {E}")
+    if U.minimum is not None and E <= U.minimum[1]:
+        raise NoClassicalRegionError(f"E={E} at or below the minimum U={U.minimum[1]}")
     a, b, c, k, coeff = U.quadratic, U.linear, U.offset, U.coulomb, U.centrifugal_coeff
     if k > 0:
         if E >= 0:
             raise DomainError("hydrogen-like closed form requires a bound energy E < 0")
-        absE = -E
-        disc = k * k - 4.0 * coeff * absE
-        if disc < 0:
-            raise BelowBarrierError(f"E={E} below the centrifugal barrier (disc={disc})")
-        root = math.sqrt(disc)
-        r1 = (k - root) / (2.0 * absE)
-        r2 = (k + root) / (2.0 * absE)
+        r1, r2 = _quadratic_roots(-E, k, coeff)
     elif b > 0:
         # subtract c once: near the minimum it would swamp U(r) - E in rounding
         t = E - c
         if U.l > 0:
             return _flank_turning_points(U, E, lambda r: a * r * r + b * r + coeff / (r * r) - t)
-        if not t > 0:
-            raise NoClassicalRegionError(f"E={E} at or below the l=0 minimum {c}")
         # hypot and sqrt(a) sqrt(t) keep b^2 and a t from overflowing
         r1, r2 = 0.0, t / (0.5 * b + math.hypot(0.5 * b, math.sqrt(a) * math.sqrt(t)))
-    elif a > 0:
-        Es = E - c
-        if U.l > 0 and Es <= 2.0 * math.sqrt(a * coeff):
-            raise NoClassicalRegionError(f"E={E} at or below the potential minimum")
-        disc = Es * Es - 4.0 * a * coeff
-        if disc < 0:
-            raise BelowBarrierError(f"E={E} below the centrifugal barrier (disc={disc})")
-        delta = math.sqrt(disc)
-        if Es - delta < 0:
-            raise NoClassicalRegionError(f"E={E} not above the potential minimum")
-        r1 = math.sqrt((Es - delta) / (2.0 * a))
-        r2 = math.sqrt((Es + delta) / (2.0 * a))
-    elif U.wall < INFINITE:
-        if E <= 0:
-            raise NoClassicalRegionError("well requires E > 0")
-        r1, r2 = math.sqrt(coeff / E), U.wall
-        if r1 >= r2:
-            raise NoClassicalRegionError(f"E={E} below the centrifugal floor at the wall")
+    elif a > 0 or U.wall < INFINITE:
+        # the l = 0 well has no minimum, nor has an oscillator whose u_min overflows
+        if E <= c:
+            raise NoClassicalRegionError(f"E={E} not above V(0+)={c}")
+        y1, y2 = _quadratic_roots(a, E - c, coeff)
+        r1, r2 = math.sqrt(y1), math.sqrt(y2) if y2 < INFINITE else U.wall
     else:
         raise NoClassicalRegionError(
             f"free particle: U never rises above E={E}, so there is no outer turning point"
         )
-    return TurningPoints(r1=0.0 if U.l == 0 else r1, r2=r2, energy=E, method="closed_form")
+    return TurningPoints(r1=r1, r2=r2, energy=E, method="closed_form")

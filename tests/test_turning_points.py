@@ -2,15 +2,19 @@
 
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialsolve.errors import (
     DomainError,
     NoClassicalRegionError,
 )
 from radialsolve.potentials import (
+    EV_NM,
     NATURAL,
     EffectivePotential,
     FreeParticle,
@@ -332,3 +336,92 @@ class TestDispatcher:
         # rejected where U is built, before any turning-point solve
         with pytest.raises(DomainError, match=f"oscillator strength.*{kind}.*omega={re.escape(repr(omega))}"):
             EffectivePotential(IsotropicHO(omega=omega), l=1)
+
+
+# ------------------------------------- one quadratic, one rule below the minimum
+
+
+@st.composite
+def quadratic_cases(draw):
+    """(U, E) of the Coulomb, oscillator, spin-orbit or well closed form, l 1-3,
+    with E - u_min log-uniform in [1e-2, 1e8] |u_min| (hydrogen: E = u_min / (1 + t))."""
+    l = draw(st.integers(1, 3))
+    x = 10.0 ** draw(st.floats(-2.0, 2.0))
+    spec = draw(st.sampled_from([
+        IsotropicHO(omega=x),
+        HOSpinOrbit(omega=x, j=l + 0.5, c0=0.05 * x),
+        HOSpinOrbit(omega=x, j=l - 0.5, c0=0.05 * x),
+        HydrogenLike(Z=1 + int(x) % 3, e_charge=x ** 0.25),
+        InfiniteSphericalWell(L=x),
+    ]))
+    U = EffectivePotential(spec, l=l, units=draw(st.sampled_from([NATURAL, EV_NM])))
+    t = 10.0 ** draw(st.floats(-2.0, 8.0))
+    _, u_min = U.minimum
+    return U, u_min / (1.0 + t) if U.coulomb else u_min + t * abs(u_min)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=quadratic_cases())
+def test_closed_form_roots_match_the_flank_solves_to_16_ulps(case):
+    # the inner root too: A y^2 - B y + C = 0 never subtracts B and sqrt(disc)
+    U, E = case
+    closed, numeric = turning_points(U, E), solve_turning_points(U, E)
+    for x, ref in ((closed.r1, numeric.r1), (closed.r2, numeric.r2)):
+        assert abs(x - ref) <= 16 * math.ulp(ref), (U, E, x, ref)
+
+
+@pytest.mark.parametrize(
+    "spec, l",
+    [
+        (IsotropicHO(omega=1.0), 0),
+        (IsotropicHO(omega=1.0), 1),
+        (HOSpinOrbit(omega=1.0, j=1.5, c0=0.5), 1),
+        (HOSpinOrbit(omega=1.0, j=2.5, c0=2.0), 3),
+        (HydrogenLike(Z=1, e_charge=1.0), 1),
+        (HydrogenLike(Z=2, e_charge=1.0), 3),
+        (InfiniteSphericalWell(L=1.0), 1),
+        (Parabolic(a=1.0, b=1.0, c=1.0), 0),
+        (Parabolic(a=1.0, b=1.0, c=1.0), 2),
+    ],
+)
+def test_at_and_one_ulp_below_the_minimum_one_error(spec, l):
+    U = EffectivePotential(spec, l=l)
+    _, u_min = U.minimum
+    for E in (u_min, math.nextafter(u_min, -math.inf), u_min - 1.0):
+        with pytest.raises(NoClassicalRegionError, match=re.escape(f"E={E} at or below the minimum U={u_min}")):
+            turning_points(U, E)
+
+
+def test_hydrogen_below_the_barrier_is_below_the_minimum():
+    U = EffectivePotential(HydrogenLike(Z=1, e_charge=1.0), l=1)
+    with pytest.raises(NoClassicalRegionError, match=re.escape("E=-1.0 at or below the minimum U=-0.25")):
+        turning_points(U, -1.0)
+
+
+def _decimal_roots(U, E):
+    """sqrt of both roots of a y^2 - (E - c) y + coeff = 0 in 40-digit decimals,
+    which do not overflow; y1 = coeff / (a y2) from the product of the roots."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        A, B, C = (Decimal(v) for v in (U.quadratic, E - U.offset, U.centrifugal_coeff))
+        y2 = (B + (B * B - 4 * A * C).sqrt()) / (2 * A)
+        return float((C / (A * y2)).sqrt()), float(y2.sqrt())
+
+
+@pytest.mark.parametrize("omega, E", [(1e154, 3e154), (1.0, 1e200), (1.5e154, 1e155)])
+def test_an_overflowing_discriminant_is_factored_not_rounded_to_0(omega, E):
+    # B * B (and with omega = 1e154, 4 A C) is inf: r1 and r2 still hold to a few ulps
+    U = EffectivePotential(IsotropicHO(omega=omega), l=1 if omega < 1.2e154 else 2)
+    tp = turning_points(U, E)
+    for x, ref in zip((tp.r1, tp.r2), _decimal_roots(U, E)):
+        assert abs(x - ref) <= 4 * math.ulp(ref), (x, ref)
+
+
+@pytest.mark.parametrize(
+    "spec, E",
+    [(IsotropicHO(omega=1.0), 1e308), (HydrogenLike(Z=1, e_charge=1.0), -1e-320)],
+)
+def test_an_overflowing_outer_root_is_a_domain_error(spec, E):
+    # r2^2 = 2e308 for the oscillator and r2 = 1e320 for hydrogen are not floats
+    with pytest.raises(DomainError, match="outer turning point overflows"):
+        turning_points(EffectivePotential(spec, l=1), E)
