@@ -29,14 +29,11 @@ from .spectrum import (  # noqa: F401
     General,
     Ground,
     Symmetric,
+    closed_form_energy,
     delta_model_energy,
     excited_energy_from_d,
     ground_energy_from_d,
-    ho_energies,
-    ho_spin_orbit_energies,
-    hydrogen_ground_energy,
     self_consistent_energy,
-    well_energies,
 )
 from .wavefunctions import (  # noqa: F401
     FreeParticleWave,

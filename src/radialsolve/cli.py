@@ -31,6 +31,7 @@ from .spectrum import (
     General,
     Ground,
     Symmetric,
+    closed_form_energy,
     self_consistent_energy,
 )
 from .turning_points import turning_points
@@ -209,7 +210,7 @@ def cmd_spectrum(args) -> None:
         rows.append(
             ComparisonRow(
                 state_label=f"{args.branch}:{n}",
-                oracle=level.value,
+                oracle=closed_form_energy(U, branch),
                 method_primary=level.value,
                 method_secondary=level.d_at_solution,
             )

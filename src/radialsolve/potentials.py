@@ -350,7 +350,9 @@ def _minimum(U: EffectivePotential) -> tuple[float, float] | None:
         r_min, _ = brentq(dU, lo, 2.0 * lo, rtol=1e-12)
         u_min = eval_effective(U, r_min)
     elif a > 0:
-        r_min, u_min = (coeff / a) ** 0.25, 2.0 * math.sqrt(a * coeff) + c
+        # sqrt(a) sqrt(coeff) only where a * coeff overflows: the same bits elsewhere
+        root = math.sqrt(a * coeff) if a * coeff < INFINITE else math.sqrt(a) * math.sqrt(coeff)
+        r_min, u_min = (coeff / a) ** 0.25, 2.0 * root + c
     elif U.wall < INFINITE:
         L = U.wall
         r_min, u_min = L, coeff / (L * L)

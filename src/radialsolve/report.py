@@ -1,15 +1,17 @@
 """Table reproduction and deterministic serialization.
 
-Each table is recomputed from the spectrum formulas and the independent
-oracles every time; nothing is hard-coded. Values are reported in the
-reduced unit of the corresponding table (hbar^2/2mL^2, hbar omega, or eV
-for hydrogen). Rendering is byte-deterministic: identical inputs yield
+Each table is recomputed every time from ``closed_form_energy`` (the level
+read from the coefficients of each row's U) and the independent oracles;
+nothing is hard-coded. Values are reported in the reduced unit of the
+corresponding table (hbar^2/2mL^2, hbar omega, or eV for hydrogen). Rendering is byte-deterministic: identical inputs yield
 identical bytes in all three formats.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,42 +22,36 @@ from .potentials import (
     E_CHARGE_EV_NM,
     NATURAL,
     EffectivePotential,
+    HOSpinOrbit,
     HydrogenLike,
+    InfiniteSphericalWell,
+    IsotropicHO,
     UnitSystem,
 )
 from .oracles import bessel_zero, bohr_energy, ho_oracle_energy, ho_so_oracle_energy
-from .spectrum import (
-    General,
-    Ground,
-    branch_g,
-    branch_theta,
-    ho_energies,
-    ho_spin_orbit_energies,
-    hydrogen_ground_energy,
-    self_consistent_energy,
-    well_energies,
-)
+from .spectrum import General, Ground, branch_g, closed_form_energy, self_consistent_energy
 from .wavefunctions import SamplePoint
 
 TABLE_IDS = ("part2_table1", "part2_table2", "part2_table3", "hydrogen")
 
-_EPS = 1e-30
-
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One state: the oracle (None where there is none) and one or two method values."""
+
     state_label: str
-    oracle: float
+    oracle: Optional[float]
     method_primary: float
     method_secondary: Optional[float] = None
 
     @property
-    def abs_dev(self) -> float:
-        return abs(self.method_primary - self.oracle)
+    def abs_dev(self) -> Optional[float]:
+        return None if self.oracle is None else abs(self.method_primary - self.oracle)
 
     @property
-    def rel_dev(self) -> float:
-        return self.abs_dev / max(abs(self.oracle), _EPS)
+    def rel_dev(self) -> Optional[float]:
+        # floored at the smallest normal float only, so it stays relative at any scale
+        return None if self.oracle is None else self.abs_dev / max(abs(self.oracle), sys.float_info.min)
 
 
 _SPECTROSCOPIC = "spdfghi"
@@ -97,7 +93,10 @@ def _table_well(units: UnitSystem) -> list[ComparisonRow]:
     for n, l in _WELL_HO_STATES:
         beta = bessel_zero(l, n)
         oracle = unit * beta * beta
-        e_plus, e_minus = well_energies(L, l, branch_g(General(n), units), units)
+        U = EffectivePotential(InfiniteSphericalWell(L), l=l, units=units)
+        e_plus = closed_form_energy(U, General(n))
+        # the paper's second root, sqrt(E) L = sqrt(coeff) - sqrt(g)
+        e_minus = ((math.sqrt(U.centrifugal_coeff) - math.sqrt(branch_g(General(n), units))) / L) ** 2
         rows.append(
             ComparisonRow(_label(n, l), oracle / unit, e_plus / unit, e_minus / unit)
         )
@@ -110,7 +109,7 @@ def _table_ho(units: UnitSystem) -> list[ComparisonRow]:
     rows = []
     for n, l in _WELL_HO_STATES:
         oracle = ho_oracle_energy(n, l, omega, units, indexing="from_one").value
-        method = ho_energies(omega, l, branch_theta(General(n)) ** 2, units)
+        method = closed_form_energy(EffectivePotential(IsotropicHO(omega), l=l, units=units), General(n))
         rows.append(ComparisonRow(_label(n, l), oracle / unit, method / unit))
     return rows
 
@@ -120,11 +119,11 @@ def _table_ho_so(units: UnitSystem) -> list[ComparisonRow]:
     s = 0.5
     unit = units.hbar * omega
     c0 = _SO_C0_IN_HBAR_OMEGA * unit
-    g_n = branch_theta(General(1)) ** 2 / 4.0  # the spin-orbit table binds 4 g_n = theta^2
     rows = []
     for l, j in _SO_STATES:
         oracle = ho_so_oracle_energy(0, l, j, s, c0, omega, units, indexing="from_zero").value
-        method = ho_spin_orbit_energies(omega, l, j, s, c0, g_n, units)
+        U = EffectivePotential(HOSpinOrbit(omega, j, s, c0), l=l, units=units)
+        method = closed_form_energy(U, General(1))
         half = "5/2" if j == 2.5 else "7/2" if j == 3.5 else "9/2"
         rows.append(ComparisonRow(f"1{_SPECTROSCOPIC[l]}_{half}", oracle / unit, method / unit))
     return rows
@@ -134,8 +133,8 @@ def _table_hydrogen() -> list[ComparisonRow]:
     units = EV_NM
     e = E_CHARGE_EV_NM
     oracle = bohr_energy(1, 1, units, e_charge=e).value
-    closed = hydrogen_ground_energy(1, 0, units, e_charge=e)
     U = EffectivePotential(HydrogenLike(Z=1, e_charge=e), l=0, units=units)
+    closed = closed_form_energy(U, Ground())
     solved = self_consistent_energy(U, Ground(), signed=True).value
     return [ComparisonRow("1s", oracle, closed, solved)]
 

@@ -3,10 +3,12 @@
 The central relations are the bound ground-state formula E = -2 hbar^2/(m d^2)
 and its excited-state variants K d = (2n-1) pi (symmetric), K d = 2 n pi
 (antisymmetric) and K d = n pi (general): every branch is K d = theta with
-E = g / d^2, g = (1/2)(hbar^2/m) theta^2. Each catalog family has an
-algebraic closed form; Brent's method (``roots.brentq``) solves the implicit
-equation E = g / d(E)^2 for arbitrary members of the catalog. The solve
-takes its unit system and its starting energy scale from the
+E = g / d^2, g = (1/2)(hbar^2/m) theta^2. ``closed_form_energy`` reads the
+level of the hydrogen, oscillator and hard-well families from the
+coefficients of U, one formula for all of them; Brent's method
+(``roots.brentq``) solves the implicit equation E = g / d(E)^2 for every
+member of the catalog, and the ``spectrum`` verb checks one against the
+other. The solve takes its unit system and its energy scale from the
 EffectivePotential, which has checked both.
 """
 
@@ -18,12 +20,12 @@ from typing import Optional, Union
 
 from .errors import ConvergenceError, DomainError, NoClassicalRegionError
 from .potentials import (
+    INFINITE,
     NATURAL,
     EffectivePotential,
     HOSpinOrbit,
     HydrogenLike,
     UnitSystem,
-    validate_jls,
 )
 from .roots import brentq
 from .turning_points import turning_points
@@ -113,72 +115,40 @@ def delta_model_energy(S: float, units: UnitSystem = NATURAL) -> tuple[float, fl
     return k, E, math.sqrt(k)
 
 
-def hydrogen_ground_energy(
-    Z: int, l: int, units: UnitSystem = NATURAL, e_charge: float = 1.0
-) -> float:
-    """E0 = -(m e^4 / 2 hbar^2) Z^2 / (1 + l(l+1))."""
-    if Z < 1:
-        raise DomainError(f"Z must be >= 1, got {Z}")
-    if l < 0:
-        raise DomainError(f"l must be >= 0, got {l}")
-    rydberg = units.mass * e_charge**4 / (2.0 * units.hbar**2)
-    return -rydberg * Z * Z / (1.0 + l * (l + 1))
+def closed_form_energy(U: EffectivePotential, branch: EnergyBranch) -> Optional[float]:
+    """The branch level in closed form, read from the coefficients of U.
 
+    The turning points are the two roots of one quadratic (see
+    ``turning_points``), so d^2 follows from their sum and product:
 
-def well_energies(
-    L: float, l: int, g: float, units: UnitSystem = NATURAL
-) -> tuple[float, float]:
-    """Both branches E = [(sqrt(a) +/- sqrt(g)) / L]^2 for the hard well.
+    - k > 0 (hydrogen): d^2 = k^2/E^2 + 4 coeff/E, and the bound level
+      E d^2 = -g is E = -k^2 / (g + 4 coeff), for every branch;
+    - a > 0 (oscillator and HOSO): d^2 = (E - c)/a - 2 sqrt(coeff/a), and
+      E d^2 = g is E^2 - u E - a g = 0 with u = c + 2 sqrt(a) sqrt(coeff),
+      whose positive root is taken in a form that never cancels;
+    - a wall (the hard well): d = L - sqrt(coeff/E), so sqrt(E) L = sqrt(coeff) + sqrt(g).
 
-    a = hbar^2 l(l+1) / 2m; g is the branch aggregate from branch_g.
+    None for the parabolic well (b > 0) and the free particle, which have no closed form.
     """
-    if not L > 0:
-        raise DomainError(f"L must be positive, got {L}")
-    a = units.hbar**2 * l * (l + 1) / (2.0 * units.mass)
-    plus = ((math.sqrt(a) + math.sqrt(g)) / L) ** 2
-    minus = ((math.sqrt(a) - math.sqrt(g)) / L) ** 2
-    return plus, minus
+    g = branch_g(branch, U.units)
+    a, c, k, coeff = U.quadratic, U.offset, U.coulomb, U.centrifugal_coeff
+    if k > 0:
+        return -k * k / (g + 4.0 * coeff)
+    if U.linear > 0:
+        return None
+    if a > 0:
+        # sqrt(a) sqrt(...) and hypot keep a coeff, a g and half^2 from overflowing
+        half = 0.5 * c + math.sqrt(a) * math.sqrt(coeff)
+        root = math.hypot(half, math.sqrt(a) * math.sqrt(g))
+        return half + root if half >= 0 else a * g / (root - half)
+    if U.wall < INFINITE:
+        return ((math.sqrt(coeff) + math.sqrt(g)) / U.wall) ** 2
+    return None
 
 
-def ho_energies(omega: float, l: int, g_n: float, units: UnitSystem = NATURAL) -> float:
-    """Oscillator energy (hbar omega / 2) [sqrt(l(l+1)) + sqrt(l(l+1) + g_n)].
-
-    g_n = theta^2 with theta from branch_theta; the comparison table uses
-    the general branch, g_n = n^2 pi^2.
-    """
-    if not g_n > 0:
-        raise DomainError(f"g_n must be positive, got {g_n}")
-    ll1 = l * (l + 1)
-    return 0.5 * units.hbar * omega * (math.sqrt(ll1) + math.sqrt(ll1 + g_n))
-
-
-def ho_spin_orbit_energies(
-    omega: float,
-    l: int,
-    j: float,
-    s: float,
-    c0: float,
-    g_n: float,
-    units: UnitSystem = NATURAL,
-) -> float:
-    """Combined spin-orbit oscillator energy.
-
-    E = (hbar omega / 2) [ sqrt(l(l+1)) - C_j
-        + sqrt((sqrt(l(l+1)) - C_j)^2 + 4 g_n) ]
-    with C_j = c0 / (2 hbar omega) * [j(j+1) - l(l+1) - s(s+1)].
-    """
-    validate_jls(j, l, s)
-    if not g_n > 0:
-        raise DomainError(f"g_n must be positive, got {g_n}")
-    hw = units.hbar * omega
-    cj = (c0 / (2.0 * hw)) * (j * (j + 1) - l * (l + 1) - s * (s + 1))
-    base = math.sqrt(l * (l + 1)) - cj
-    return 0.5 * hw * (base + math.sqrt(base * base + 4.0 * g_n))
-
-
-#: Brent stops at |dE| <= _E_TOL max(1, |E|); a returned level satisfies
-#: |E - sign g / d^2| <= _RESIDUAL_TOL max(1, |E|), or has a residual no larger
-#: than half the change of h across E +- _E_TOL max(1, |E|)
+#: with eps = U.energy_scale, Brent stops at |dE| <= _E_TOL max(eps, |E|);
+#: a returned level satisfies |E - sign g / d^2| <= _RESIDUAL_TOL max(eps, |E|),
+#: or has a residual no larger than half the change of h across E +- _E_TOL max(eps, |E|)
 _E_TOL = 1e-15
 _RESIDUAL_TOL = 1e-10
 
@@ -198,11 +168,13 @@ def self_consistent_energy(
     has none) and searches upward. The signed solve (sign -1, bound Coulomb
     states) starts at 0 and searches downward, no further than the minimum
     of U. A geometric search brackets the sign change; Brent's method then
-    solves it to |dE| <= 1e-15 max(1, |E|). The solve ends in E when
-    |h(E)| <= 1e-10 max(1, |E|), or when moving E by that tolerance moves h
-    by at least |h(E)|: where h is steep, no float meets the first bound.
+    solves it to |dE| <= 1e-15 max(eps, |E|), eps = ``U.energy_scale``. The
+    solve ends in E when |h(E)| <= 1e-10 max(eps, |E|), or when moving E by
+    that tolerance moves h by at least |h(E)|: where h is steep, no float
+    meets the first bound. The floors are in the problem's own energy unit,
+    so a level is found to the same relative precision at any scale.
     """
-    g = branch_g(branch, U.units)
+    g, eps = branch_g(branch, U.units), U.energy_scale
     j = U.spec.j if isinstance(U.spec, HOSpinOrbit) else None
     floor = None if U.minimum is None else U.minimum[1]
     t_cap = None
@@ -214,7 +186,7 @@ def self_consistent_energy(
             t_cap = -floor * (1.0 - 1e-12)
     else:
         anchor, sign = (0.0 if floor is None else floor), 1.0
-    span = t_cap or max(abs(anchor), U.energy_scale)
+    span = t_cap or max(abs(anchor), eps)
 
     def h(E: float) -> float:
         d = _width(U, E)
@@ -243,13 +215,13 @@ def self_consistent_energy(
         if t_hi == t_cap:
             raise ConvergenceError("no sign change between 0 and the potential minimum")
 
-    E, iterations = brentq(h, anchor + sign * t_lo, anchor + sign * t_hi, xtol=_E_TOL, rtol=_E_TOL)
+    E, iterations = brentq(h, anchor + sign * t_lo, anchor + sign * t_hi, xtol=_E_TOL * eps, rtol=_E_TOL)
     d = _width(U, E)
     residual = abs(E - sign * g / (d * d))
-    if not residual <= _RESIDUAL_TOL * max(1.0, abs(E)):
+    if not residual <= _RESIDUAL_TOL * max(eps, abs(E)):
         # where h is steep, no float meets that bound: accept E when moving it
         # by its own tolerance moves h by more than the residual
-        dE = _E_TOL * max(1.0, abs(E))
+        dE = _E_TOL * max(eps, abs(E))
         if not residual <= abs(h(E + dE) - h(E - dE)) / 2.0:
             raise ConvergenceError(
                 f"fixed point not converged: residual {residual}", last_iterate=E, iterations=iterations

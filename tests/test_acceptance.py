@@ -24,15 +24,7 @@ from radialsolve.potentials import (
 )
 from radialsolve.quadrature import make_phase, phase_Q
 from radialsolve.report import reproduce_table
-from radialsolve.spectrum import (
-    General,
-    branch_g,
-    branch_theta,
-    ho_energies,
-    ho_spin_orbit_energies,
-    self_consistent_energy,
-    well_energies,
-)
+from radialsolve.spectrum import General, closed_form_energy, self_consistent_energy
 from radialsolve.turning_points import turning_points
 from radialsolve.wavefunctions import (
     boundary_residuals,
@@ -208,20 +200,18 @@ def _check_closed_vs_self_consistent(failures):
         for n in range(1, 4):
             U = EffectivePotential(InfiniteSphericalWell(L=1.0), l=l)
             level = self_consistent_energy(U, General(n))
-            plus, _ = well_energies(1.0, l, branch_g(General(n), NATURAL), NATURAL)
+            plus = closed_form_energy(U, General(n))
             if abs(level.value - plus) > 1e-8 * abs(plus):
                 failures.append(f"well l={l} n={n}: SC {level.value!r} vs closed {plus!r}")
             U = EffectivePotential(IsotropicHO(omega=1.0), l=l)
             level = self_consistent_energy(U, General(n))
-            closed = ho_energies(1.0, l, branch_theta(General(n)) ** 2, NATURAL)
+            closed = closed_form_energy(U, General(n))
             if abs(level.value - closed) > 1e-8 * abs(closed):
                 failures.append(f"HO l={l} n={n}: SC {level.value!r} vs closed {closed!r}")
             j = l + 0.5
             U = EffectivePotential(HOSpinOrbit(omega=1.0, j=j, s=0.5, c0=0.015), l=l)
             level = self_consistent_energy(U, General(n))
-            closed = ho_spin_orbit_energies(
-                1.0, l, j, 0.5, 0.015, branch_theta(General(n)) ** 2 / 4.0, NATURAL
-            )
+            closed = closed_form_energy(U, General(n))
             if abs(level.value - closed) > 1e-8 * abs(closed):
                 failures.append(f"HOSO l={l} n={n}: SC {level.value!r} vs closed {closed!r}")
 

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from radialsolve import EffectivePotential, InfiniteSphericalWell, IsotropicHO
 from radialsolve import build_bound_state, normalize
-from radialsolve.cli import main, sample_grid
+from radialsolve.cli import main, parse_branch, parse_potential, sample_grid
+from radialsolve.spectrum import closed_form_energy
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -224,8 +225,53 @@ def test_level_far_above_the_starting_energy_scale():
         "spectrum", "--potential", "parabolic:a=0.5,b=1e200,c=2", "--l", "0", "--format", "csv",
     ])
     assert (code, err) == (0, "")
-    energy = float(out.decode().splitlines()[1].split(",")[1])
+    # a parabolic row has no closed-form oracle: the level is method_primary
+    energy = float(out.decode().splitlines()[1].split(",")[2])
     assert energy == pytest.approx(3.667948673974271e133, rel=1e-12)
+
+
+def test_oscillator_whose_a_coeff_overflows():
+    # a * coeff = 1.1e308 * 3 overflows, but the minimum 2 sqrt(a) sqrt(coeff) does not
+    code, out, err = run_main(["spectrum", "--potential", "ho:omega=1.5e154", "--l", "2", "--format", "csv"])
+    assert (code, err) == (0, "")
+    cells = out.decode().splitlines()[1].split(",")
+    assert cells[1] == cells[2] == "4.824867710921808e+154"
+
+
+def scaled_potential(family, k, l, j_up):
+    """A ``--potential`` whose energy scale hbar^2 / (m length^2) is about 10^k."""
+    s = 10.0**k
+    if family == "ho":
+        return f"ho:omega={s!r}"
+    if family == "hoso":
+        j = l + 0.5 if j_up or l == 0 else l - 0.5
+        return f"hoso:omega={s!r},j={j},c0={0.015 * s!r}"
+    if family == "well":
+        return f"well:L={10.0 ** (-k / 2)!r}"
+    return f"hydrogen:e={10.0 ** (k / 4)!r}"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(["ho", "hoso", "well", "hydrogen"]),
+    k=st.integers(-150, 150),
+    l=st.integers(0, 3),
+    branch=st.sampled_from(["ground", "symmetric", "antisymmetric", "general"]),
+    n_hi=st.integers(1, 3),
+    j_up=st.booleans(),
+)
+def test_spectrum_oracle_is_the_closed_form(family, k, l, branch, n_hi, j_up):
+    potential = scaled_potential(family, k, l, j_up)
+    argv = ["spectrum", "--potential", potential, "--l", str(l), "--branch", branch, "--n", f"1:{n_hi}",
+            "--format", "csv"] + (["--signed"] if family == "hydrogen" else [])
+    code, out, err = run_main(argv)
+    assert (code, err) == (0, "")
+    U = EffectivePotential(parse_potential(potential), l=l)
+    rows = [line.split(",") for line in out.decode().splitlines()[1:]]
+    assert len(rows) == n_hi
+    for n, cells in enumerate(rows, start=1):
+        assert cells[1] == repr(closed_form_energy(U, parse_branch(branch, n)))
+        assert float(cells[5]) <= 1e-9
 
 
 @pytest.mark.parametrize(

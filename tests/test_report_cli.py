@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from radialsolve.cli import main, parse_branch, parse_n_range, parse_potential, UsageError
 from radialsolve.potentials import (
+    EffectivePotential,
     HOSpinOrbit,
     HydrogenLike,
     InfiniteSphericalWell,
@@ -24,7 +25,7 @@ from radialsolve.report import (
     rows_from_json,
     samples_from_csv,
 )
-from radialsolve.spectrum import General, branch_g, branch_theta, ho_energies, well_energies
+from radialsolve.spectrum import General, Ground, closed_form_energy
 from radialsolve.wavefunctions import SamplePoint
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -75,20 +76,23 @@ class TestReproduceTables:
 
     def test_no_hardcoding_under_parameter_changes(self):
         # the underlying formulas must track omega / L, not fixed table values
-        g = branch_g(General(1), UnitSystem())
-        plus_1, _ = well_energies(1.0, 1, g, UnitSystem())
-        plus_2, _ = well_energies(2.0, 1, g, UnitSystem())
+        def level(spec, units=UnitSystem()):
+            return closed_form_energy(EffectivePotential(spec, l=1, units=units), General(1))
+
+        plus_1 = level(InfiniteSphericalWell(1.0))
+        plus_2 = level(InfiniteSphericalWell(2.0))
         # energies scale as 1/L^2 at fixed phase-area constant g
         assert plus_2 == pytest.approx(plus_1 / 4.0, rel=1e-12)
-        e1 = ho_energies(1.0, 1, branch_theta(General(1)) ** 2, UnitSystem())
-        e2 = ho_energies(1.7, 1, branch_theta(General(1)) ** 2, UnitSystem())
+        e1 = level(IsotropicHO(1.0))
+        e2 = level(IsotropicHO(1.7))
         assert e2 == pytest.approx(1.7 * e1, rel=1e-12)
 
     def test_hydrogen_tracks_hbar(self):
-        from radialsolve.spectrum import hydrogen_ground_energy
+        def ground(units):
+            return closed_form_energy(EffectivePotential(HydrogenLike(Z=1), l=0, units=units), Ground())
 
-        base = hydrogen_ground_energy(1, 0, UnitSystem())
-        scaled = hydrogen_ground_energy(1, 0, UnitSystem(hbar=2.0))
+        base = ground(UnitSystem())
+        scaled = ground(UnitSystem(hbar=2.0))
         assert scaled == pytest.approx(base / 4.0, rel=1e-12)
 
 
@@ -118,6 +122,16 @@ class TestRendering:
 
         with pytest.raises(DomainError):
             render([], "xml")
+
+    def test_a_row_without_oracle_prints_empty_cells(self):
+        row = ComparisonRow("general:1", None, 3.5, 1.2)
+        assert row.abs_dev is None and row.rel_dev is None
+        assert render([row], "csv").splitlines()[1] == b"general:1,,3.5,1.2,,"
+        assert render([row], "text").splitlines()[1].split() == [b"general:1", b"3.5", b"1.2"]
+        assert b'"oracle":null' in render([row], "json") and b'"rel_dev":null' in render([row], "json")
+
+    def test_rel_dev_stays_relative_at_tiny_scales(self):
+        assert ComparisonRow("x", 1e-150, 1.1e-150).rel_dev == pytest.approx(0.1, rel=1e-12)
 
 
 class TestPotentialGrammar:

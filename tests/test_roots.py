@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from radialsolve.errors import ConvergenceError, DomainError
 from radialsolve.potentials import (
-    NATURAL,
     EffectivePotential,
     HOSpinOrbit,
     HydrogenLike,
@@ -24,12 +23,8 @@ from radialsolve.spectrum import (
     General,
     Ground,
     Symmetric,
-    branch_g,
-    branch_theta,
-    ho_energies,
-    ho_spin_orbit_energies,
+    closed_form_energy,
     self_consistent_energy,
-    well_energies,
 )
 from radialsolve.turning_points import turning_points
 
@@ -113,17 +108,14 @@ params = st.floats(0.5, 2.0)
 )
 def test_self_consistent_matches_closed_form(family, l, kind, n, p, c0, j_up):
     branch = _branch(kind, n)
-    theta2 = branch_theta(branch) ** 2
     if family == "well":
         U = EffectivePotential(InfiniteSphericalWell(L=p), l=l)
-        closed, _ = well_energies(p, l, branch_g(branch, NATURAL), NATURAL)
     elif family == "ho":
         U = EffectivePotential(IsotropicHO(omega=p), l=l)
-        closed = ho_energies(p, l, theta2, NATURAL)
     else:
         j = l + 0.5 if j_up or l == 0 else l - 0.5
         U = EffectivePotential(HOSpinOrbit(omega=p, j=j, c0=c0), l=l)
-        closed = ho_spin_orbit_energies(p, l, j, 0.5, c0, theta2 / 4.0, NATURAL)
+    closed = closed_form_energy(U, branch)
     level = self_consistent_energy(U, branch)
     assert abs(level.value - closed) <= 1e-8 * abs(closed)
     assert level.iterations <= 20

@@ -4,6 +4,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radialsolve.spectrum as spectrum
 from radialsolve.errors import ConvergenceError, DomainError
@@ -28,13 +30,12 @@ from radialsolve.spectrum import (
     branch_theta,
     delta_model_energy,
     excited_energy_from_d,
+    closed_form_energy,
     ground_energy_from_d,
-    ho_energies,
-    ho_spin_orbit_energies,
-    hydrogen_ground_energy,
     self_consistent_energy,
-    well_energies,
 )
+from radialsolve.report import reproduce_table
+from radialsolve.turning_points import turning_points
 
 
 class TestGroundEnergyFromD:
@@ -166,7 +167,7 @@ class TestSelfConsistent:
             for n in range(1, 4):
                 U = EffectivePotential(InfiniteSphericalWell(L=1.0), l=l)
                 level = self_consistent_energy(U, General(n))
-                plus, _ = well_energies(1.0, l, branch_g(General(n), NATURAL), NATURAL)
+                plus = closed_form_energy(U, General(n))
                 assert level.value == pytest.approx(plus, rel=1e-8)
 
     def test_matches_ho_closed_form(self):
@@ -174,7 +175,7 @@ class TestSelfConsistent:
             for n in range(1, 4):
                 U = EffectivePotential(IsotropicHO(omega=1.0), l=l)
                 level = self_consistent_energy(U, General(n))
-                closed = ho_energies(1.0, l, branch_theta(General(n)) ** 2, NATURAL)
+                closed = closed_form_energy(U, General(n))
                 assert level.value == pytest.approx(closed, rel=1e-8)
 
     def test_matches_ho_so_closed_form(self):
@@ -186,24 +187,27 @@ class TestSelfConsistent:
                 for n in range(1, 4):
                     U = EffectivePotential(HOSpinOrbit(omega=1.0, j=j, s=0.5, c0=c0), l=l)
                     level = self_consistent_energy(U, General(n))
-                    closed = ho_spin_orbit_energies(
-                        1.0, l, j, 0.5, c0, branch_theta(General(n)) ** 2 / 4.0, NATURAL
-                    )
+                    closed = closed_form_energy(U, General(n))
                     assert level.value == pytest.approx(closed, rel=1e-8)
+
+
+def hydrogen_ground(Z, l, units=NATURAL, e_charge=1.0):
+    U = EffectivePotential(HydrogenLike(Z=Z, e_charge=e_charge), l=l, units=units)
+    return closed_form_energy(U, Ground())
 
 
 class TestHydrogen:
     def test_physical_ground_state(self):
-        E = hydrogen_ground_energy(1, 0, EV_NM, e_charge=E_CHARGE_EV_NM)
+        E = hydrogen_ground(1, 0, EV_NM, e_charge=E_CHARGE_EV_NM)
         assert E == pytest.approx(-13.6, abs=0.1)
 
     def test_z_squared_scaling(self):
-        e1 = hydrogen_ground_energy(1, 0, NATURAL)
-        e2 = hydrogen_ground_energy(2, 0, NATURAL)
+        e1 = hydrogen_ground(1, 0)
+        e2 = hydrogen_ground(2, 0)
         assert e2 == pytest.approx(4.0 * e1, rel=1e-14)
 
     def test_l1_natural_units(self):
-        assert hydrogen_ground_energy(1, 1, NATURAL) == pytest.approx(-1.0 / 6.0, rel=1e-14)
+        assert hydrogen_ground(1, 1) == pytest.approx(-1.0 / 6.0, rel=1e-14)
         # cross-check against the signed self-consistent solver
         U = EffectivePotential(HydrogenLike(Z=1, e_charge=1.0), l=1)
         level = self_consistent_energy(U, Ground(), signed=True)
@@ -212,8 +216,16 @@ class TestHydrogen:
     def test_signed_solver_matches_closed_form_physical(self):
         U = EffectivePotential(HydrogenLike(Z=1, e_charge=E_CHARGE_EV_NM), l=0, units=EV_NM)
         level = self_consistent_energy(U, Ground(), signed=True)
-        closed = hydrogen_ground_energy(1, 0, EV_NM, e_charge=E_CHARGE_EV_NM)
+        closed = closed_form_energy(U, Ground())
         assert abs(level.value - closed) <= 1e-6 * abs(closed)
+
+
+def well_level(l, n, L=1.0):
+    return closed_form_energy(EffectivePotential(InfiniteSphericalWell(L=L), l=l), General(n))
+
+
+def ho_level(spec, l, n=1):
+    return closed_form_energy(EffectivePotential(spec, l=l), General(n))
 
 
 class TestWellEnergies:
@@ -221,50 +233,40 @@ class TestWellEnergies:
     UNIT = 0.5
 
     def test_table_rows(self):
-        unit_g = branch_g(General(1), NATURAL)
-        plus, minus = well_energies(1.0, 0, unit_g, NATURAL)
-        assert plus / self.UNIT == pytest.approx(9.870, abs=0.001)
-        assert minus / self.UNIT == pytest.approx(9.870, abs=0.001)
-        plus, minus = well_energies(1.0, 1, unit_g, NATURAL)
-        assert plus / self.UNIT == pytest.approx(20.755, abs=0.001)
-        assert minus / self.UNIT == pytest.approx(2.984, abs=0.001)
-        plus, minus = well_energies(1.0, 2, branch_g(General(2), NATURAL), NATURAL)
-        assert plus / self.UNIT == pytest.approx(76.260, abs=0.001)
-        assert minus / self.UNIT == pytest.approx(14.697, abs=0.001)
+        # the minus branch is table 1's second root, computed in the report
+        minus = {r.state_label: r.method_secondary for r in reproduce_table("part2_table1")}
+        assert well_level(0, 1) / self.UNIT == pytest.approx(9.870, abs=0.001)
+        assert minus["1s"] == pytest.approx(9.870, abs=0.001)
+        assert well_level(1, 1) / self.UNIT == pytest.approx(20.755, abs=0.001)
+        assert minus["1p"] == pytest.approx(2.984, abs=0.001)
+        assert well_level(2, 2) / self.UNIT == pytest.approx(76.260, abs=0.001)
+        assert minus["2d"] == pytest.approx(14.697, abs=0.001)
 
     def test_equivalent_form(self):
         # [(sqrt(a) + sqrt(g))/L]^2 equals (hbar^2/2mL^2)[sqrt(l(l+1)) + pi n]^2
         for l in range(4):
             for n in range(1, 4):
-                plus, _ = well_energies(1.0, l, branch_g(General(n), NATURAL), NATURAL)
                 direct = self.UNIT * (math.sqrt(l * (l + 1)) + math.pi * n) ** 2
-                assert plus == pytest.approx(direct, rel=1e-12)
+                assert well_level(l, n) == pytest.approx(direct, rel=1e-12)
 
     def test_minus_branch_below_plus(self):
-        for l in range(4):
-            plus, minus = well_energies(1.0, l, branch_g(General(1), NATURAL), NATURAL)
-            assert minus <= plus
+        for row in reproduce_table("part2_table1"):
+            assert row.method_secondary <= row.method_primary
 
 
 class TestHOEnergies:
     def test_table_rows(self):
-        g1, g2 = branch_theta(General(1)) ** 2, branch_theta(General(2)) ** 2
-        assert ho_energies(1.0, 0, g1, NATURAL) == pytest.approx(1.571, abs=0.001)
-        assert ho_energies(1.0, 1, g1, NATURAL) == pytest.approx(2.430, abs=0.001)
-        assert ho_energies(1.0, 2, g2, NATURAL) == pytest.approx(4.597, abs=0.001)
-
-    def test_positive_g_required(self):
-        with pytest.raises(DomainError):
-            ho_energies(1.0, 0, 0.0, NATURAL)
+        assert ho_level(IsotropicHO(1.0), 0, 1) == pytest.approx(1.571, abs=0.001)
+        assert ho_level(IsotropicHO(1.0), 1, 1) == pytest.approx(2.430, abs=0.001)
+        assert ho_level(IsotropicHO(1.0), 2, 2) == pytest.approx(4.597, abs=0.001)
 
 
 class TestHOSpinOrbit:
     def test_table_rows(self):
         hw = 1.0
         c0 = 0.015 * hw
-        g = branch_theta(General(1)) ** 2 / 4.0
-        e_d52 = ho_spin_orbit_energies(1.0, 2, 2.5, 0.5, c0, g, NATURAL)
-        e_f72 = ho_spin_orbit_energies(1.0, 3, 3.5, 0.5, c0, g, NATURAL)
+        e_d52 = ho_level(HOSpinOrbit(1.0, 2.5, 0.5, c0), 2)
+        e_f72 = ho_level(HOSpinOrbit(1.0, 3.5, 0.5, c0), 3)
         assert e_d52 == pytest.approx(3.204, abs=0.001)
         assert e_f72 == pytest.approx(4.051, abs=0.001)
 
@@ -273,14 +275,13 @@ class TestHOSpinOrbit:
             for j in (l - 0.5, l + 0.5):
                 if j < 0.5:
                     continue
-                g = branch_theta(General(1)) ** 2
-                a = ho_spin_orbit_energies(1.0, l, j, 0.5, 0.0, g / 4.0, NATURAL)
-                b = ho_energies(1.0, l, g, NATURAL)
+                a = ho_level(HOSpinOrbit(1.0, j, 0.5, 0.0), l)
+                b = ho_level(IsotropicHO(1.0), l)
                 assert a == pytest.approx(b, rel=1e-14)
 
     def test_invalid_coupling_rejected(self):
         with pytest.raises(DomainError):
-            ho_spin_orbit_energies(1.0, 2, 4.5, 0.5, 0.015, 1.0, NATURAL)
+            EffectivePotential(HOSpinOrbit(1.0, 4.5, 0.5, 0.015), l=2)
 
 
 def parabolic_level(a, b, c, l, branch):
@@ -293,7 +294,7 @@ class TestParabolic:
         omega = math.sqrt(2.0)  # a = 1
         for l in (0, 1):
             level = parabolic_level(1.0, 1e-10, 1e-10, l, General(1))
-            closed = ho_energies(omega, l, branch_theta(General(1)) ** 2, NATURAL)
+            closed = ho_level(IsotropicHO(omega), l)
             assert level.value == pytest.approx(closed, rel=1e-6)
 
     def test_ground_self_consistency(self):
@@ -310,3 +311,94 @@ class TestTableBindings:
     @pytest.mark.parametrize("n", [1, 2])
     def test_table2_preset(self, n):
         assert branch_theta(General(n)) ** 2 == pytest.approx(n**2 * math.pi**2)
+
+
+def _branch(kind, n):
+    return (Ground(), Symmetric(n), Antisymmetric(n), General(n))[kind]
+
+
+def scaled_spec(family, k, l, j_up=True):
+    """A catalog spec whose energy scale hbar^2 / (m length^2) is about 10^k, natural units."""
+    s = 10.0**k
+    if family == "ho":
+        return IsotropicHO(omega=s)
+    if family == "hoso":
+        j = l + 0.5 if j_up or l == 0 else l - 0.5
+        return HOSpinOrbit(omega=s, j=j, c0=0.015 * s)  # c0 scales with hbar omega
+    if family == "well":
+        return InfiniteSphericalWell(L=10.0 ** (-k / 2))
+    return HydrogenLike(Z=1, e_charge=10.0 ** (k / 4))
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    family=st.sampled_from(["ho", "hoso", "well", "hydrogen"]),
+    k=st.integers(-150, 150),
+    l=st.integers(0, 3),
+    kind=st.integers(0, 3),
+    n=st.integers(1, 3),
+    j_up=st.booleans(),
+)
+def test_levels_are_scale_covariant(family, k, l, kind, n, j_up):
+    # the solve's floors are in the problem's own energy unit, so a level is
+    # found to the same relative precision at every scale
+    branch = _branch(kind, n)
+    reduced = []
+    for scale in (0, k):
+        U = EffectivePotential(scaled_spec(family, scale, l, j_up), l=l)
+        level = self_consistent_energy(U, branch, signed=family == "hydrogen").value
+        closed = closed_form_energy(U, branch)
+        assert abs(level - closed) <= 1e-12 * abs(closed)
+        tp = turning_points(U, level)
+        reduced.append((tp.r1 / U.length_scale, tp.r2 / U.length_scale))
+    (r1_unit, r2_unit), (r1, r2) = reduced
+    assert abs(r1 - r1_unit) <= 1e-12 * r2_unit
+    assert abs(r2 - r2_unit) <= 1e-12 * r2_unit
+
+
+def _old_closed_forms(spec, l, branch, units):
+    """The per-family formulas that ``closed_form_energy`` replaced."""
+    theta2 = branch_theta(branch) ** 2
+    if isinstance(spec, InfiniteSphericalWell):
+        a = units.hbar**2 * l * (l + 1) / (2.0 * units.mass)
+        return ((math.sqrt(a) + math.sqrt(branch_g(branch, units))) / spec.L) ** 2
+    if isinstance(spec, IsotropicHO):
+        ll1 = l * (l + 1)
+        return 0.5 * units.hbar * spec.omega * (math.sqrt(ll1) + math.sqrt(ll1 + theta2))
+    if isinstance(spec, HOSpinOrbit):
+        hw = units.hbar * spec.omega
+        cj = (spec.c0 / (2.0 * hw)) * (spec.j * (spec.j + 1) - l * (l + 1) - spec.s * (spec.s + 1))
+        base = math.sqrt(l * (l + 1)) - cj
+        return 0.5 * hw * (base + math.sqrt(base * base + theta2))
+    rydberg = units.mass * spec.e_charge**4 / (2.0 * units.hbar**2)
+    return -rydberg * spec.Z * spec.Z / (1.0 + l * (l + 1))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(
+    family=st.sampled_from(["ho", "hoso", "well", "hydrogen"]),
+    units=st.sampled_from([NATURAL, EV_NM]),
+    log_p=st.floats(-3.0, 3.0),
+    l=st.integers(0, 5),
+    kind=st.integers(0, 3),
+    n=st.integers(1, 4),
+    coupling=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+    j_up=st.booleans(),
+    Z=st.integers(1, 3),
+)
+def test_closed_form_energy_matches_the_per_family_formulas(family, units, log_p, l, kind, n, coupling, j_up, Z):
+    p = 10.0**log_p
+    branch = _branch(kind, n)
+    if family == "ho":
+        spec = IsotropicHO(omega=p)
+    elif family == "hoso":
+        j = l + 0.5 if j_up or l == 0 else l - 0.5
+        spec = HOSpinOrbit(omega=p, j=j, c0=coupling * units.hbar * p)
+    elif family == "well":
+        spec = InfiniteSphericalWell(L=p)
+    else:
+        # the old hydrogen formula is the ground branch only
+        spec, branch = HydrogenLike(Z=Z, e_charge=p), Ground()
+    new = closed_form_energy(EffectivePotential(spec, l=l, units=units), branch)
+    old = _old_closed_forms(spec, l, branch, units)
+    assert abs(new - old) <= 8 * math.ulp(old)
