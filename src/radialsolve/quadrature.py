@@ -9,16 +9,18 @@ b = k = 0 (oscillator, free particle, well interior), built once per
 reference radius by ``_closed_phase``. Closed forms are normalized so that
 Q(r_ref) = 0; only Q differences are meaningful.
 
-The integrand of the adaptive loop takes the 15 nodes of a panel in one
-call, so that an array integrand costs one numpy call per panel.
+The integrand of the adaptive loop takes a list of nodes in one call: the
+15 of the first panel, then the 30 of both halves of each split, so that
+an array integrand costs one numpy call per final panel.
 
 ``phase_Q`` integrates from r_ref on every call. ``make_phase`` is the fast
 path for a state: a closed form costs one plain-Python evaluation per
 radius; for a family without one it integrates the state's span once and
 keeps the final Gauss-Kronrod panels with prefix sums (the QK15 panel
-layout of QUADPACK, Piessens et al. 1983). A list of radii
-then costs one ``searchsorted`` over the panel edges and one
-``eval_effective_array`` call on the 15 nodes of every radius.
+layout of QUADPACK, Piessens et al. 1983). A list of radii then costs one
+``searchsorted`` over the panel edges, one ``eval_effective_array`` call on
+the 15 nodes of every radius and a K15 sum of whole-array steps that adds
+in the order of the scalar rule, so each value is bit for bit that rule's.
 """
 
 from __future__ import annotations
@@ -75,13 +77,8 @@ _NODES = tuple(sign * x for x in _XK[:-1] for sign in (-1.0, 1.0)) + (0.0,)
 BatchIntegrand = Callable[[list[float]], list[float]]
 
 
-def _k15(fx, half):
-    """K15 and |K15 - G7| from the values ``fx`` at the nodes ``mid + half * _NODES``.
-
-    ``fx[j]`` is a float, or an array holding node j of many rules with
-    ``half`` an array alike; the sum runs in the same order either way, so
-    both round alike.
-    """
+def _k15(fx: Sequence[float], half: float) -> tuple[float, float]:
+    """K15 and |K15 - G7| from the values ``fx`` at the nodes ``mid + half * _NODES``."""
     f0 = fx[14]
     k15 = _WK[-1] * f0
     g7 = _WG[-1] * f0
@@ -95,11 +92,17 @@ def _k15(fx, half):
     return k15, abs(k15 - g7)
 
 
-def _gk15(f: BatchIntegrand, a: float, b: float) -> tuple[float, float]:
-    """Kronrod-15 estimate on [a, b] with |K15 - G7| as the error proxy; one call of f."""
+def _rule_nodes(a: float, b: float) -> tuple[float, list[float]]:
+    """The half width of [a, b] and the 15 nodes of its K15 rule, in ``_NODES`` order."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return _k15(f([mid + half * x for x in _NODES]), half)
+    return half, [mid + half * x for x in _NODES]
+
+
+def _gk15(f: BatchIntegrand, a: float, b: float) -> tuple[float, float]:
+    """Kronrod-15 estimate on [a, b] with |K15 - G7| as the error proxy; one call of f."""
+    half, x = _rule_nodes(a, b)
+    return _k15(f(x), half)
 
 
 def adaptive_integral(
@@ -136,19 +139,23 @@ def _adaptive_panels(
 ) -> tuple[float, float, list[tuple[float, float]]]:
     """The loop behind ``adaptive_integral_many`` on lo <= hi.
 
-    Also returns the final panels as (left edge, K15 value) pairs, in no
+    Both halves of a split panel are evaluated with one call of f on their
+    30 nodes, which the integrand, elementwise, maps as it would two calls
+    of 15; each half then gets its own K15 rule and finiteness check. Also
+    returns the final panels as (left edge, K15 value) pairs, in no
     particular order; together they tile [lo, hi].
     """
 
-    def _checked(a: float, b: float) -> tuple[float, float]:
-        v, e = _gk15(f, a, b)
+    def _checked(fx: Sequence[float], half: float, a: float, b: float) -> tuple[float, float]:
+        v, e = _k15(fx, half)
         if not (math.isfinite(v) and math.isfinite(e)):
             raise IntegrationError(
                 f"integrand not finite on [{a!r}, {b!r}]", partial=None, error_estimate=None
             )
         return v, e
 
-    val, err = _checked(lo, hi)
+    half, x = _rule_nodes(lo, hi)
+    val, err = _checked(f(x), half, lo, hi)
     counter = 0
     heap = [(-err, counter, lo, hi, val, err)]
     collapsed: list[tuple[float, float]] = []
@@ -175,8 +182,11 @@ def _adaptive_panels(
             total_err -= e
             collapsed.append((a, v))
             continue
-        v1, e1 = _checked(a, m)
-        v2, e2 = _checked(m, b)
+        half1, x1 = _rule_nodes(a, m)
+        half2, x2 = _rule_nodes(m, b)
+        fx = f(x1 + x2)
+        v1, e1 = _checked(fx[:15], half1, a, m)
+        v2, e2 = _checked(fx[15:], half2, m, b)
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e
         counter += 1
@@ -390,6 +400,10 @@ def make_phase(U: EffectivePotential, lo: float, hi: float) -> Phase:
     if closed is not None:
 
         def many_closed(rs: Sequence[float]) -> list[float]:
+            try:
+                return [closed(r) for r in rs]
+            except ValueError:
+                pass
             q = []
             for r in rs:
                 try:
@@ -408,17 +422,24 @@ def make_phase(U: EffectivePotential, lo: float, hi: float) -> Phase:
     edges = np.array([a for a, _ in panels])
     prefix = np.cumsum([0.0] + [v for _, v in panels[:-1]])
     nodes = np.array(_NODES)[:, np.newaxis]
+    # the weight of each row of [f0; pair 0; ...; pair 6], in _k15's order
+    weights = np.array(_WK[-1:] + _WK[:-1])[:, np.newaxis]
 
     def q_table(r: np.ndarray) -> np.ndarray:
         i = np.searchsorted(edges, r, side="right") - 1
         a = edges[i]
         half = 0.5 * (r - a)
-        k15, _ = _k15(_root_u(U, 0.5 * (a + r) + half * nodes), half)
+        fx = _root_u(U, 0.5 * (a + r) + half * nodes)
+        terms = np.concatenate((fx[14:], fx[0:14:2] + fx[1:14:2])) * weights
+        # accumulate adds the rows one after another, as _k15 does
+        k15 = np.add.accumulate(terms, axis=0)[-1] * half
         return np.where(r == a, prefix[i], prefix[i] + k15)
 
     def many(rs: Sequence[float]) -> list[float]:
         r = np.array(rs, dtype=float)
         inside = (lo <= r) & (r <= hi)
+        if inside.all():
+            return q_table(r).tolist()
         q = np.empty_like(r)
         q[inside] = q_table(r[inside])
         for j in np.flatnonzero(~inside):

@@ -16,7 +16,9 @@ from typing import Callable
 from .errors import ConvergenceError, DomainError
 
 _EPS = sys.float_info.epsilon
-_TINY = sys.float_info.min
+#: the floor of the stopping tolerance, the least subnormal: any larger fixed
+#: floor would bind above the caller's xtol and rtol where the root is tiny
+_TINY = math.ulp(0.0)
 _MAX_ITER = 100  # evaluations after the end points; callers converge in about ten
 
 
@@ -32,9 +34,9 @@ def brentq(
     f(a) and f(b) must differ in sign (an exact zero at an end point is
     returned at once) or DomainError is raised. The solve stops once the
     bracket around x is narrower than max(xtol, rtol |x|), floored at a few
-    ulps of x. ``iterations`` counts the evaluations of f after the two end
-    points; ConvergenceError carries the last iterate when ``_MAX_ITER`` of
-    them do not reach the tolerance.
+    ulps of x and at the least subnormal. ``iterations`` counts the
+    evaluations of f after the two end points; ConvergenceError carries the
+    last iterate when ``_MAX_ITER`` of them do not reach the tolerance.
     """
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -53,7 +55,7 @@ def brentq(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 0.5 * max(xtol, rtol * abs(b), 4.0 * _EPS * abs(b), _TINY)
+        tol = max(0.5 * max(xtol, rtol * abs(b), 4.0 * _EPS * abs(b)), _TINY)
         half = 0.5 * (c - b)
         if abs(half) <= tol:
             return b, iteration

@@ -14,6 +14,7 @@ EffectivePotential, which has checked both.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -28,7 +29,7 @@ from .potentials import (
     UnitSystem,
 )
 from .roots import brentq
-from .turning_points import turning_points
+from .turning_points import TurningPoints, turning_points
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,18 @@ EnergyBranch = Union[Ground, Symmetric, Antisymmetric, General]
 
 @dataclass(frozen=True)
 class EnergyLevel:
+    """A solved level E with the turning points at E, from the solve itself."""
+
     branch: EnergyBranch
     l: int
     value: float
-    d_at_solution: float
+    turning_points: TurningPoints
     j: Optional[float] = None
     iterations: int = 0
+
+    @property
+    def d_at_solution(self) -> float:
+        return self.turning_points.d
 
 
 def branch_theta(branch: EnergyBranch) -> float:
@@ -153,10 +160,6 @@ _E_TOL = 1e-15
 _RESIDUAL_TOL = 1e-10
 
 
-def _width(U: EffectivePotential, E: float) -> float:
-    return turning_points(U, E).d
-
-
 def self_consistent_energy(
     U: EffectivePotential, branch: EnergyBranch, *, signed: bool = False
 ) -> EnergyLevel:
@@ -172,7 +175,8 @@ def self_consistent_energy(
     solve ends in E when |h(E)| <= 1e-10 max(eps, |E|), or when moving E by
     that tolerance moves h by at least |h(E)|: where h is steep, no float
     meets the first bound. The floors are in the problem's own energy unit,
-    so a level is found to the same relative precision at any scale.
+    so a level is found to the same relative precision at any scale. Each E
+    costs one turning-point solve, and the level keeps the one at its E.
     """
     g, eps = branch_g(branch, U.units), U.energy_scale
     j = U.spec.j if isinstance(U.spec, HOSpinOrbit) else None
@@ -187,9 +191,12 @@ def self_consistent_energy(
     else:
         anchor, sign = (0.0 if floor is None else floor), 1.0
     span = t_cap or max(abs(anchor), eps)
+    # one turning-point solve per E: Brent evaluates the bracket's ends again,
+    # and the level keeps the turning points of its root
+    tp_at = functools.cache(functools.partial(turning_points, U))
 
     def h(E: float) -> float:
-        d = _width(U, E)
+        d = tp_at(E).d
         d2 = d * d  # not d**2, which raises OverflowError where d * d is inf
         # g / d^2 grows without bound as d^2 underflows to 0
         return E - sign * (g / d2 if d2 else math.inf)
@@ -216,7 +223,8 @@ def self_consistent_energy(
             raise ConvergenceError("no sign change between 0 and the potential minimum")
 
     E, iterations = brentq(h, anchor + sign * t_lo, anchor + sign * t_hi, xtol=_E_TOL * eps, rtol=_E_TOL)
-    d = _width(U, E)
+    tp = tp_at(E)
+    d = tp.d
     residual = abs(E - sign * g / (d * d))
     if not residual <= _RESIDUAL_TOL * max(eps, abs(E)):
         # where h is steep, no float meets that bound: accept E when moving it
@@ -226,4 +234,4 @@ def self_consistent_energy(
             raise ConvergenceError(
                 f"fixed point not converged: residual {residual}", last_iterate=E, iterations=iterations
             )
-    return EnergyLevel(branch=branch, l=U.l, j=j, value=E, d_at_solution=d, iterations=iterations)
+    return EnergyLevel(branch=branch, l=U.l, j=j, value=E, turning_points=tp, iterations=iterations)

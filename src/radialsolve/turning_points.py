@@ -127,23 +127,22 @@ def _check_single_well(U: EffectivePotential, tp: TurningPoints) -> None:
 
 
 def _quadratic_roots(A: float, B: float, C: float) -> tuple[float, float]:
-    """Roots y1 <= y2 of A y^2 - B y + C = 0 (A, C >= 0, B > 0), neither cancelling.
+    """Roots y1 <= y2 of A y^2 - B y + C = 0 (A, C >= 0, B > 0) as (y1, h), y2 = h / A.
 
-    y1 = 2C / (B + sqrt(disc)) and y2 = (B + sqrt(disc)) / (2A), y2 = INFINITE
-    for A = 0. A disc <= 0 (a double root, to rounding) counts as 0; a disc
-    that overflows has B^2 factored out. DomainError where y2 overflows.
+    h = (B + sqrt(disc)) / 2 and y1 = C / h, neither cancelling. The caller
+    divides h by A, as sqrt(y2) can be a float where y2 overflows. A
+    disc <= 0 (a double root, to rounding) counts as 0; a disc that
+    overflows has B^2 factored out. For A = 0 the one root is y1 = C / B,
+    and h = B.
     """
     if A == 0.0:
-        return C / B, INFINITE
+        return C / B, B
     disc, scale = B * B - 4.0 * A * C, 1.0
     if not -INFINITE < disc < INFINITE:
         disc, scale = 1.0 - 4.0 * (A / B) * (C / B), B
     root = scale * math.sqrt(disc) if disc > 0 else 0.0
-    half = 0.5 * B + 0.5 * root  # B + root may overflow
-    y2 = half / A
-    if y2 == INFINITE:
-        raise DomainError(f"outer turning point overflows: y2 = {half!r} / {A!r}")
-    return C / half, y2
+    h = 0.5 * B + 0.5 * root  # B + root may overflow
+    return C / h, h
 
 
 def turning_points(U: EffectivePotential, E: float) -> TurningPoints:
@@ -159,7 +158,8 @@ def turning_points(U: EffectivePotential, E: float) -> TurningPoints:
       one root for the well (a = 0), whose wall is r2;
     - otherwise (the free particle) U never rises above E.
 
-    With l = 0, coeff = 0 puts r1 at the origin.
+    With l = 0, coeff = 0 puts r1 at the origin. An r2 beyond the largest
+    float raises DomainError.
     """
     if not math.isfinite(E):
         raise DomainError(f"energy must be finite, got {E}")
@@ -169,7 +169,8 @@ def turning_points(U: EffectivePotential, E: float) -> TurningPoints:
     if k > 0:
         if E >= 0:
             raise DomainError("hydrogen-like closed form requires a bound energy E < 0")
-        r1, r2 = _quadratic_roots(-E, k, coeff)
+        r1, h = _quadratic_roots(-E, k, coeff)
+        r2 = h / -E
     elif b > 0:
         # subtract c once: near the minimum it would swamp U(r) - E in rounding
         t = E - c
@@ -181,10 +182,18 @@ def turning_points(U: EffectivePotential, E: float) -> TurningPoints:
         # the l = 0 well has no minimum, nor has an oscillator whose u_min overflows
         if E <= c:
             raise NoClassicalRegionError(f"E={E} not above V(0+)={c}")
-        y1, y2 = _quadratic_roots(a, E - c, coeff)
-        r1, r2 = math.sqrt(y1), math.sqrt(y2) if y2 < INFINITE else U.wall
+        y1, h = _quadratic_roots(a, E - c, coeff)
+        r1 = math.sqrt(y1)
+        if a == 0.0:
+            r2 = U.wall
+        else:
+            # r2 = sqrt(h) / sqrt(a) only where r2^2 = h / a overflows: the same bits elsewhere
+            y2 = h / a
+            r2 = math.sqrt(y2) if y2 < INFINITE else math.sqrt(h) / math.sqrt(a)
     else:
         raise NoClassicalRegionError(
             f"free particle: U never rises above E={E}, so there is no outer turning point"
         )
+    if r2 == INFINITE:
+        raise DomainError(f"outer turning point overflows at E={E!r}")
     return TurningPoints(r1=r1, r2=r2, energy=E, method="closed_form")

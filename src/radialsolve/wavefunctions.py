@@ -20,7 +20,7 @@ from .errors import DomainError, NotNormalizableError
 from .potentials import EffectivePotential, eval_effective_array
 from .quadrature import Phase, adaptive_integral, adaptive_integral_many, make_phase
 from .spectrum import Antisymmetric, EnergyLevel, Symmetric, branch_theta, self_consistent_energy
-from .turning_points import TurningPoints, turning_points
+from .turning_points import TurningPoints
 
 #: the carrier of each parity, as a function of K (r - r0)
 _WAVES = {"symmetric": math.cos, "antisymmetric": math.sin}
@@ -92,7 +92,7 @@ def build_bound_state(
     """
     branch = Symmetric(n) if parity == "symmetric" else Antisymmetric(n)
     level = self_consistent_energy(U, branch)
-    tp = turning_points(U, level.value)
+    tp = level.turning_points
     K = branch_theta(branch) / tp.d
     wf = RadialWaveFunction(potential=U, tp=tp, K=K, parity=parity, n=n, phase=_support_phase(U, tp))
     return wf, level

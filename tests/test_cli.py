@@ -238,6 +238,25 @@ def test_oscillator_whose_a_coeff_overflows():
     assert cells[1] == cells[2] == "4.824867710921808e+154"
 
 
+def test_level_at_an_energy_scale_of_1e_300():
+    # the level 5.8e-300 needs Brent to stop at 1e-15 * 5.8e-300, far below
+    # the least normal float, or its residual of about 6e-310 is refused
+    code, out, err = run_main(
+        ["spectrum", "--potential", "well:L=1e150", "--l", "1", "--branch", "ground", "--format", "csv"]
+    )
+    assert (code, err) == (0, "")
+    cells = out.decode().splitlines()[1].split(",")
+    assert cells[1] == cells[2] == "5.82842712474619e-300"
+
+
+def test_oscillator_whose_r2_squared_overflows():
+    # r2^2 = 2e308 is not a float, r2 itself is
+    code, out, err = run_main(["turning-points", "--potential", "ho:omega=1", "--l", "1", "--energy=1e308"])
+    assert (code, err) == (0, "")
+    fields = dict(line.split("=") for line in out.decode().split())
+    assert float(fields["r2"]) == pytest.approx(1.414213562373095e154, rel=4e-16)
+
+
 def scaled_potential(family, k, l, j_up):
     """A ``--potential`` whose energy scale hbar^2 / (m length^2) is about 10^k."""
     s = 10.0**k

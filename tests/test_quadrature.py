@@ -21,9 +21,12 @@ from radialsolve.potentials import (
     eval_effective,
 )
 from radialsolve.quadrature import (
+    _adaptive_panels,
     _check_nonnegative,
     _closed_phase,
+    _phase_integrand,
     adaptive_integral,
+    adaptive_integral_many,
     area_S,
     make_phase,
     phase_Q,
@@ -69,6 +72,23 @@ class TestAdaptiveIntegral:
         val, err = adaptive_integral(lambda x: math.sin(10 * x), 0.0, math.pi, tol=1e-10)
         exact = (1.0 - math.cos(10 * math.pi)) / 10.0
         assert abs(val - exact) <= max(err, 1e-12)
+
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [
+            (lambda xs: [math.sqrt(x) for x in xs], 0.0, 1.0),
+            (lambda xs: [math.sin(10 * x) for x in xs], 0.0, 1.0),
+            (_phase_integrand(EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=1)), 0.4, 2.6),
+        ],
+        ids=["sqrt", "sin", "parabolic phase"],
+    )
+    def test_one_integrand_call_per_final_panel(self, f, lo, hi):
+        # the first panel takes one call of 15 nodes, each split one call of 30
+        sizes = []
+        adaptive_integral_many(lambda xs: sizes.append(len(xs)) or f(xs), lo, hi)
+        panels = _adaptive_panels(f, lo, hi, 1e-10)[2]
+        assert len(panels) > 1
+        assert sizes == [15] + [30] * (len(panels) - 1)
 
 
 class TestAreaS:

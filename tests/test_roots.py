@@ -48,6 +48,11 @@ class TestBrentq:
         x, _ = brentq(lambda x: x - 3e8, 0.0, 1e9, rtol=1e-13)
         assert abs(x - 3e8) <= 1e-13 * 3e8
 
+    def test_relative_tolerance_below_the_least_normal(self):
+        # no fixed floor binds above rtol |x| where the root is 6e-310
+        x, _ = brentq(lambda x: math.log(x / 6e-310), 1e-320, 1e-300, rtol=1e-13)
+        assert abs(x - 6e-310) <= 1e-13 * 6e-310
+
     def test_infinite_end_value(self):
         # a hard wall: f is +inf at the outer end of the bracket
         x, _ = brentq(lambda x: math.inf if x >= 1.0 else x - 0.3, 0.1, 1.0, rtol=1e-13)
@@ -60,7 +65,7 @@ class TestBrentq:
 
     def test_exhausted_budget(self):
         # a step at 0 leaves interpolation nothing to use: closing [-1e300, 1e300]
-        # down to the smallest normal float takes about 2,000 bisections
+        # down to the least subnormal takes about 2,000 bisections
         with pytest.raises(ConvergenceError) as info:
             brentq(lambda x: 1.0 if x > 0 else -1.0, -1e300, 1e300)
         assert info.value.iterations == roots._MAX_ITER

@@ -417,11 +417,16 @@ def test_an_overflowing_discriminant_is_factored_not_rounded_to_0(omega, E):
         assert abs(x - ref) <= 4 * math.ulp(ref), (x, ref)
 
 
-@pytest.mark.parametrize(
-    "spec, E",
-    [(IsotropicHO(omega=1.0), 1e308), (HydrogenLike(Z=1, e_charge=1.0), -1e-320)],
-)
-def test_an_overflowing_outer_root_is_a_domain_error(spec, E):
-    # r2^2 = 2e308 for the oscillator and r2 = 1e320 for hydrogen are not floats
+def test_an_overflowing_outer_root_is_a_domain_error():
+    # r2 = 1e320 for hydrogen is not a float
     with pytest.raises(DomainError, match="outer turning point overflows"):
-        turning_points(EffectivePotential(spec, l=1), E)
+        turning_points(EffectivePotential(HydrogenLike(Z=1, e_charge=1.0), l=1), -1e-320)
+
+
+@pytest.mark.parametrize("omega, E", [(1.0, 1e308), (1e-100, 1e300)])
+def test_an_oscillator_root_whose_square_overflows_is_returned(omega, E):
+    # r2^2 = 2e308 and 4e500 are not floats, r2 = 1.4e154 and 2e250 are
+    U = EffectivePotential(IsotropicHO(omega=omega), l=1)
+    tp = turning_points(U, E)
+    for x, ref in zip((tp.r1, tp.r2), _decimal_roots(U, E)):
+        assert abs(x - ref) <= 4 * math.ulp(ref), (x, ref)

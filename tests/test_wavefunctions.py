@@ -5,6 +5,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialsolve.errors import DomainError, NotNormalizableError
 from radialsolve.potentials import (
@@ -15,7 +17,7 @@ from radialsolve.potentials import (
     IsotropicHO,
     Parabolic,
 )
-from radialsolve.quadrature import adaptive_integral, phase_Q
+from radialsolve.quadrature import _adaptive_panels, _gk15, _phase_integrand, adaptive_integral, phase_Q
 from radialsolve.report import render_samples, samples_from_csv
 from radialsolve.turning_points import TurningPoints, turning_points
 from radialsolve.wavefunctions import (
@@ -165,6 +167,20 @@ class TestParabolicStates:
         assert len(samples) == 512
         assert 0 < u_count.points <= 10_000
 
+    def test_golden_state_call_counts(self, u_count, monkeypatch):
+        # one U call per split of a quadrature panel, and one turning-point
+        # solve per energy, the level's reused by the state
+        import radialsolve.spectrum as spectrum
+
+        energies = []
+        solve = spectrum.turning_points
+        monkeypatch.setattr(spectrum, "turning_points", lambda U, E: energies.append(E) or solve(U, E))
+        wf, _ = build_bound_state(_parabolic(1), 2, "antisymmetric")
+        built = u_count.array_calls
+        normalize(wf)
+        assert (built, u_count.array_calls - built, len(energies)) == (5, 6, 9)
+        assert len(set(energies)) == len(energies)
+
     def test_sampling_is_one_array_call(self, u_count):
         wf, _ = build_bound_state(_parabolic(1), 2, "antisymmetric")
         wf = normalize(wf)
@@ -198,6 +214,38 @@ class TestParabolicStates:
                 "--parity", "antisymmetric", "--samples", "512", "--format", "csv", "--out", str(out)]
         assert main(argv) == 0
         assert out.read_bytes() == golden.read_bytes()
+
+
+coefficients = st.floats(0.5, 2.0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    a=coefficients, b=coefficients, c=coefficients, l=st.integers(1, 3), n=st.integers(1, 3),
+    parity=st.sampled_from(["symmetric", "antisymmetric"]),
+)
+def test_state_matches_its_scalar_references(a, b, c, l, n, parity):
+    # the whole-array table repeats the scalar K15 rule from each panel edge,
+    # and the level's turning points are those of a fresh solve at its energy
+    U = EffectivePotential(Parabolic(a=a, b=b, c=c), l=l)
+    wf, level = build_bound_state(U, n, parity)
+    assert level.turning_points == turning_points(U, level.value)
+    lo, hi = wf.tp.r1, wf.tp.r2
+    integrand = _phase_integrand(U)
+    panels = sorted(_adaptive_panels(integrand, lo, hi, 1e-10)[2])
+    edges = [edge for edge, _ in panels]
+    prefix = [0.0]
+    for _, v in panels[:-1]:
+        prefix.append(prefix[-1] + v)
+    rs = [0.5 * lo, *edges, *(float(r) for r in np.linspace(lo, hi, 65)), 1.1 * hi]
+    expected = []
+    for r in rs:
+        if not lo <= r <= hi:
+            expected.append(phase_Q(U, r, lo, method="numeric").value)
+            continue
+        i = max(j for j, edge in enumerate(edges) if edge <= r)
+        expected.append(prefix[i] if r == edges[i] else prefix[i] + _gk15(integrand, edges[i], r)[0])
+    assert wf.phase.many(rs) == expected
 
 
 class TestDeltaModel:
