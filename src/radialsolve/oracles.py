@@ -180,8 +180,13 @@ _LEVEL_TOL = 1e-10
 _PHASE_PER_STEP = (240.0 * _LEVEL_TOL) ** 0.25
 # The r_max search gives up this many length scales out.
 _MAX_R_SCALES = 1e6
-# Sweeps one eigenvalue may take; isolating and converging need about 3-15.
+# Sweeps one eigenvalue may take, on both grids; isolating and converging take
+# at most 12 on the tests' brackets.
 _MAX_SWEEPS = 200
+# Relative Newton step at which the search on the half grid hands over to the
+# full grid. It only has to land E in the full grid's Newton basin: the half
+# grid's own level sits about 16 times (2^4) further from the exact level.
+_SEARCH_TOL = 1e-5
 
 
 def _matched_sweep(x: np.ndarray, y0: float) -> tuple[int, float, float]:
@@ -244,24 +249,39 @@ def numerov_bound_state(
     from both ends). This needs 1 + x/12 > 0 on the grid, which is checked
     at the bracket's lower edge. Bisection on the count first narrows the
     bracket until it holds only the target level. Newton steps
-    dE = D / (k sum_i (u_i / u_m)^2), k = 2 m h^2 / hbar^2 (Cooley, Math.
-    Comp. 15, 363 (1961)), with the norm summed in the same two loops, then
+    dE = D / (k S), S = sum_i (u_i / u_m)^2, k = 2 m h^2 / hbar^2 (Cooley,
+    Math. Comp. 15, 363 (1961)), with S summed in the same two loops, then
     converge on it: each count moves one edge, and a step that leaves the
     bracket, or is more than half the move before it, becomes a bisection.
-    A lower edge below min U on the grid is raised to it. ``sweeps`` on the
-    result counts the sweeps spent.
+    So does a sweep whose S exceeds its number of points: at a level u_m
+    sits where |u| peaks, so S stays below it, and a larger S puts u_m near
+    0, next to a pole of D, where Newton's steps are tiny and only crawl.
+    A lower edge below min U on the grid is raised to it.
+
+    The search runs on two grids. The half grid is every other point of
+    the full grid, back from r_N; it starts at the first such point where
+    the centrifugal term leaves 1 + x/12 >= 1/2 at step 2h, and takes its
+    start values from its own first two points. The edge sweeps, the
+    bisection and Newton run on it until the Newton step is at most
+    1e-5 max(eps, |E|) (``_SEARCH_TOL``). That can be loose: the search only
+    has to land E in the full grid's Newton basin, and the half grid's own
+    level sits about 16 times further from the exact level than the full
+    grid's, about 1.6e-9 of it at most. From E plus that step, Newton runs on
+    the full grid, in the caller's bracket cut at E by the full grid's
+    count, until its step is at most 1e-10 max(eps, |E|), with
+    eps = hbar^2 / (m scale^2) the problem's energy unit, and returns E plus
+    that step: the full grid's level, to 1e-10. ``sweeps`` on the result
+    counts the sweeps spent on both grids.
 
     The step comes from an error budget. Numerov lowers a level by
     (k h)^4 / 240 of itself for the local wavenumber k, so h = c / k_top
     with c = (240 * 1e-10)^(1/4) ~ 0.0124 rad (``_PHASE_PER_STEP``) keeps
     that below 1e-10, where k_top = sqrt(2 m (e_hi - min U)) / hbar is the
     largest wavenumber at the bracket's upper edge (min U over a 512-point
-    sample). The grid has at least 512 points, and
+    sample). The full grid has at least 512 points, and
     r_min = max(1e-6 scale, h sqrt(l (l + 1) / 6)), where the centrifugal
-    term leaves 1 + x/12 >= 1/2. Newton stops once its step is at most
-    1e-10 max(eps, |E|), with eps = hbar^2 / (m scale^2) the problem's
-    energy unit, and returns E plus that step. Truncating the decay tail
-    shifts a level by at most about 1e-8.
+    term leaves 1 + x/12 >= 1/2. Truncating the decay tail shifts a level
+    by at most about 1e-8.
     """
     import numpy as np
 
@@ -320,15 +340,24 @@ def numerov_bound_state(
     e_lo = max(e_lo, float(u_vals.min()))
     if not e_hi > e_lo:
         raise DomainError(below)
+    # the search's half grid: every other point back from r_N, from the first
+    # where the centrifugal term leaves 1 + x/12 >= 1/2 at step 2h
+    last = len(r) - 1
+    start = int(np.searchsorted(r, 2.0 * h * math.sqrt(U.l * (U.l + 1) / 6.0)))
+    start += (last - start) % 2
+    # (k, k U on the grid, F_0 / F_1), with y_1 = 1 so that no power of a tiny r
+    # underflows; x on the half grid is 4 times x on the full grid
+    half = (4.0 * k, 4.0 * ku[start:last:2], (float(r[start]) / float(r[start + 2])) ** (U.l + 1))
+    full = (k, ku, (float(r[0]) / float(r[1])) ** (U.l + 1))
     # w = 1 + x / 12 grows with E: positive at e_lo, it is positive in every sweep
-    if not float((k * e_lo - ku).min()) > -12.0:
-        raise DomainError(f"the Numerov step leaves 1 + h^2 f / 12 <= 0 on the grid at E = {e_lo:.6g}")
-    # R_0 = u_1 / u_0 for y ~ r^(l+1), with y_1 = 1 so that no power of a tiny r underflows
-    y0 = (float(r[0]) / float(r[1])) ** (U.l + 1)
+    for kg, kug, _ in (full, half):
+        if not float((kg * e_lo - kug).min()) > -12.0:
+            raise DomainError(f"the Numerov step leaves 1 + h^2 f / 12 <= 0 on the grid at E = {e_lo:.6g}")
     sweeps = 0
 
-    def shoot(E: float) -> tuple[int, float]:
-        """(levels below E, Newton step D / (k sum_i (u_i / u_m)^2)) at energy E."""
+    def shoot(E: float, grid: tuple[float, np.ndarray, float]) -> tuple[int, float]:
+        """(levels below E, Newton step D / (k S)) at energy E on ``grid``; the
+        step is inf where S exceeds the point count, next to a pole of D."""
         nonlocal sweeps
         if sweeps == _MAX_SWEEPS:
             raise ConvergenceError(
@@ -337,48 +366,66 @@ def numerov_bound_state(
                 iterations=sweeps,
             )
         sweeps += 1
+        kg, kug, y0 = grid
         try:
-            nodes, D, S = _matched_sweep(k * E - ku, y0)
+            nodes, D, S = _matched_sweep(kg * E - kug, y0)
         except ZeroDivisionError:
             # a node sits exactly on a grid point: sweep one ulp higher
             sweeps -= 1
-            return shoot(math.nextafter(E, INFINITE))
-        return nodes, D / (k * S)
+            return shoot(math.nextafter(E, INFINITE), grid)
+        # at a level u_m sits where |u| peaks (the outer turning point, or the
+        # last antinode before a wall), so S stays below the point count there
+        return nodes, D / (kg * S) if S <= len(kug) else INFINITE
 
-    def converged(lo: float, hi: float) -> bool:
-        return hi - lo <= _LEVEL_TOL * max(eps, abs(0.5 * (lo + hi)))
+    def converged(lo: float, hi: float, tol: float) -> bool:
+        return hi - lo <= tol * max(eps, abs(0.5 * (lo + hi)))
+
+    def newton(
+        E: float, step: float, lo: float, hi: float, grid: tuple[float, np.ndarray, float], tol: float
+    ) -> float:
+        """Phase 2 on ``grid`` from E and its step: the level to ``tol``.
+
+        A step that leaves the bracket, or is more than half the move before
+        it (near a pole of D, where u_m = 0, Newton crawls away from the
+        pole), becomes a bisection.
+        """
+        moved = INFINITE
+        while not converged(lo, hi, tol):
+            if abs(step) <= tol * max(eps, abs(E)):
+                return E + step
+            trial = E + step
+            if not (lo < trial < hi and abs(step) <= 0.5 * moved):
+                trial = 0.5 * (lo + hi)
+            moved, E = abs(trial - E), trial
+            n, step = shoot(E, grid)
+            if n <= node_target:
+                lo = E
+            else:
+                hi = E
+        return 0.5 * (lo + hi)
 
     lo, hi = e_lo, e_hi
-    n_lo, step_lo = shoot(lo)
+    n_lo, step_lo = shoot(lo, half)
     if n_lo > node_target:
         raise DomainError(f"bracket lower edge already has more than {node_target} nodes")
-    n_hi, step_hi = shoot(hi)
+    n_hi, step_hi = shoot(hi, half)
     if n_hi <= node_target:
         raise DomainError(f"bracket contains no state with {node_target} nodes")
     # phase 1: bisect on the node count until only the target level is left
-    while not (n_lo == node_target and n_hi == node_target + 1 or converged(lo, hi)):
+    while not (n_lo == node_target and n_hi == node_target + 1 or converged(lo, hi, _SEARCH_TOL)):
         mid = 0.5 * (lo + hi)
-        n_mid, step_mid = shoot(mid)
+        n_mid, step_mid = shoot(mid, half)
         if n_mid <= node_target:
             lo, n_lo, step_lo = mid, n_mid, step_mid
         else:
             hi, n_hi, step_hi = mid, n_mid, step_mid
-    # phase 2: Newton from the edge with the shorter step. A step that leaves
-    # the bracket, or is more than half the move before it (near a pole of D,
-    # where u_m = 0, Newton crawls away from the pole), becomes a bisection.
+    # phase 2: Newton from the edge with the shorter step, on the half grid
+    # and then on the full grid. The two grids' levels differ by up to about
+    # 1.5e-9, which can put the full grid's outside the half grid's bracket:
+    # the full grid keeps the caller's, cut at E by its own count.
     E, step = (lo, step_lo) if abs(step_lo) <= abs(step_hi) else (hi, step_hi)
-    moved = INFINITE
-    while not converged(lo, hi):
-        if abs(step) <= _LEVEL_TOL * max(eps, abs(E)):
-            return OracleEnergy(source="numerov", value=E + step, n=node_target, l=U.l, sweeps=sweeps)
-        trial = E + step
-        if not (lo < trial < hi and abs(step) <= 0.5 * moved):
-            trial = 0.5 * (lo + hi)
-        moved, E = abs(trial - E), trial
-        n, step = shoot(E)
-        if n <= node_target:
-            lo = E
-        else:
-            hi = E
-    value = 0.5 * (lo + hi)
+    E = newton(E, step, lo, hi, half, _SEARCH_TOL)
+    n, step = shoot(E, full)
+    lo, hi = (E, e_hi) if n <= node_target else (e_lo, E)
+    value = newton(E, step, lo, hi, full, _LEVEL_TOL)
     return OracleEnergy(source="numerov", value=value, n=node_target, l=U.l, sweeps=sweeps)

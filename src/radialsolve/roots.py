@@ -28,6 +28,8 @@ def brentq(
     b: float,
     xtol: float = 0.0,
     rtol: float = 0.0,
+    fa: float | None = None,
+    fb: float | None = None,
 ) -> tuple[float, int]:
     """Root of f on the bracket [a, b] (either order); returns (x, iterations).
 
@@ -37,8 +39,13 @@ def brentq(
     ulps of x and at the least subnormal. ``iterations`` counts the
     evaluations of f after the two end points; ConvergenceError carries the
     last iterate when ``_MAX_ITER`` of them do not reach the tolerance.
+    ``fa`` and ``fb``, when given, are taken as f(a) and f(b), which are then
+    not evaluated again.
     """
-    fa, fb = f(a), f(b)
+    if fa is None:
+        fa = f(a)
+    if fb is None:
+        fb = f(b)
     if fa == 0.0:
         return a, 0
     if fb == 0.0:

@@ -72,11 +72,13 @@ def _flank_turning_points(U: EffectivePotential, E: float, g: Callable[[float], 
     single well, as a convex U does.
     """
     scale, wall = U.length_scale, U.wall
+    # g is evaluated once per march point; Brent is handed the values it holds
     if U.l == 0 and (U.coulomb > 0 or E > U.offset):
         # U(0+) = V(0+), -inf under a Coulomb term and c otherwise, lies below
         # E: the allowed region reaches down to r = 0
         r1, r_in = 0.0, scale * 1e-9
-        if g(r_in) >= 0:
+        g_in = g(r_in)
+        if g_in >= 0:
             raise NoClassicalRegionError(f"E={E} not above the potential near r=0")
     elif U.l == 0 or U.minimum is None:
         raise NoClassicalRegionError(f"no classically allowed region found for E={E}")
@@ -86,30 +88,33 @@ def _flank_turning_points(U: EffectivePotential, E: float, g: Callable[[float], 
             raise NoClassicalRegionError(f"E={E} at or below the minimum U={u_min}")
         # a minimum on the hard wall: step just inside it
         r_in = r_min if r_min < wall else wall * (1.0 - 1e-12)
-        if g(r_in) >= 0:
+        g_in = g(r_in)
+        if g_in >= 0:
             raise NoClassicalRegionError(f"E={E} not above the potential at r={r_in}")
         # halve toward r = 0 until U > E: with l >= 1 the centrifugal term
         # rises without bound, so only r^2 underflowing to 0 ends the march
-        lo = r_in
-        while g(lo) < 0:
+        lo, g_lo, g_hi = r_in, g_in, None
+        while g_lo < 0:
             lo *= 0.5
             if lo * lo == 0.0:
                 raise NoClassicalRegionError("inner turning point not found above r=0")
-        r1 = brentq(g, lo, 2.0 * lo)[0]
+            g_lo, g_hi = g(lo), g_lo
+        r1 = brentq(g, lo, 2.0 * lo, fa=g_lo, fb=g_hi)[0]
 
     # outer flank: hard wall caps r2, otherwise double outward until U > E
     if wall < INFINITE:
         if g(wall * (1.0 - 1e-12)) < 0:
             r2 = wall
         else:
-            r2 = brentq(g, r_in, wall)[0]
+            r2 = brentq(g, r_in, wall, fa=g_in)[0]
     else:
-        hi = r_in
-        while g(hi) < 0:
+        hi, g_hi, g_lo = r_in, g_in, None
+        while g_hi < 0:
             hi *= 2.0
             if hi == INFINITE:
                 raise NoClassicalRegionError("no outer turning point (U stays below E)")
-        r2 = brentq(g, 0.5 * hi, hi)[0]
+            g_lo, g_hi = g_hi, g(hi)
+        r2 = brentq(g, 0.5 * hi, hi, fa=g_lo, fb=g_hi)[0]
 
     return TurningPoints(r1=r1, r2=r2, energy=E, method="numeric")
 

@@ -1,6 +1,6 @@
 """Shared fixtures."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -40,3 +40,50 @@ def u_count(monkeypatch) -> UCount:
     monkeypatch.setattr(quadrature, "eval_effective", counted_scalar)
     monkeypatch.setattr(quadrature, "eval_effective_array", counted_array)
     return count
+
+
+@dataclass
+class Sweep:
+    """One ``_matched_sweep`` call: its grid length, lowest 1 + x/12 and result."""
+
+    points: int
+    lowest_w: float
+    nodes: int
+    D: float
+    S: float
+
+
+@dataclass
+class SweepLog:
+    """Sweeps made by ``radialsolve.oracles``, and the radii of its last U
+    evaluation: a level's full grid without r_N, whose sweeps have that length."""
+
+    sweeps: list = field(default_factory=list)
+    radii: np.ndarray | None = None
+
+    def clear(self) -> None:
+        self.sweeps.clear()
+        self.radii = None
+
+
+@pytest.fixture
+def sweep_log(monkeypatch) -> SweepLog:
+    """Records each ``_matched_sweep`` call and the grid that
+    ``eval_effective_array`` was last called on by ``radialsolve.oracles``."""
+    import radialsolve.oracles as oracles
+
+    log = SweepLog()
+    sweep, array = oracles._matched_sweep, oracles.eval_effective_array
+
+    def logged_sweep(x, y0):
+        result = sweep(x, y0)
+        log.sweeps.append(Sweep(len(x), 1.0 + float(x.min()) / 12.0, *result))
+        return result
+
+    def logged_array(U, r):
+        log.radii = r
+        return array(U, r)
+
+    monkeypatch.setattr(oracles, "_matched_sweep", logged_sweep)
+    monkeypatch.setattr(oracles, "eval_effective_array", logged_array)
+    return log

@@ -6,7 +6,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from radialsolve import oracles
@@ -178,23 +178,28 @@ class TestNumerov:
         res = numerov_bound_state(U, 1, (1.0, 6.0))
         assert res.value == pytest.approx(3.5, rel=1e-4)
 
-    @pytest.mark.parametrize("nodes", [0, 1])
-    def test_ho_l3(self, nodes, monkeypatch):
+    @pytest.mark.parametrize(
+        "spec, l, nodes",
+        [(IsotropicHO(omega=1.0), 3, 0), (IsotropicHO(omega=1.0), 3, 1), (IsotropicHO(omega=1.0), 15, 1)]
+        + [(InfiniteSphericalWell(L=L), 3, 1) for L in (1e-3, 1.0, 2000.0)],
+    )
+    def test_ho_l3(self, spec, l, nodes, sweep_log):
         # the r_min rule keeps w = 1 + h^2 f / 12 >= 1/2 against the
         # centrifugal term, so u = w y has the sign of y on the whole grid and
-        # negative ratios count the nodes of y
-        sweep, lowest_w = oracles._matched_sweep, []
-
-        def watched(x, y0):
-            lowest_w.append(1.0 + float(x.min()) / 12.0)
-            return sweep(x, y0)
-
-        monkeypatch.setattr(oracles, "_matched_sweep", watched)
-        U = EffectivePotential(IsotropicHO(omega=1.0), l=3)
-        exact = 2 * nodes + 4.5
-        res = numerov_bound_state(U, nodes, (exact - 0.9, exact + 0.9))
-        assert res.value == pytest.approx(exact, rel=1e-4)
-        assert len(lowest_w) == res.sweeps and min(lowest_w) >= 0.5
+        # negative ratios count the nodes of y; the half grid starts where
+        # this holds at step 2h and, like the full grid, ends on the wall
+        U = EffectivePotential(spec, l=l)
+        if isinstance(spec, IsotropicHO):
+            exact = ho_oracle_energy(nodes, l, spec.omega).value
+            bracket = (exact - 0.9, exact + 0.9)
+        else:
+            exact = well_oracle_energy(spec.L, l, nodes + 1).value
+            bracket = (0.8 * exact, 1.2 * exact)
+        res = numerov_bound_state(U, nodes, bracket)
+        assert res.value == pytest.approx(exact, rel=1e-8)
+        assert len(sweep_log.sweeps) == res.sweeps
+        assert {s.points for s in sweep_log.sweeps} != {len(sweep_log.radii)}
+        assert min(s.lowest_w for s in sweep_log.sweeps) >= 0.5
 
     @pytest.mark.parametrize("l", range(16))
     @pytest.mark.parametrize("nodes", [0, 2])
@@ -396,7 +401,9 @@ class TestNumerov:
             numerov_bound_state(U, 0, bracket)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(
+    derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(
     family=st.sampled_from(["ho", "well"]),
     size=st.floats(0.5, 2.0),
@@ -405,11 +412,15 @@ class TestNumerov:
     below=st.floats(0.0, 1.0),
     above=st.floats(0.0, 1.0),
 )
-def test_numerov_levels_match_the_closed_forms(family, size, l, nodes, below, above):
+def test_numerov_levels_match_the_closed_forms(family, size, l, nodes, below, above, sweep_log):
     # omega or L from [0.5, 2], and each half-width of the bracket drawn as the
     # benchmark's oracle workload draws it: omega * [0.3, 1.5] for the
     # oscillator, [0.5, 3] / L^2 for the well. Over 12,000 such draws a level
-    # took at most 12 sweeps (Illinois on u(r_max) / max|u| took up to 21)
+    # took at most 11 sweeps of both grids (12 with every sweep on the full
+    # grid; Illinois on u(r_max) / max|u| took up to 21). The search on the
+    # half grid lands E in the full grid's Newton basin, so the full grid is
+    # swept at most twice, and its last step meets the stop rule
+    sweep_log.clear()
     if family == "ho":
         U = EffectivePotential(IsotropicHO(omega=size), l=l)
         exact, rel = ho_oracle_energy(nodes, l, size).value, 1e-8
@@ -421,6 +432,13 @@ def test_numerov_levels_match_the_closed_forms(family, size, l, nodes, below, ab
     res = numerov_bound_state(U, nodes, (lo, hi))
     assert abs(res.value - exact) <= rel * exact
     assert res.sweeps <= 12
+    full = len(sweep_log.radii)
+    assert sum(s.points == full for s in sweep_log.sweeps) <= 2
+    last = sweep_log.sweeps[-1]
+    assert last.points == full
+    h = float(sweep_log.radii[1] - sweep_log.radii[0])
+    step = last.D / (2.0 * U.units.mass / U.units.hbar**2 * h * h * last.S)
+    assert abs(step) <= 1e-10 * max(U.energy_scale, abs(res.value - step))
 
 
 @pytest.mark.parametrize(

@@ -58,6 +58,23 @@ class TestBrentq:
         x, _ = brentq(lambda x: math.inf if x >= 1.0 else x - 0.3, 0.1, 1.0, rtol=1e-13)
         assert x == pytest.approx(0.3, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [(lambda x: x * x - 2.0, 0.0, 2.0), (lambda x: math.cos(x) - x, 1.0, 0.0), (lambda x: x - 1.0, 1.0, 3.0)],
+    )
+    def test_known_end_values_are_not_evaluated_again(self, f, a, b):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        plain = brentq(counted, a, b, rtol=1e-15)
+        evaluated = len(calls)
+        calls.clear()
+        assert brentq(counted, a, b, rtol=1e-15, fa=f(a), fb=f(b)) == plain
+        assert len(calls) == evaluated - 2 and a not in calls and b not in calls
+
     @pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: math.nan])
     def test_non_bracketing_interval(self, f):
         with pytest.raises(DomainError, match="does not bracket"):

@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -180,6 +181,19 @@ class TestParabolicStates:
         normalize(wf)
         assert (built, u_count.array_calls - built, len(energies)) == (5, 6, 9)
         assert len(set(energies)) == len(energies)
+
+    def test_golden_state_flank_solves_evaluate_each_point_once(self, monkeypatch):
+        # the march hands Brent both end values of each flank's bracket, and
+        # g(r_in) is evaluated once; evaluating them again took 232 g calls
+        tp_module = sys.modules["radialsolve.turning_points"]
+        calls, flank = [], tp_module._flank_turning_points
+
+        def counted(U, E, g):
+            return flank(U, E, lambda r: calls.append(r) or g(r))
+
+        monkeypatch.setattr(tp_module, "_flank_turning_points", counted)
+        build_bound_state(_parabolic(1), 2, "antisymmetric")
+        assert len(calls) == 178
 
     def test_sampling_is_one_array_call(self, u_count):
         wf, _ = build_bound_state(_parabolic(1), 2, "antisymmetric")
