@@ -261,10 +261,7 @@ def cmd_oracle(args) -> None:
     if args.oracle_kind == "well":
         vals = [well_oracle_energy(args.L, args.l, n, units) for n in parse_n_range(args.n)]
     elif args.oracle_kind == "ho":
-        vals = [
-            ho_oracle_energy(n, args.l, args.omega, units, indexing=args.indexing)
-            for n in parse_n_range(args.n)
-        ]
+        vals = [ho_oracle_energy(n, args.l, args.omega, units) for n in parse_n_range(args.n)]
     else:  # numerov
         spec = parse_potential(args.potential)
         U = EffectivePotential(spec, l=args.l, units=units)
@@ -333,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--omega", type=float, default=1.0)
     q.add_argument("--l", type=int, default=0)
     q.add_argument("--n", default="1")
-    q.add_argument("--indexing", choices=("from_zero", "from_one"), default="from_zero")
     common(q)
     q.set_defaults(subparser=q, func=cmd_oracle)
     q = osub.add_parser("numerov")

@@ -13,22 +13,12 @@ class NoClassicalRegionError(RadialSolveError):
     """E = U(r) has no pair of distinct roots (energy at or below the minimum)."""
 
 
-class AmbiguousRootsError(RadialSolveError):
-    """More than two turning points bracket the chosen minimum."""
-
-    def __init__(self, roots):
-        self.roots = list(roots)
-        super().__init__(f"ambiguous turning points, found roots {self.roots}")
-
-
 class ComplexPhaseError(RadialSolveError):
-    """U(r) < 0 somewhere on the integration path of the phase integral."""
+    """U < 0 on the integration path of the phase integral; carries where U is least."""
 
-    def __init__(self, lo, hi):
-        self.interval = (lo, hi)
-        super().__init__(
-            f"effective potential negative on [{lo:.6g}, {hi:.6g}]; phase would be complex"
-        )
+    def __init__(self, radius, value):
+        self.radius, self.value = radius, value
+        super().__init__(f"effective potential U({radius:.6g}) = {value:.6g} < 0; phase would be complex")
 
 
 class IntegrationError(RadialSolveError):

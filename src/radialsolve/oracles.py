@@ -111,33 +111,16 @@ def well_oracle_energy(L: float, l: int, n: int, units: UnitSystem = NATURAL) ->
     return OracleEnergy(source="bessel_well", value=value, n=n, l=l)
 
 
-def ho_oracle_energy(
-    n_index: int,
-    l: int,
-    omega: float,
-    units: UnitSystem = NATURAL,
-    indexing: str = "from_zero",
-) -> OracleEnergy:
-    """(2n + l + 3/2) hbar omega, with n counted from 0 or from 1."""
+def ho_oracle_energy(n: int, l: int, omega: float, units: UnitSystem = NATURAL) -> OracleEnergy:
+    """(2n + l + 3/2) hbar omega, n >= 0."""
     if not 0 < omega < INFINITE:
         raise DomainError(f"omega must be finite and positive, got {omega}")
     if l < 0:
         raise DomainError(f"l must be >= 0, got {l}")
-    n = _radial_index(n_index, indexing)
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
     value = _normal((2 * n + l + 1.5) * units.hbar * omega, "oscillator level", f"omega={omega!r}")
-    return OracleEnergy(source="analytic_ho", value=value, n=n_index, l=l)
-
-
-def _radial_index(n_index: int, indexing: str) -> int:
-    if indexing == "from_zero":
-        if n_index < 0:
-            raise DomainError(f"n must be >= 0 for from_zero, got {n_index}")
-        return n_index
-    if indexing == "from_one":
-        if n_index < 1:
-            raise DomainError(f"n must be >= 1 for from_one, got {n_index}")
-        return n_index
-    raise DomainError(f"unknown indexing {indexing!r}")
+    return OracleEnergy(source="analytic_ho", value=value, n=n, l=l)
 
 
 def ho_so_oracle_energy(
@@ -148,11 +131,10 @@ def ho_so_oracle_energy(
     c0: float,
     omega: float,
     units: UnitSystem = NATURAL,
-    indexing: str = "from_zero",
 ) -> OracleEnergy:
     """First-order perturbed oscillator ladder with the spin-orbit shift."""
     validate_jls(j, l, s)
-    base = ho_oracle_energy(n_index, l, omega, units, indexing).value
+    base = ho_oracle_energy(n_index, l, omega, units).value
     hw = units.hbar * omega
     shift = (c0 / (2.0 * hw)) * (j * (j + 1) - l * (l + 1) - s * (s + 1)) * hw
     return OracleEnergy(source="perturbed_ho_so", value=base - shift, n=n_index, l=l, j=j)
@@ -278,10 +260,10 @@ def numerov_bound_state(
     with c = (240 * 1e-10)^(1/4) ~ 0.0124 rad (``_PHASE_PER_STEP``) keeps
     that below 1e-10, where k_top = sqrt(2 m (e_hi - min U)) / hbar is the
     largest wavenumber at the bracket's upper edge (min U over a 512-point
-    sample). The full grid has at least 512 points, and
-    r_min = max(1e-6 scale, h sqrt(l (l + 1) / 6)), where the centrifugal
-    term leaves 1 + x/12 >= 1/2. Truncating the decay tail shifts a level
-    by at most about 1e-8.
+    sample). The grid has at least 512 points from 1e-6 scale to r_N. The
+    full grid starts at its first point r >= h sqrt(l (l + 1) / 6), where
+    the centrifugal term leaves 1 + x/12 >= 1/2, as the half grid does at
+    step 2h. Truncating the decay tail shifts a level by at most about 1e-8.
     """
     import numpy as np
 
@@ -323,11 +305,12 @@ def numerov_bound_state(
             f"a step of {_PHASE_PER_STEP:.3g} / k_top needs {span:.3g} points, "
             f"above the cap of {MAX_GRID_POINTS}"
         )
-    # the grid step only shrinks below this as r_min rises towards r_max
-    h_top = (r_max - r_min) / max(span, _MIN_POINTS - 1)
-    r_min = max(r_min, h_top * math.sqrt(U.l * (U.l + 1) / 6.0))
     r = np.linspace(r_min, r_max, max(int(span) + 1, _MIN_POINTS))
     h = float(r[1] - r[0])
+    # the full grid starts at the first point where the centrifugal term
+    # leaves 1 + x/12 >= 1/2 at step h, the half grid (below) at step 2h
+    barrier = math.sqrt(U.l * (U.l + 1) / 6.0)
+    r = r[int(np.searchsorted(r, h * barrier)):]
     # r_N = r_max carries u_N = 0 and is left out
     u_vals = eval_effective_array(U, r[:-1])
     if np.any(u_vals == INFINITE):
@@ -343,7 +326,7 @@ def numerov_bound_state(
     # the search's half grid: every other point back from r_N, from the first
     # where the centrifugal term leaves 1 + x/12 >= 1/2 at step 2h
     last = len(r) - 1
-    start = int(np.searchsorted(r, 2.0 * h * math.sqrt(U.l * (U.l + 1) / 6.0)))
+    start = int(np.searchsorted(r, 2.0 * h * barrier))
     start += (last - start) % 2
     # (k, k U on the grid, F_0 / F_1), with y_1 = 1 so that no power of a tiny r
     # underflows; x on the half grid is 4 times x on the full grid

@@ -269,6 +269,19 @@ class EffectivePotential:
     def __call__(self, r: float) -> float:
         return eval_effective(self, r)
 
+    def least(self, lo: float, hi: float) -> tuple[float, float]:
+        """(r, U(r)) where U is least on [lo, hi], 0 < lo <= hi, with no sampling.
+
+        U is monotone on each side of ``minimum`` (everywhere without one),
+        so this is ``minimum`` where its radius lies in [lo, hi], and the
+        lower of U(lo) and U(hi) otherwise. A minimum on a hard wall is
+        the limit of U from inside.
+        """
+        if self.minimum is not None and lo <= self.minimum[0] <= hi:
+            return self.minimum
+        u_lo, u_hi = eval_effective(self, lo), eval_effective(self, hi)
+        return (lo, u_lo) if u_lo <= u_hi else (hi, u_hi)
+
 
 def _normal(value: float, what: str, cause: object) -> float:
     """``value`` if it is a normal float; DomainError naming ``what`` and ``cause`` otherwise."""
@@ -335,7 +348,9 @@ def _minimum(U: EffectivePotential) -> tuple[float, float] | None:
     if U.l == 0:
         return (0.0, c) if a or b else None
     if k > 0:
-        r_min, u_min = 2.0 * coeff / k, -k * k / (4.0 * coeff)
+        # (k / (4 coeff)) k only where k * k overflows: the same bits elsewhere
+        kk = k * k
+        r_min, u_min = 2.0 * coeff / k, -kk / (4.0 * coeff) if kk < INFINITE else -(k / (4.0 * coeff)) * k
     elif b > 0:
         # U'(r) = 2 a r + b - 2 coeff / r^3 is strictly increasing
         def dU(r):

@@ -38,8 +38,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_PANELS = 1 << 16
-#: even points of [lo, hi], both ends included, where ``_check_nonnegative`` evaluates U
-_NONNEGATIVE_SAMPLES = 257
 #: relative tolerance of ``phase_Q``'s numeric integral and of a state's phase table
 _PHASE_TOL = 1e-10
 
@@ -204,7 +202,6 @@ class PhaseResult:
 
     value: float
     method: str  # "closed_form" | "numeric"
-    lower_limit: float
     estimated_error: float
 
 
@@ -220,7 +217,7 @@ def area_S(U: EffectivePotential, tp: TurningPoints, method: str = "auto") -> Ph
     r1, r2 = tp.r1, tp.r2
     if method != "numeric":
         try:
-            return PhaseResult(_area_closed_form(U, r1, r2), "closed_form", r1, 0.0)
+            return PhaseResult(_area_closed_form(U, r1, r2), "closed_form", 0.0)
         except OverflowError:
             if method == "closed_form":
                 raise DomainError(f"closed-form area overflows on [{r1!r}, {r2!r}] for {U.spec}") from None
@@ -228,7 +225,7 @@ def area_S(U: EffectivePotential, tp: TurningPoints, method: str = "auto") -> Ph
         raise IntegrationError("integrand of S is non-integrable at r = 0")
     lo = r1 if r1 > 0 else 0.0
     val, err = adaptive_integral(lambda r: eval_effective(U, r), lo, r2, tol=1e-10)
-    return PhaseResult(val, "numeric", r1, err)
+    return PhaseResult(val, "numeric", err)
 
 
 def _area_closed_form(U: EffectivePotential, r1: float, r2: float) -> float:
@@ -257,18 +254,10 @@ def _area_closed_form(U: EffectivePotential, r1: float, r2: float) -> float:
 
 
 def _check_nonnegative(U: EffectivePotential, lo: float, hi: float) -> None:
-    """Raise ComplexPhaseError if U < 0 at any of ``_NONNEGATIVE_SAMPLES`` even points of [lo, hi]."""
-    import numpy as np
-
-    if hi <= lo:
-        lo, hi = hi, lo
-    step = (hi - lo) / (_NONNEGATIVE_SAMPLES - 1)
-    r = lo + np.arange(_NONNEGATIVE_SAMPLES) * step
-    negative = np.flatnonzero(eval_effective_array(U, r) < 0.0)
-    if negative.size:
-        i = int(negative[0])
-        prev = float(r[i - 1]) if i > 0 else lo
-        raise ComplexPhaseError(prev, min(float(r[i]) + step, hi))
+    """Raise ComplexPhaseError, naming where U is least, if U < 0 anywhere between lo and hi."""
+    r, u = U.least(min(lo, hi), max(lo, hi))
+    if u < 0.0:
+        raise ComplexPhaseError(r, u)
 
 
 def _closed_phase(U: EffectivePotential, r_ref: float) -> Callable[[float], float] | None:
@@ -279,7 +268,8 @@ def _closed_phase(U: EffectivePotential, r_ref: float) -> Callable[[float], floa
     b / r^2 is left, and Q is a logarithm. Otherwise F is the oscillator
     antiderivative of sqrt(a r^2 + b / r^2 - C), C = -offset: via u = r^2
     the integrand is sqrt(P(u)) / (2u) with P = a u^2 - C u + b, and F is one
-    half of the standard decomposition (for b = 0, that of sqrt(a r^2 - C)).
+    half of the standard decomposition (for b = 0, that is l = 0, j = s and
+    C = 0: r sqrt(a r^2) / 2).
     Every constant, F(r_ref) included, is computed here once. Q(r) raises
     ValueError where P <= 0, where u = r^2 underflows to 0, or where a
     square root or logarithm leaves its domain, which for 4ab > C^2 only
@@ -298,11 +288,7 @@ def _closed_phase(U: EffectivePotential, r_ref: float) -> Callable[[float], floa
     c_half = C / (2.0 * root_a)
 
     def F_l0(r: float) -> float:
-        sq = math.sqrt(a * r * r - C)
-        total = 0.5 * r * sq
-        if C != 0.0:
-            total -= c_half * math.log(root_a * r + sq)
-        return total
+        return 0.5 * r * math.sqrt(a * r * r)
 
     def F_centrifugal(r: float) -> float:
         uu = r * r
@@ -337,18 +323,18 @@ def phase_Q(
         raise DomainError(f"radii must be positive, got r={r}, r_ref={r_ref}")
     _check_nonnegative(U, r_ref, r)
     if r == r_ref:
-        return PhaseResult(0.0, "closed_form", r_ref, 0.0)
+        return PhaseResult(0.0, "closed_form", 0.0)
     if method != "numeric":
         closed = _closed_phase(U, r_ref)
         if closed is not None:
             try:
-                return PhaseResult(closed(r), "closed_form", r_ref, 0.0)
+                return PhaseResult(closed(r), "closed_form", 0.0)
             except ValueError:
                 pass
         if method == "closed_form":
             raise DomainError(f"no closed-form phase for {type(U.spec).__name__}")
     val, err = adaptive_integral_many(_phase_integrand(U), r_ref, r, tol=_PHASE_TOL)
-    return PhaseResult(val, "numeric", r_ref, err)
+    return PhaseResult(val, "numeric", err)
 
 
 def _root_u(U: EffectivePotential, r: np.ndarray) -> np.ndarray:

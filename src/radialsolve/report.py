@@ -108,7 +108,7 @@ def _table_ho(units: UnitSystem) -> list[ComparisonRow]:
     unit = units.hbar * omega
     rows = []
     for n, l in _WELL_HO_STATES:
-        oracle = ho_oracle_energy(n, l, omega, units, indexing="from_one").value
+        oracle = ho_oracle_energy(n, l, omega, units).value
         method = closed_form_energy(EffectivePotential(IsotropicHO(omega), l=l, units=units), General(n))
         rows.append(ComparisonRow(_label(n, l), oracle / unit, method / unit))
     return rows
@@ -121,7 +121,7 @@ def _table_ho_so(units: UnitSystem) -> list[ComparisonRow]:
     c0 = _SO_C0_IN_HBAR_OMEGA * unit
     rows = []
     for l, j in _SO_STATES:
-        oracle = ho_so_oracle_energy(0, l, j, s, c0, omega, units, indexing="from_zero").value
+        oracle = ho_so_oracle_energy(0, l, j, s, c0, omega, units).value
         U = EffectivePotential(HOSpinOrbit(omega, j, s, c0), l=l, units=units)
         method = closed_form_energy(U, General(1))
         half = "5/2" if j == 2.5 else "7/2" if j == 3.5 else "9/2"

@@ -6,9 +6,9 @@ Coulomb, oscillator and hard-well cases are one non-cancelling quadratic,
 the parabolic well with l = 0 another closed form. With l >= 1 the parabolic
 U is strictly convex, so Brent's method on the two flanks of ``U.minimum``
 finds its only two roots. The free particle has no outer turning point.
-``solve_turning_points`` runs the same flank solves for any single well,
-then samples the interval for extra roots, and serves as the cross-check of
-the closed forms.
+``solve_turning_points`` runs the same flank solves for every catalog U,
+which has at most two roots, and serves as the cross-check of the closed
+forms.
 """
 
 from __future__ import annotations
@@ -17,12 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import AmbiguousRootsError, DomainError, NoClassicalRegionError
-from .potentials import INFINITE, EffectivePotential, eval_effective, eval_effective_array
+from .errors import DomainError, NoClassicalRegionError
+from .potentials import INFINITE, EffectivePotential, eval_effective
 from .roots import brentq
-
-#: interior points of [r1, r2] that ``_check_single_well`` samples for extra roots
-_SINGLE_WELL_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -52,15 +49,8 @@ class TurningPoints:
 
 
 def solve_turning_points(U: EffectivePotential, E: float) -> TurningPoints:
-    """Generic numeric solution of E = U(r) around the potential-well minimum.
-
-    Solves both flanks (``_flank_turning_points``), then verifies that no
-    further roots intrude on the bracketed interval (AmbiguousRootsError
-    otherwise).
-    """
-    tp = _flank_turning_points(U, E, lambda r: eval_effective(U, r) - E)
-    _check_single_well(U, tp)
-    return tp
+    """Generic numeric solution of E = U(r): the flank solves of ``_flank_turning_points``."""
+    return _flank_turning_points(U, E, lambda r: eval_effective(U, r) - E)
 
 
 def _flank_turning_points(U: EffectivePotential, E: float, g: Callable[[float], float]) -> TurningPoints:
@@ -68,8 +58,8 @@ def _flank_turning_points(U: EffectivePotential, E: float, g: Callable[[float], 
 
     Marches geometrically from the minimum toward the centrifugal
     singularity and outward until U exceeds E, then solves each flank with
-    Brent's method to a few ulps. These are the only roots when U has a
-    single well, as a convex U does.
+    Brent's method to a few ulps. U is monotone on each side of its minimum,
+    so these are its only roots.
     """
     scale, wall = U.length_scale, U.wall
     # g is evaluated once per march point; Brent is handed the values it holds
@@ -117,18 +107,6 @@ def _flank_turning_points(U: EffectivePotential, E: float, g: Callable[[float], 
         r2 = brentq(g, 0.5 * hi, hi, fa=g_lo, fb=g_hi)[0]
 
     return TurningPoints(r1=r1, r2=r2, energy=E, method="numeric")
-
-
-def _check_single_well(U: EffectivePotential, tp: TurningPoints) -> None:
-    import numpy as np
-
-    lo = tp.r1 if tp.r1 > 0 else tp.r2 * 1e-9
-    rs = np.linspace(lo, tp.r2, _SINGLE_WELL_SAMPLES + 2)[1:-1]
-    vals = eval_effective_array(U, rs) - tp.energy
-    sign_changes = np.flatnonzero(np.diff(np.sign(vals)) != 0)
-    if sign_changes.size:
-        roots = [float(rs[i]) for i in sign_changes]
-        raise AmbiguousRootsError([tp.r1, *roots, tp.r2])
 
 
 def _quadratic_roots(A: float, B: float, C: float) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, NotNormalizableError
-from .potentials import EffectivePotential, eval_effective_array
+from .potentials import EffectivePotential
 from .quadrature import Phase, adaptive_integral, adaptive_integral_many, make_phase
 from .spectrum import Antisymmetric, EnergyLevel, Symmetric, branch_theta, self_consistent_energy
 from .turning_points import TurningPoints
@@ -144,21 +144,15 @@ def delta_model_wavefunction(k: float, r0: float, r: float) -> float:
 def evanescent_eval(U: EffectivePotential, E: float, r: float, r_ref: float) -> float:
     """Decaying envelope exp(-m1 * integral sqrt(U - E)) in a forbidden region.
 
-    The path from r_ref to r must satisfy E < U throughout; the decaying
-    branch is taken toward increasing r (growing toward decreasing r).
+    The path from r_ref to r must satisfy E < U throughout, or DomainError
+    names the radius where U is least; the decaying branch is taken toward
+    increasing r (growing toward decreasing r).
     """
-    import numpy as np
-
     if not r > 0 or not r_ref > 0:
         raise DomainError(f"radii must be positive, got r={r}, r_ref={r_ref}")
-    lo, hi = min(r, r_ref), max(r, r_ref)
-    samples = 129
-    x = lo + (hi - lo) * np.arange(samples) / (samples - 1)
-    allowed = np.flatnonzero(E >= eval_effective_array(U, x))
-    if allowed.size:
-        raise DomainError(
-            f"E >= U at r = {float(x[allowed[0]]):.6g}: classically allowed; use eval_radial"
-        )
+    r_least, u_least = U.least(min(r, r_ref), max(r, r_ref))
+    if E >= u_least:
+        raise DomainError(f"E >= U at r = {r_least:.6g}: classically allowed; use eval_radial")
     if r == r_ref:
         return 1.0
     m1 = U.units.m1
@@ -198,7 +192,8 @@ def free_particle_radial(fp: FreeParticleWave, r: float) -> complex | float:
 
 def boundary_residuals(wf: RadialWaveFunction) -> tuple[float, float]:
     """|F| at both turning points; ~0 for quantized (n, parity)."""
-    at_r1 = abs(wf.amplitude * wf.carrier(wf.tp.r1) * math.exp(-wf.phase(_support_anchor(wf.tp))))
+    # Q(r_ref) = 0 at the support's anchor
+    at_r1 = abs(wf.amplitude * wf.carrier(wf.tp.r1))
     at_r2 = abs(wf.amplitude * wf.carrier(wf.tp.r2) * math.exp(-wf.phase(wf.tp.r2)))
     return at_r1, at_r2
 

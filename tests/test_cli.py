@@ -130,8 +130,7 @@ def oracle_argvs(draw):
     if kind == "well":
         return ["oracle", kind, f"--L={draw(values)}", *tail, *n]
     if kind == "ho":
-        indexing = draw(st.sampled_from(["from_zero", "from_one"]))
-        return ["oracle", kind, f"--omega={draw(values)}", *tail, *n, "--indexing", indexing]
+        return ["oracle", kind, f"--omega={draw(values)}", *tail, *n]
     catalog = {**FAMILIES, "free": ()}
     family = draw(st.sampled_from(sorted(catalog)))
     params = ",".join(f"{key}={draw(values)}" for key in catalog[family])
@@ -459,3 +458,24 @@ def test_verbs_without_arrays_never_import_numpy(argv):
 @pytest.mark.parametrize("argv", ARRAY_VERBS, ids=lambda a: " ".join(a[:3]))
 def test_array_verbs_load_numpy_on_first_use(argv):
     assert _probe(argv) == (False, 0, True)
+
+
+# library calls that read U's shape from its coefficients and need no arrays
+LIBRARY_CALLS = [
+    "phase_Q(EffectivePotential(IsotropicHO(omega=1.0), l=1), 2.0, 1.0)",
+    "phase_Q(EffectivePotential(InfiniteSphericalWell(L=1.0), l=2), 0.9, 0.5)",
+    "evanescent_eval(EffectivePotential(IsotropicHO(omega=1.0), l=1), 1.5, 3.0, 2.0)",
+    "solve_turning_points(EffectivePotential(IsotropicHO(omega=1.0), l=1), 3.0)",
+    "solve_turning_points(EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=1), 6.0)",
+]
+
+
+@pytest.mark.parametrize("call", LIBRARY_CALLS)
+def test_library_calls_without_arrays_never_import_numpy(call):
+    probe = f"import sys\nfrom radialsolve import *\n{call}\nprint('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60, check=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.stdout.split() == ["False"]

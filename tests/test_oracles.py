@@ -112,13 +112,9 @@ class TestAnalyticLadders:
     def test_ho_indexing(self):
         assert ho_oracle_energy(0, 0, 1.0).value == pytest.approx(1.5)
         assert ho_oracle_energy(1, 2, 1.0).value == pytest.approx(5.5)
-        assert ho_oracle_energy(1, 0, 1.0, indexing="from_one").value == pytest.approx(3.5)
-        with pytest.raises(DomainError):
-            ho_oracle_energy(0, 0, 1.0, indexing="from_one")
+        assert ho_oracle_energy(1, 0, 1.0).value == pytest.approx(3.5)
         with pytest.raises(DomainError):
             ho_oracle_energy(-1, 0, 1.0)
-        with pytest.raises(DomainError):
-            ho_oracle_energy(0, 0, 1.0, indexing="matrix")
 
     def test_ho_so_reduces_to_ho_at_zero_coupling(self):
         plain = ho_oracle_energy(1, 2, 1.0).value
@@ -184,7 +180,7 @@ class TestNumerov:
         + [(InfiniteSphericalWell(L=L), 3, 1) for L in (1e-3, 1.0, 2000.0)],
     )
     def test_ho_l3(self, spec, l, nodes, sweep_log):
-        # the r_min rule keeps w = 1 + h^2 f / 12 >= 1/2 against the
+        # the start rule keeps w = 1 + h^2 f / 12 >= 1/2 against the
         # centrifugal term, so u = w y has the sign of y on the whole grid and
         # negative ratios count the nodes of y; the half grid starts where
         # this holds at step 2h and, like the full grid, ends on the wall
@@ -200,6 +196,15 @@ class TestNumerov:
         assert len(sweep_log.sweeps) == res.sweeps
         assert {s.points for s in sweep_log.sweeps} != {len(sweep_log.radii)}
         assert min(s.lowest_w for s in sweep_log.sweeps) >= 0.5
+
+    def test_full_grid_starts_at_its_own_step(self, sweep_log):
+        # a start at h' sqrt(l (l + 1) / 6), with h' a little below the grid's
+        # own step h, leaves 1 + x/12 = 0.4996 at the first point here
+        U = EffectivePotential(IsotropicHO(omega=0.8242), l=1)
+        res = numerov_bound_state(U, 0, (0.9901114600000003, 3.2615242400000004))
+        assert res.value == pytest.approx(2.5 * 0.8242, rel=1e-8)
+        full = [s for s in sweep_log.sweeps if s.points == len(sweep_log.radii)]
+        assert full and min(s.lowest_w for s in full) >= 0.5
 
     @pytest.mark.parametrize("l", range(16))
     @pytest.mark.parametrize("nodes", [0, 2])
@@ -432,6 +437,7 @@ def test_numerov_levels_match_the_closed_forms(family, size, l, nodes, below, ab
     res = numerov_bound_state(U, nodes, (lo, hi))
     assert abs(res.value - exact) <= rel * exact
     assert res.sweeps <= 12
+    assert min(s.lowest_w for s in sweep_log.sweeps) >= 0.5
     full = len(sweep_log.radii)
     assert sum(s.points == full for s in sweep_log.sweeps) <= 2
     last = sweep_log.sweeps[-1]

@@ -532,3 +532,45 @@ class TestUnknownSpec:
         # not a catalog class: no family fills the coefficients, so U must not pass for free
         with pytest.raises(DomainError, match=f"unknown potential spec {re.escape(repr(spec))}"):
             EffectivePotential(spec, l=1)
+
+
+def _rounding_of_u(U, r: float) -> float:
+    """8 ulps of the largest term of U at r: the rounding one evaluation of U can carry."""
+    terms = (U.quadratic * r * r, U.linear * r, abs(U.offset), U.coulomb / r, U.centrifugal_coeff / (r * r))
+    return 8.0 * sys.float_info.epsilon * max(terms)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_least_u_lies_at_or_below_a_fine_scan(family, data):
+    # half the spans hold r_min (the wall, for the well with l >= 1); the
+    # others reach from 1e-3 to about 1e3 length scales, past any wall
+    U = data.draw(catalog_potentials(family))
+    if U.minimum is not None and U.minimum[0] > 0 and data.draw(st.booleans()):
+        lo = U.minimum[0] * data.draw(st.floats(0.05, 1.0))
+        hi = U.minimum[0] * data.draw(st.floats(1.0, 20.0))
+    else:
+        lo = U.length_scale * 10.0 ** data.draw(st.floats(-3.0, 1.5))
+        hi = lo * data.draw(st.floats(1.0, 30.0))
+    r, u = U.least(lo, hi)
+    assert lo <= r <= hi
+    if U.minimum is not None and r == U.minimum[0]:
+        # the closed forms of u_min round differently from U itself
+        assert u == U.minimum[1]
+        if r < U.wall:
+            assert abs(u - eval_effective(U, r)) <= _rounding_of_u(U, r), (U, lo, hi)
+    else:
+        assert u == eval_effective(U, r)
+    # the reference: 10,001 even points of the span, both ends included
+    xs = np.linspace(lo, hi, 10_001)
+    scan = eval_effective_array(U, xs)
+    i = int(np.argmin(scan))
+    assert u <= scan[i] + _rounding_of_u(U, float(xs[i])), (U, lo, hi, r, u, float(xs[i]), float(scan[i]))
+
+
+def test_hydrogen_minimum_where_k_squared_overflows():
+    # k = 1e160: k * k overflows, while u_min = -k^2 / (4 coeff) = -2.5e299 does not
+    U = EffectivePotential(HydrogenLike(Z=1, e_charge=1e80), l=1, units=UnitSystem(hbar=1e10, mass=1.0))
+    assert U.minimum == pytest.approx((2e-140, -2.5e299), rel=1e-15)
+    assert U.least(1e-140, 4e-140) == U.minimum

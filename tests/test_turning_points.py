@@ -430,3 +430,17 @@ def test_an_oscillator_root_whose_square_overflows_is_returned(omega, E):
     tp = turning_points(U, E)
     for x, ref in zip((tp.r1, tp.r2), _decimal_roots(U, E)):
         assert abs(x - ref) <= 4 * math.ulp(ref), (x, ref)
+
+
+@pytest.mark.parametrize("spec", [IsotropicHO(omega=1.0), Parabolic(a=1.0, b=1.0, c=1.0), HydrogenLike(Z=1)])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_generic_solve_just_above_the_minimum(spec, l):
+    # U has at most two roots, so the flank solves are the whole answer even
+    # one ulp above u_min, near a double root, where the rounding noise of
+    # U - E changes sign more than twice (HO omega=1, l=1: E = 1.4142135623730954)
+    U = EffectivePotential(spec, l=l)
+    _, u_min = U.minimum
+    for E in [math.nextafter(u_min, math.inf)] + [u_min + k * 1e-15 * abs(u_min) for k in range(1, 21)]:
+        closed, numeric = turning_points(U, E), solve_turning_points(U, E)
+        assert numeric.r1 == pytest.approx(closed.r1, rel=2e-8), E
+        assert numeric.r2 == pytest.approx(closed.r2, rel=2e-8), E

@@ -170,7 +170,8 @@ class TestParabolicStates:
 
     def test_golden_state_call_counts(self, u_count, monkeypatch):
         # one U call per split of a quadrature panel, and one turning-point
-        # solve per energy, the level's reused by the state
+        # solve per energy, the level's reused by the state; the check that U
+        # stays non-negative on the support reads U.least and makes no array call
         import radialsolve.spectrum as spectrum
 
         energies = []
@@ -179,7 +180,7 @@ class TestParabolicStates:
         wf, _ = build_bound_state(_parabolic(1), 2, "antisymmetric")
         built = u_count.array_calls
         normalize(wf)
-        assert (built, u_count.array_calls - built, len(energies)) == (5, 6, 9)
+        assert (built, u_count.array_calls - built, len(energies)) == (4, 6, 9)
         assert len(set(energies)) == len(energies)
 
     def test_golden_state_flank_solves_evaluate_each_point_once(self, monkeypatch):
@@ -315,10 +316,18 @@ class TestEvanescent:
         with pytest.raises(DomainError):
             evanescent_eval(U, 10.0, 1.0, 0.5)
 
-    def test_reports_first_allowed_sample(self):
-        # E = 1.5 lies above U = r^2/2 + 1/r^2 on (1, sqrt 2); of the 129 even
-        # samples of [0.5, 3], 0.5 + 65/128 is the first one inside
-        with pytest.raises(DomainError, match=r"E >= U at r = 1\.00781: classically allowed"):
+    def test_rejects_an_allowed_region_between_samples(self):
+        # E = u_min (1 + 1e-7) lies above U only on a 7e-4 wide interval
+        # around r_min = 3^(1/4), narrower than the step of a 129-point grid
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=2)
+        r_min, u_min = U.minimum
+        with pytest.raises(DomainError, match=f"E >= U at r = {r_min:.6g}: classically allowed"):
+            evanescent_eval(U, u_min * (1.0 + 1e-7), 3.0, 0.5)
+
+    def test_reports_where_u_is_least(self):
+        # E = 1.5 lies above U = r^2/2 + 1/r^2 on (1, sqrt 2); U is least,
+        # sqrt 2, at r = 2^(1/4) = 1.18921
+        with pytest.raises(DomainError, match=r"E >= U at r = 1\.18921: classically allowed"):
             evanescent_eval(HO1, 1.5, 3.0, 0.5)
 
 
