@@ -150,6 +150,16 @@ def _units_for(args) -> "UnitSystem":
     return UNIT_PRESETS[name]
 
 
+def _effective_potential(args) -> EffectivePotential:
+    """U from --potential, --l and the units, in the verbs' error order."""
+    units = _units_for(args)
+    spec = parse_potential(args.potential)
+    # wavefunction's --samples: a usage error that outranks the domain errors of U
+    if getattr(args, "samples", 0) < 0:
+        raise UsageError(f"--samples must be non-negative, got {args.samples}")
+    return EffectivePotential(spec, l=args.l, units=units)
+
+
 def _emit(data: bytes, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "wb") as fh:
@@ -200,9 +210,7 @@ def cmd_tables(args) -> None:
 
 
 def cmd_spectrum(args) -> None:
-    units = _units_for(args)
-    spec = parse_potential(args.potential)
-    U = EffectivePotential(spec, l=args.l, units=units)
+    U = _effective_potential(args)
     rows = []
     for n in parse_n_range(args.n):
         branch = parse_branch(args.branch, n)
@@ -215,15 +223,12 @@ def cmd_spectrum(args) -> None:
                 method_secondary=level.d_at_solution,
             )
         )
-    meta = {"potential": args.potential, "l": args.l, "units": units.label}
+    meta = {"potential": args.potential, "l": args.l, "units": U.units.label}
     _emit(render(rows, args.format, meta=meta), args.out)
 
 
 def cmd_turning_points(args) -> None:
-    units = _units_for(args)
-    spec = parse_potential(args.potential)
-    U = EffectivePotential(spec, l=args.l, units=units)
-    tp = turning_points(U, args.energy)
+    tp = turning_points(_effective_potential(args), args.energy)
     text = (
         f"r1={tp.r1!r}\nr2={tp.r2!r}\nr0={tp.r0!r}\nd={tp.d!r}\n"
         f"energy={tp.energy!r}\nmethod={tp.method}\n"
@@ -232,11 +237,7 @@ def cmd_turning_points(args) -> None:
 
 
 def cmd_wavefunction(args) -> None:
-    units = _units_for(args)
-    spec = parse_potential(args.potential)
-    if args.samples < 0:
-        raise UsageError(f"--samples must be non-negative, got {args.samples}")
-    U = EffectivePotential(spec, l=args.l, units=units)
+    U = _effective_potential(args)
     wf, level = build_bound_state(U, args.n, args.parity)
     wf = normalize(wf)
     grid = sample_grid(wf.tp.r1 if wf.tp.r1 > 0 else wf.tp.r2 * 1e-6, wf.tp.r2, args.samples)
@@ -247,7 +248,7 @@ def cmd_wavefunction(args) -> None:
         "n": args.n,
         "parity": args.parity,
         "energy": level.value,
-        "units": units.label,
+        "units": U.units.label,
     }
     _emit(render_samples(samples, args.format, meta=meta), args.out)
 
@@ -263,10 +264,8 @@ def cmd_oracle(args) -> None:
     elif args.oracle_kind == "ho":
         vals = [ho_oracle_energy(n, args.l, args.omega, units) for n in parse_n_range(args.n)]
     else:  # numerov
-        spec = parse_potential(args.potential)
-        U = EffectivePotential(spec, l=args.l, units=units)
-        bracket = parse_bracket(args.bracket)
-        vals = [numerov_bound_state(U, args.nodes, bracket)]
+        U = _effective_potential(args)
+        vals = [numerov_bound_state(U, args.nodes, parse_bracket(args.bracket))]
     lines = [f"{v.source} n={v.n} l={v.l} E={v.value!r}" for v in vals]
     _emit(("\n".join(lines) + "\n").encode(), args.out)
 

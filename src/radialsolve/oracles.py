@@ -39,7 +39,6 @@ class OracleEnergy:
     value: float
     n: int
     l: int
-    j: Optional[float] = None
     sweeps: Optional[int] = None  # Numerov integrations spent; None for closed forms
 
 
@@ -137,7 +136,7 @@ def ho_so_oracle_energy(
     base = ho_oracle_energy(n_index, l, omega, units).value
     hw = units.hbar * omega
     shift = (c0 / (2.0 * hw)) * (j * (j + 1) - l * (l + 1) - s * (s + 1)) * hw
-    return OracleEnergy(source="perturbed_ho_so", value=base - shift, n=n_index, l=l, j=j)
+    return OracleEnergy(source="perturbed_ho_so", value=base - shift, n=n_index, l=l)
 
 
 def bohr_energy(

@@ -335,6 +335,13 @@ def eval_effective_array(U: EffectivePotential, r: np.ndarray) -> np.ndarray:
     return np.where(rr == 0.0, v if coeff == 0.0 else INFINITE, u)
 
 
+def _coulomb_level(k: float, g: float, coeff: float) -> float:
+    """-k^2 / (g + 4 coeff): the Coulomb level with E d^2 = -g, and the least U at g = 0."""
+    kk = k * k
+    # (k / (g + 4 coeff)) k only where k * k overflows: the same bits elsewhere
+    return -kk / (g + 4.0 * coeff) if kk < INFINITE else -(k / (g + 4.0 * coeff)) * k
+
+
 def _minimum(U: EffectivePotential) -> tuple[float, float] | None:
     """(r_min, u_min) of U from its coefficients, or None without a finite minimum.
 
@@ -348,9 +355,7 @@ def _minimum(U: EffectivePotential) -> tuple[float, float] | None:
     if U.l == 0:
         return (0.0, c) if a or b else None
     if k > 0:
-        # (k / (4 coeff)) k only where k * k overflows: the same bits elsewhere
-        kk = k * k
-        r_min, u_min = 2.0 * coeff / k, -kk / (4.0 * coeff) if kk < INFINITE else -(k / (4.0 * coeff)) * k
+        r_min, u_min = 2.0 * coeff / k, _coulomb_level(k, 0.0, coeff)
     elif b > 0:
         # U'(r) = 2 a r + b - 2 coeff / r^3 is strictly increasing
         def dU(r):

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .errors import DomainError
@@ -30,7 +30,9 @@ from .potentials import (
 )
 from .oracles import bessel_zero, bohr_energy, ho_oracle_energy, ho_so_oracle_energy
 from .spectrum import General, Ground, branch_g, closed_form_energy, self_consistent_energy
-from .wavefunctions import SamplePoint
+
+if TYPE_CHECKING:
+    from .wavefunctions import SamplePoint
 
 TABLE_IDS = ("part2_table1", "part2_table2", "part2_table3", "hydrogen")
 
@@ -199,32 +201,9 @@ def _render_csv(rows: Sequence[ComparisonRow]) -> bytes:
 def _render_json(rows: Sequence[ComparisonRow], meta: Optional[dict]) -> bytes:
     payload = {
         "meta": {"version": __version__, **(meta or {})},
-        "rows": [
-            {
-                "state": r.state_label,
-                "oracle": r.oracle,
-                "method_primary": r.method_primary,
-                "method_secondary": r.method_secondary,
-                "abs_dev": r.abs_dev,
-                "rel_dev": r.rel_dev,
-            }
-            for r in rows
-        ],
+        "rows": [dict(zip(_COLUMNS, _row_values(r))) for r in rows],
     }
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
-
-
-def rows_from_json(data: bytes) -> list[ComparisonRow]:
-    payload = json.loads(data.decode())
-    return [
-        ComparisonRow(
-            state_label=item["state"],
-            oracle=item["oracle"],
-            method_primary=item["method_primary"],
-            method_secondary=item["method_secondary"],
-        )
-        for item in payload["rows"]
-    ]
 
 
 def render_samples(
@@ -264,20 +243,3 @@ def render_samples(
         return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
     raise DomainError(f"unknown format {format!r}")
 
-
-def samples_from_csv(data: bytes) -> list[SamplePoint]:
-    lines = data.decode().strip().split("\n")
-    header = lines[0].split(",")
-    flagged = "inner_forbidden" in header
-    out = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if flagged:
-            out.append(
-                SamplePoint(
-                    float(cells[0]), float(cells[1]), float(cells[2]), cells[3] == "1"
-                )
-            )
-        else:
-            out.append(SamplePoint(float(cells[0]), float(cells[1])))
-    return out

@@ -24,9 +24,9 @@ from .potentials import (
     INFINITE,
     NATURAL,
     EffectivePotential,
-    HOSpinOrbit,
     HydrogenLike,
     UnitSystem,
+    _coulomb_level,
 )
 from .roots import brentq
 from .turning_points import TurningPoints, turning_points
@@ -65,11 +65,8 @@ EnergyBranch = Union[Ground, Symmetric, Antisymmetric, General]
 class EnergyLevel:
     """A solved level E with the turning points at E, from the solve itself."""
 
-    branch: EnergyBranch
-    l: int
     value: float
     turning_points: TurningPoints
-    j: Optional[float] = None
     iterations: int = 0
 
     @property
@@ -140,7 +137,7 @@ def closed_form_energy(U: EffectivePotential, branch: EnergyBranch) -> Optional[
     g = branch_g(branch, U.units)
     a, c, k, coeff = U.quadratic, U.offset, U.coulomb, U.centrifugal_coeff
     if k > 0:
-        return -k * k / (g + 4.0 * coeff)
+        return _coulomb_level(k, g, coeff)
     if U.linear > 0:
         return None
     if a > 0:
@@ -179,7 +176,6 @@ def self_consistent_energy(
     costs one turning-point solve, and the level keeps the one at its E.
     """
     g, eps = branch_g(branch, U.units), U.energy_scale
-    j = U.spec.j if isinstance(U.spec, HOSpinOrbit) else None
     floor = None if U.minimum is None else U.minimum[1]
     t_cap = None
     if signed:
@@ -234,4 +230,4 @@ def self_consistent_energy(
             raise ConvergenceError(
                 f"fixed point not converged: residual {residual}", last_iterate=E, iterations=iterations
             )
-    return EnergyLevel(branch=branch, l=U.l, j=j, value=E, turning_points=tp, iterations=iterations)
+    return EnergyLevel(value=E, turning_points=tp, iterations=iterations)

@@ -26,6 +26,11 @@ from .turning_points import TurningPoints
 _WAVES = {"symmetric": math.cos, "antisymmetric": math.sin}
 
 
+def _check_parity(parity: str) -> None:
+    if parity not in _WAVES:
+        raise DomainError(f"parity must be symmetric or antisymmetric, got {parity}")
+
+
 @dataclass(frozen=True)
 class RadialWaveFunction:
     """A single bound state of a hard-well-like effective potential."""
@@ -34,15 +39,11 @@ class RadialWaveFunction:
     tp: TurningPoints
     K: float
     parity: str  # "symmetric" | "antisymmetric"
-    n: int
     phase: Phase
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.parity not in ("symmetric", "antisymmetric"):
-            raise DomainError(f"parity must be symmetric or antisymmetric, got {self.parity}")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
+        _check_parity(self.parity)
         if self.amplitude < 0:
             raise DomainError("amplitude must be non-negative")
 
@@ -90,17 +91,18 @@ def build_bound_state(
     zeros hold to machine precision; the solved energy keeps K = m1 sqrt(E)
     consistent to the solver tolerance.
     """
+    _check_parity(parity)
     branch = Symmetric(n) if parity == "symmetric" else Antisymmetric(n)
     level = self_consistent_energy(U, branch)
     tp = level.turning_points
     K = branch_theta(branch) / tp.d
-    wf = RadialWaveFunction(potential=U, tp=tp, K=K, parity=parity, n=n, phase=_support_phase(U, tp))
+    wf = RadialWaveFunction(potential=U, tp=tp, K=K, parity=parity, phase=_support_phase(U, tp))
     return wf, level
 
 
-def detuned_state(U: EffectivePotential, tp: TurningPoints, K: float, parity: str, n: int = 1) -> RadialWaveFunction:
+def detuned_state(U: EffectivePotential, tp: TurningPoints, K: float, parity: str) -> RadialWaveFunction:
     """A deliberately unquantized carrier, for boundary-residual checks."""
-    return RadialWaveFunction(potential=U, tp=tp, K=K, parity=parity, n=n, phase=_support_phase(U, tp))
+    return RadialWaveFunction(potential=U, tp=tp, K=K, parity=parity, phase=_support_phase(U, tp))
 
 
 def _support_anchor(tp: TurningPoints) -> float:
@@ -115,10 +117,7 @@ def _support_phase(U: EffectivePotential, tp: TurningPoints) -> Phase:
 
 def eval_radial(wf: RadialWaveFunction, r: float) -> float:
     """R(r) = F(r) / r; zero outside the supported interval."""
-    if not r > 0:
-        raise DomainError(f"r must be positive, got {r}")
-    F = wf.radial_F(r)
-    return F / r
+    return wf.radial_F(r) / r
 
 
 def normalize(wf: RadialWaveFunction) -> RadialWaveFunction:
@@ -126,9 +125,15 @@ def normalize(wf: RadialWaveFunction) -> RadialWaveFunction:
     if isinstance(wf, FreeParticleWave):
         raise NotNormalizableError("free-particle amplitude is indefinite")
     base = replace(wf, amplitude=1.0)
+    # s times the integral of F(s x)^2 over [r_ref / s, r2 / s]: a power of 2 near the
+    # length scale rescales exactly and puts the integral near 1, where the loop's
+    # stopping floor tol * max(1, |I|) is relative at any scale
+    s = 2.0 ** min(round(math.log2(wf.potential.length_scale)), 1023)
     norm_sq, _ = adaptive_integral_many(
-        lambda rs: [F ** 2 for F in base.radial_F_many(rs)], _support_anchor(wf.tp), wf.tp.r2, tol=1e-10
+        lambda xs: [F ** 2 for F in base.radial_F_many([s * x for x in xs])],
+        _support_anchor(wf.tp) / s, wf.tp.r2 / s, tol=1e-10,
     )
+    norm_sq *= s
     if not norm_sq > 0 or not math.isfinite(norm_sq):
         raise NotNormalizableError(f"norm integral {norm_sq} is not positive and finite")
     return replace(wf, amplitude=1.0 / math.sqrt(norm_sq))
@@ -220,14 +225,8 @@ def sample_wavefunction(
         if not r > prev:
             raise DomainError("grid must be strictly increasing and positive")
         prev = r
-    out: list[SamplePoint] = []
     if isinstance(wf, FreeParticleWave):
         r1 = math.sqrt(wf.l * (wf.l + 1)) / wf.K
-        for r in grid:
-            val = free_particle_radial(wf, r)
-            if isinstance(val, complex):
-                out.append(SamplePoint(r, val.real, val.imag, r < r1))
-            else:
-                out.append(SamplePoint(r, float(val), 0.0, r < r1))
-        return out
+        values = [complex(free_particle_radial(wf, r)) for r in grid]
+        return [SamplePoint(r, v.real, v.imag, r < r1) for r, v in zip(grid, values)]
     return [SamplePoint(r, F / r) for r, F in zip(grid, wf.radial_F_many(grid))]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radialsolve.errors import ComplexPhaseError, DomainError, IntegrationError
@@ -456,6 +456,20 @@ def closed_potentials(draw) -> EffectivePotential:
     return EffectivePotential(spec, l=l, units=units)
 
 
+def _touching(units, omega: float, l: int) -> EffectivePotential:
+    return EffectivePotential(_touching_hoso(omega, l, units), l=l, units=units)
+
+
+#: touching HOSOs whose rounded u_min falls below 0 (phase_Q raises
+#: ComplexPhaseError across r_min) and above it, in both presets
+TOUCHING_BELOW = (_touching(NATURAL, 0.1276660399120457, 3), _touching(EV_NM, 4.908710220335503, 3))
+TOUCHING_ABOVE = (_touching(NATURAL, 0.001995262314968879, 3), _touching(EV_NM, 0.001174897554939529, 3))
+
+
+def test_touching_examples_round_to_both_sides_of_zero():
+    assert [U.minimum[1] < 0.0 for U in TOUCHING_BELOW + TOUCHING_ABOVE] == [True, True, False, False]
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     U=closed_potentials(),
@@ -463,6 +477,11 @@ def closed_potentials(draw) -> EffectivePotential:
     span=st.floats(1.0, 4.0),
     fractions=st.lists(st.floats(0.1, 8.0), min_size=1, max_size=8),
 )
+# each span holds r_min
+@example(U=TOUCHING_BELOW[0], lo_scale=1.5, span=2.0, fractions=[1.9, 4.0])
+@example(U=TOUCHING_BELOW[1], lo_scale=1.5, span=2.0, fractions=[1.9, 4.0])
+@example(U=TOUCHING_ABOVE[0], lo_scale=0.5, span=2.0, fractions=[5.6, 8.0])
+@example(U=TOUCHING_ABOVE[1], lo_scale=0.5, span=2.0, fractions=[5.6, 8.0])
 def test_closed_phase_matches_the_pointwise_formula(U, lo_scale, span, fractions):
     lo = lo_scale * U.length_scale
     rs = [lo, *(lo * f for f in fractions)]  # inside and outside [lo, lo * span]

@@ -1,5 +1,6 @@
 """Tests for table reproduction, serialization, and the command-line tool."""
 
+import json
 import math
 import pathlib
 
@@ -22,8 +23,6 @@ from radialsolve.report import (
     render,
     render_samples,
     reproduce_table,
-    rows_from_json,
-    samples_from_csv,
 )
 from radialsolve.spectrum import General, Ground, closed_form_energy
 from radialsolve.wavefunctions import SamplePoint
@@ -108,7 +107,7 @@ class TestRendering:
     def test_json_round_trip_bit_identical(self):
         rows = [ComparisonRow("1s", 1.5, 1.49, None)]
         blob = render(rows, "json", meta={"table": "t"})
-        again = render(rows_from_json(blob), "json", meta={"table": "t"})
+        again = render(rows_read_back(blob), "json", meta={"table": "t"})
         assert again == blob
 
     def test_deterministic_rendering(self):
@@ -396,6 +395,24 @@ ROW = st.builds(
 )
 
 
+def rows_read_back(blob: bytes) -> list[ComparisonRow]:
+    """The rows of a rendered JSON table, parsed with ``json.loads``."""
+    return [
+        ComparisonRow(r["state"], r["oracle"], r["method_primary"], r["method_secondary"])
+        for r in json.loads(blob)["rows"]
+    ]
+
+
+def samples_read_back(blob: bytes) -> list[SamplePoint]:
+    """The samples of a rendered CSV, parsed with ``float``."""
+    header, *lines = blob.decode().splitlines()
+    cells = [line.split(",") for line in lines]
+    if header == "r,value":
+        return [SamplePoint(float(r), float(v)) for r, v in cells]
+    assert header == "r,value,imag,inner_forbidden"
+    return [SamplePoint(float(r), float(v), float(i), flag == "1") for r, v, i, flag in cells]
+
+
 def sample_bits(samples) -> list[str]:
     """repr of every field: equal lists mean equal floats with equal signs of zero."""
     return [repr(v) for p in samples for v in (p.r, p.value, p.imag, p.in_inner_forbidden)]
@@ -408,7 +425,7 @@ def row_bits(rows) -> list[str]:
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(samples=st.lists(PLAIN, max_size=6) | st.lists(FLAGGED, min_size=1, max_size=6))
 def test_samples_round_trip_through_csv(samples):
-    again = samples_from_csv(render_samples(samples, "csv"))
+    again = samples_read_back(render_samples(samples, "csv"))
     assert again == samples
     assert sample_bits(again) == sample_bits(samples)
 
@@ -416,5 +433,5 @@ def test_samples_round_trip_through_csv(samples):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(rows=st.lists(ROW, max_size=6))
 def test_rows_round_trip_through_json(rows):
-    again = rows_from_json(render(rows, "json", meta={"table": "t"}))
+    again = rows_read_back(render(rows, "json", meta={"table": "t"}))
     assert row_bits(again) == row_bits(rows)

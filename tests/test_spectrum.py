@@ -219,6 +219,14 @@ class TestHydrogen:
         closed = closed_form_energy(U, Ground())
         assert abs(level.value - closed) <= 1e-6 * abs(closed)
 
+    def test_closed_form_is_finite_where_k_squared_overflows(self):
+        # k = 1e160: k * k overflows, the level -k^2 / (g + 4 coeff) does not
+        U = EffectivePotential(HydrogenLike(Z=1, e_charge=1e80), l=1, units=UnitSystem(hbar=1e10, mass=1.0))
+        closed = closed_form_energy(U, Ground())
+        solved = self_consistent_energy(U, Ground(), signed=True).value
+        assert math.isfinite(closed)
+        assert abs(closed - solved) <= 1e-12 * abs(solved)
+
 
 def well_level(l, n, L=1.0):
     return closed_form_energy(EffectivePotential(InfiniteSphericalWell(L=L), l=l), General(n))

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radialsolve.errors import DomainError, NotNormalizableError
@@ -17,9 +17,10 @@ from radialsolve.potentials import (
     InfiniteSphericalWell,
     IsotropicHO,
     Parabolic,
+    UnitSystem,
 )
 from radialsolve.quadrature import _adaptive_panels, _gk15, _phase_integrand, adaptive_integral, phase_Q
-from radialsolve.report import render_samples, samples_from_csv
+from radialsolve.report import render_samples
 from radialsolve.turning_points import TurningPoints, turning_points
 from radialsolve.wavefunctions import (
     FreeParticleWave,
@@ -92,6 +93,16 @@ class TestBoundStates:
         r = wf.tp.r0 * 1.05
         assert wf.carrier(r) == pytest.approx(math.cos(wf.K * (r - wf.tp.r0)), rel=1e-15)
 
+    def test_bad_parity_is_rejected_before_the_solve(self, monkeypatch):
+        import radialsolve.spectrum as spectrum
+
+        calls = []
+        solve = spectrum.turning_points
+        monkeypatch.setattr(spectrum, "turning_points", lambda U, E: calls.append(E) or solve(U, E))
+        with pytest.raises(DomainError, match="parity"):
+            build_bound_state(HO1, 1, "odd")
+        assert calls == []
+
     def test_energy_matches_carrier_wavenumber(self):
         # the solved branch energy satisfies K = m1 sqrt(E) to solver tolerance
         wf, level = build_bound_state(WELL, 2, "symmetric")
@@ -119,6 +130,36 @@ class TestNormalize:
         fp = FreeParticleWave(l=1, K=2.0, carrier="cos")
         with pytest.raises(NotNormalizableError):
             normalize(fp)
+
+
+#: (family, k, l) with length scale 10^k: the well L = 10^k, the oscillator
+#: omega = 1 with mass 10^(-2k). Oscillators with l >= 1 stop at 10^+-75,
+#: where the product b * P of the closed-form phase leaves the normal floats.
+SCALED_STATES = st.one_of(
+    st.tuples(st.just("well"), st.integers(-150, 150), st.integers(0, 2)),
+    st.tuples(st.just("ho"), st.integers(-150, 150), st.just(0)),
+    st.tuples(st.just("ho"), st.integers(-75, 75), st.integers(1, 2)),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(state=SCALED_STATES, n=st.integers(1, 3), parity=st.sampled_from(["symmetric", "antisymmetric"]))
+@example(state=("well", -60, 1), n=2, parity="symmetric")
+@example(state=("ho", 20, 2), n=1, parity="antisymmetric")
+def test_unit_norm_at_any_length_scale(state, n, parity):
+    # the norm integral scales with the support width, while the adaptive
+    # loop stops on tol * max(1, |I|): a small support must not end it early
+    family, k, l = state
+    if family == "well":
+        U = EffectivePotential(InfiniteSphericalWell(L=10.0**k), l=l)
+    else:
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=l, units=UnitSystem(mass=10.0 ** (-2 * k)))
+    wf = normalize(build_bound_state(U, n, parity)[0])
+    # fixed 200-point Gauss-Legendre rule, independent of the adaptive one
+    x, w = np.polynomial.legendre.leggauss(200)
+    half = 0.5 * wf.tp.d
+    F = np.array(wf.radial_F_many([float(wf.tp.r0 + half * t) for t in x]))
+    assert abs(half * float(np.sum(w * F * F)) - 1.0) <= 1e-9
 
 
 PARABOLIC_STATES = [
@@ -426,14 +467,17 @@ class TestSampling:
         grid = np.linspace(wf.tp.r1 + 1e-6, wf.tp.r2 * 1.2, 512)
         pts = sample_wavefunction(wf, [float(r) for r in grid])
         blob = render_samples(pts, format="csv")
-        again = render_samples(samples_from_csv(blob), format="csv")
+        cells = [line.split(",") for line in blob.decode().splitlines()[1:]]
+        again = render_samples([SamplePoint(float(r), float(v)) for r, v in cells], format="csv")
         assert again == blob
 
     def test_free_particle_csv_round_trip(self):
         fp = FreeParticleWave(l=2, K=1.5, carrier="exp_plus")
         pts = sample_wavefunction(fp, [0.5, 1.0, 2.0, 4.0])
-        blob = render_samples(pts, format="csv")
-        assert samples_from_csv(blob) == pts
+        header, *lines = render_samples(pts, format="csv").decode().splitlines()
+        assert header == "r,value,imag,inner_forbidden"
+        cells = [line.split(",") for line in lines]
+        assert [SamplePoint(float(r), float(v), float(i), flag == "1") for r, v, i, flag in cells] == pts
 
     def test_sample_point_is_immutable_and_hashable(self):
         p = SamplePoint(1.5, -0.25)
