@@ -309,10 +309,11 @@ def eval_effective(U: EffectivePotential, r: float) -> float:
 def eval_effective_array(U: EffectivePotential, r: np.ndarray) -> np.ndarray:
     """U on an array of radii, equal bit for bit to ``eval_effective`` at each point.
 
-    The expression is the scalar one, so numpy rounds every element exactly
-    as the scalar path does, the underflow of r * r included. Like the scalar
-    path it overflows to inf without a RuntimeWarning. ``r`` may have any
-    shape; every element must be finite and positive.
+    The expression is the scalar one less its zero terms, which change no
+    bit, so numpy rounds every element exactly as the scalar path does, the
+    underflow of r * r included. Like the scalar path it overflows to inf
+    without a RuntimeWarning. ``r`` may have any shape; every element must
+    be finite and positive.
     """
     import numpy as np
 
@@ -321,18 +322,32 @@ def eval_effective_array(U: EffectivePotential, r: np.ndarray) -> np.ndarray:
     r_min, r_max = (float(r.min()), float(r.max())) if r.size else (1.0, 1.0)
     if not 0 < r_min <= r_max < INFINITE:
         raise DomainError("r must be positive and finite")
-    coeff = U.centrifugal_coeff
+    a, b, c, k, coeff = U.quadratic, U.linear, U.offset, U.coulomb, U.centrifugal_coeff
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        v = U.quadratic * r * r + U.linear * r + U.offset - U.coulomb / r
+        # the scalar a r r + b r + c - k / r in place, without its zero terms:
+        # a, b and coeff are never negative, so every partial sum of either form
+        # is +0.0 where it is 0, and adding or subtracting a zero term changes
+        # no other float
+        v = a * r
+        v *= r
+        if b:
+            v += b * r
+        if c:
+            v += c
+        if k:
+            v -= k / r
         if U.wall < INFINITE:
             v = np.where(r < U.wall, v, INFINITE)
+        if not coeff:
+            # v + 0.0 / (r * r) is v, and the scalar path returns v where r * r is 0
+            return v
         rr = r * r
         # a wall stays INFINITE: inf plus the finite centrifugal term is inf
-        u = v + coeff / rr
+        v += coeff / rr
     if r_min * r_min >= sys.float_info.min:
-        return u
+        return v
     # r * r is subnormal or 0 somewhere: coeff / rr may overflow or divide by 0
-    return np.where(rr == 0.0, v if coeff == 0.0 else INFINITE, u)
+    return np.where(rr == 0.0, INFINITE, v)
 
 
 def _coulomb_level(k: float, g: float, coeff: float) -> float:

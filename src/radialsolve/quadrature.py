@@ -14,30 +14,33 @@ The integrand of the adaptive loop takes a list of nodes in one call: the
 an array integrand costs one numpy call per final panel.
 
 ``phase_Q`` integrates from r_ref on every call. ``make_phase`` is the fast
-path for a state: a closed form costs one plain-Python evaluation per
-radius; for a family without one it integrates the state's span once and
-keeps the final Gauss-Kronrod panels with prefix sums (the QK15 panel
+path for a state: a closed form evaluates a list of radii in one
+plain-Python loop; for a family without one it integrates the state's span
+once and keeps the final Gauss-Kronrod panels with prefix sums (the QK15 panel
 layout of QUADPACK, Piessens et al. 1983). A list of radii then costs one
 ``searchsorted`` over the panel edges, one ``eval_effective_array`` call on
-the 15 nodes of every radius and a K15 sum of whole-array steps that adds
-in the order of the scalar rule, so each value is bit for bit that rule's.
+the 15 nodes of every radius and a K15 sum of row adds in the order of
+the scalar rule, so each value is bit for bit that rule's.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ComplexPhaseError, DomainError, IntegrationError
-from .potentials import EffectivePotential, eval_effective, eval_effective_array
+from .potentials import INFINITE, EffectivePotential, eval_effective, eval_effective_array
 from .turning_points import TurningPoints
 
 if TYPE_CHECKING:
     import numpy as np
 
 MAX_PANELS = 1 << 16
+_NORMAL_MIN = sys.float_info.min
 #: relative tolerance of ``phase_Q``'s numeric integral and of a state's phase table
 _PHASE_TOL = 1e-10
 
@@ -76,18 +79,21 @@ BatchIntegrand = Callable[[list[float]], list[float]]
 
 
 def _k15(fx: Sequence[float], half: float) -> tuple[float, float]:
-    """K15 and |K15 - G7| from the values ``fx`` at the nodes ``mid + half * _NODES``."""
-    f0 = fx[14]
-    k15 = _WK[-1] * f0
-    g7 = _WG[-1] * f0
-    for i in range(7):
-        pair = fx[2 * i] + fx[2 * i + 1]
-        k15 = k15 + _WK[i] * pair
-        if i % 2 == 1:
-            g7 = g7 + _WG[i // 2] * pair
+    """K15 and |K15 - G7| from the 15 values ``fx`` at the nodes ``mid + half * _NODES``.
+
+    Unrolled: each sum adds, left to right, f(0) and then the node pairs
+    from the outermost in, the order every K15 of the package keeps.
+    """
+    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14 = fx
+    w0, w1, w2, w3, w4, w5, w6, w7 = _WK
+    g0, g1, g2, g3 = _WG
+    # the pairs at the Gauss nodes, which both rules read
+    p1, p3, p5 = f2 + f3, f6 + f7, f10 + f11
+    k15 = w7 * f14 + w0 * (f0 + f1) + w1 * p1 + w2 * (f4 + f5) + w3 * p3
+    k15 = k15 + w4 * (f8 + f9) + w5 * p5 + w6 * (f12 + f13)
+    g7 = g3 * f14 + g0 * p1 + g1 * p3 + g2 * p5
     k15 = k15 * half
-    g7 = g7 * half
-    return k15, abs(k15 - g7)
+    return k15, abs(k15 - g7 * half)
 
 
 def _rule_nodes(a: float, b: float) -> tuple[float, list[float]]:
@@ -144,16 +150,15 @@ def _adaptive_panels(
     particular order; together they tile [lo, hi].
     """
 
-    def _checked(fx: Sequence[float], half: float, a: float, b: float) -> tuple[float, float]:
-        v, e = _k15(fx, half)
+    def _check_finite(v: float, e: float, a: float, b: float) -> None:
         if not (math.isfinite(v) and math.isfinite(e)):
             raise IntegrationError(
                 f"integrand not finite on [{a!r}, {b!r}]", partial=None, error_estimate=None
             )
-        return v, e
 
     half, x = _rule_nodes(lo, hi)
-    val, err = _checked(f(x), half, lo, hi)
+    val, err = _k15(f(x), half)
+    _check_finite(val, err, lo, hi)
     counter = 0
     heap = [(-err, counter, lo, hi, val, err)]
     collapsed: list[tuple[float, float]] = []
@@ -180,11 +185,16 @@ def _adaptive_panels(
             total_err -= e
             collapsed.append((a, v))
             continue
-        half1, x1 = _rule_nodes(a, m)
-        half2, x2 = _rule_nodes(m, b)
-        fx = f(x1 + x2)
-        v1, e1 = _checked(fx[:15], half1, a, m)
-        v2, e2 = _checked(fx[15:], half2, m, b)
+        # the nodes of _rule_nodes(a, m) and then of _rule_nodes(m, b)
+        half1, half2 = 0.5 * (m - a), 0.5 * (b - m)
+        halves = ((0.5 * (a + m), half1), (0.5 * (m + b), half2))
+        fx = f([mid + half * x for mid, half in halves for x in _NODES])
+        v1, e1 = _k15(fx[:15], half1)
+        v2, e2 = _k15(fx[15:], half2)
+        # the sum is finite only where all four are
+        if not math.isfinite(v1 + e1 + v2 + e2):
+            _check_finite(v1, e1, a, m)
+            _check_finite(v2, e2, m, b)
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e
         counter += 1
@@ -260,54 +270,79 @@ def _check_nonnegative(U: EffectivePotential, lo: float, hi: float) -> None:
         raise ComplexPhaseError(r, u)
 
 
-def _closed_phase(U: EffectivePotential, r_ref: float) -> Callable[[float], float] | None:
+def _closed_phase(U: EffectivePotential, r_ref: float) -> Callable[[Sequence[float]], list[float]] | None:
     """Q(r) = m1 (F(r) - F(r_ref)) in closed form where V has no linear and no Coulomb term.
 
-    None for any other family, and where F(r_ref) does not exist. Without a
+    Returns the evaluator of a list of radii, one loop over the list, or
+    None for any other family and where F(r_ref) does not exist. Without a
     quadratic term (free particle, well interior) only the centrifugal term
     b / r^2 is left, and Q is a logarithm. Otherwise F is the oscillator
     antiderivative of sqrt(a r^2 + b / r^2 - C), C = -offset: via u = r^2
     the integrand is sqrt(P(u)) / (2u) with P = a u^2 - C u + b, and F is one
     half of the standard decomposition (for b = 0, that is l = 0, j = s and
-    C = 0: r sqrt(a r^2) / 2).
-    Every constant, F(r_ref) included, is computed here once. Q(r) raises
-    ValueError where P <= 0, where u = r^2 underflows to 0, or where a
+    C = 0: r sqrt(a r^2) / 2). With C = 0 its C terms are left out: each
+    would subtract 0.0 from a non-negative float, which changes no bit.
+    Every constant, F(r_ref) included, is computed here once. The evaluator
+    raises ValueError where P <= 0, where u = r^2 underflows to 0, or where a
     square root or logarithm leaves its domain, which for 4ab > C^2 only
-    rounding brings about.
+    rounding brings about, at any radius of its list.
     """
     if U.linear or U.coulomb:
         return None
     b, m1 = U.centrifugal_coeff, U.units.m1
+    sqrt, log = math.sqrt, math.log
     if not U.quadratic:
         if b == 0.0:
-            return lambda r: 0.0
-        m1_root_b = m1 * math.sqrt(b)
-        return lambda r: m1_root_b * math.log(r / r_ref)
+            return lambda rs: [0.0] * len(rs)
+        m1_root_b = m1 * sqrt(b)
+        return lambda rs: [m1_root_b * log(r / r_ref) for r in rs]
     a, C = U.quadratic, -U.offset
-    root_a, two_a, two_b, root_b = math.sqrt(a), 2.0 * a, 2.0 * b, math.sqrt(b)
+    root_a, two_a, two_b, root_b = sqrt(a), 2.0 * a, 2.0 * b, sqrt(b)
     c_half = C / (2.0 * root_a)
 
-    def F_l0(r: float) -> float:
-        return 0.5 * r * math.sqrt(a * r * r)
+    # sqrt(x) sqrt(P) in place of sqrt(x P) only where x P is not a normal
+    # float (l >= 1 oscillators beyond length scales of about 1e+-77): the
+    # same bits elsewhere. Each evaluator returns scale (F(r) - F_ref); scale
+    # 1 and F_ref 0 give F itself.
+    def q_l0(scale: float, F_ref: float, rs: Sequence[float]) -> list[float]:
+        return [scale * (0.5 * r * sqrt(a * r * r) - F_ref) for r in rs]
 
-    def F_centrifugal(r: float) -> float:
-        uu = r * r
-        P = (a * uu - C) * uu + b
-        if P <= 0 or uu == 0.0:
-            raise ValueError("P(u) <= 0 or r * r underflows")
-        total = math.sqrt(P)
-        if C != 0.0:
-            total -= c_half * math.log(2.0 * math.sqrt(a * P) + two_a * uu - C)
-        # b > 0 here: the centrifugal coefficient is never negative
-        arg = (2.0 * math.sqrt(b * P) + two_b - C * uu) / uu
-        return 0.5 * (total - root_b * math.log(arg))
+    def q_centrifugal(scale: float, F_ref: float, rs: Sequence[float]) -> list[float]:
+        q = []
+        for r in rs:
+            uu = r * r
+            if uu == 0.0:
+                raise ValueError("r * r underflows")
+            P = a * uu * uu + b  # at least b > 0
+            root_P = sqrt(P)
+            bP = b * P
+            root_bP = sqrt(bP) if _NORMAL_MIN <= bP < INFINITE else root_b * root_P
+            q.append(scale * (0.5 * (root_P - root_b * log((2.0 * root_bP + two_b) / uu)) - F_ref))
+        return q
 
-    F = F_l0 if b == 0.0 else F_centrifugal
+    def q_shifted(scale: float, F_ref: float, rs: Sequence[float]) -> list[float]:
+        q = []
+        for r in rs:
+            uu = r * r
+            P = (a * uu - C) * uu + b
+            if P <= 0 or uu == 0.0:
+                raise ValueError("P(u) <= 0 or r * r underflows")
+            root_P = sqrt(P)
+            aP, bP = a * P, b * P
+            root_aP = sqrt(aP) if _NORMAL_MIN <= aP < INFINITE else root_a * root_P
+            root_bP = sqrt(bP) if _NORMAL_MIN <= bP < INFINITE else root_b * root_P
+            total = root_P - c_half * log(2.0 * root_aP + two_a * uu - C)
+            # b > 0 here: the centrifugal coefficient is never negative
+            arg = (2.0 * root_bP + two_b - C * uu) / uu
+            q.append(scale * (0.5 * (total - root_b * log(arg)) - F_ref))
+        return q
+
+    q = q_l0 if b == 0.0 else q_centrifugal if C == 0.0 else q_shifted
     try:
-        F_ref = F(r_ref)
+        F_ref = q(1.0, 0.0, [r_ref])[0]
     except ValueError:
         return None
-    return lambda r: m1 * (F(r) - F_ref)
+    return functools.partial(q, m1, F_ref)
 
 
 def phase_Q(
@@ -328,7 +363,7 @@ def phase_Q(
         closed = _closed_phase(U, r_ref)
         if closed is not None:
             try:
-                return PhaseResult(closed(r), "closed_form", 0.0)
+                return PhaseResult(closed([r])[0], "closed_form", 0.0)
             except ValueError:
                 pass
         if method == "closed_form":
@@ -343,7 +378,10 @@ def _root_u(U: EffectivePotential, r: np.ndarray) -> np.ndarray:
 
     u = eval_effective_array(U, r)
     # clip tiny negative round-off at turning points
-    return U.units.m1 * np.sqrt(np.where(u > 0.0, u, 0.0))
+    u = np.where(u > 0.0, u, 0.0)
+    np.sqrt(u, out=u)
+    u *= U.units.m1
+    return u
 
 
 def _phase_integrand(U: EffectivePotential) -> BatchIntegrand:
@@ -366,8 +404,8 @@ def make_phase(U: EffectivePotential, lo: float, hi: float) -> Phase:
     """Fast evaluator for Q(r) anchored at Q(lo) = 0, built for r in [lo, hi].
 
     Closed-form families get the evaluator of ``_closed_phase``: the
-    antiderivative at lo and every constant are computed here, and each r
-    costs one evaluation in plain Python. Any other family gets a table:
+    antiderivative at lo and every constant are computed here, and a list of
+    radii costs one loop in plain Python. Any other family gets a table:
     [lo, hi] is integrated once by the adaptive loop of ``adaptive_integral``,
     and Q(r) is the prefix sum of the panels left of r plus one K15 rule from
     the edge of the panel holding r.
@@ -387,13 +425,13 @@ def make_phase(U: EffectivePotential, lo: float, hi: float) -> Phase:
 
         def many_closed(rs: Sequence[float]) -> list[float]:
             try:
-                return [closed(r) for r in rs]
+                return closed(rs)
             except ValueError:
                 pass
             q = []
             for r in rs:
                 try:
-                    q.append(closed(r))
+                    q += closed([r])
                 except ValueError:
                     q.append(q_reference(r))
             return q
@@ -408,18 +446,31 @@ def make_phase(U: EffectivePotential, lo: float, hi: float) -> Phase:
     edges = np.array([a for a, _ in panels])
     prefix = np.cumsum([0.0] + [v for _, v in panels[:-1]])
     nodes = np.array(_NODES)[:, np.newaxis]
-    # the weight of each row of [f0; pair 0; ...; pair 6], in _k15's order
-    weights = np.array(_WK[-1:] + _WK[:-1])[:, np.newaxis]
+    pair_weights = np.array(_WK[:-1])[:, np.newaxis]
 
     def q_table(r: np.ndarray) -> np.ndarray:
-        i = np.searchsorted(edges, r, side="right") - 1
+        i = np.searchsorted(edges, r, side="right")
+        i -= 1
         a = edges[i]
-        half = 0.5 * (r - a)
-        fx = _root_u(U, 0.5 * (a + r) + half * nodes)
-        terms = np.concatenate((fx[14:], fx[0:14:2] + fx[1:14:2])) * weights
-        # accumulate adds the rows one after another, as _k15 does
-        k15 = np.add.accumulate(terms, axis=0)[-1] * half
-        return np.where(r == a, prefix[i], prefix[i] + k15)
+        half = r - a
+        half *= 0.5
+        x = half * nodes
+        mid = a + r
+        mid *= 0.5
+        x += mid
+        fx = _root_u(U, x)
+        pairs = fx[0:14:2] + fx[1:14:2]
+        pairs *= pair_weights
+        # row adds in _k15's order: f(0), then the pairs from the outermost in;
+        # not a numpy sum over the rows, which adds the 8 terms of a lone
+        # radius pairwise
+        k15 = fx[14] * _WK[-1]
+        for row in pairs:
+            k15 += row
+        k15 *= half
+        q = prefix[i]
+        np.add(q, k15, out=q, where=r != a)
+        return q
 
     def many(rs: Sequence[float]) -> list[float]:
         r = np.array(rs, dtype=float)

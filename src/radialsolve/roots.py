@@ -50,25 +50,36 @@ def brentq(
         return a, 0
     if fb == 0.0:
         return b, 0
-    if math.isnan(fa) or math.isnan(fb) or (fa > 0) == (fb > 0):
+    if fa != fa or fb != fb or (fa > 0) == (fb > 0):  # x != x: x is nan
         raise DomainError(f"[{a!r}, {b!r}] does not bracket a root: f = {fa!r}, {fb!r}")
+    # Comparisons stand in for the abs, max and min calls of the textbook
+    # loop (kept in tests/test_roots.py as the reference): |x| is written
+    # x if x >= 0 else -x, which differs from abs(x) only in the sign of a
+    # zero, and each max or min keeps its first of equal or unordered (nan)
+    # arguments, as the builtins do, so every iterate keeps its bits. Rounding
+    # is monotone, so max(rtol |b|, 4 eps |b|) is max(rtol, 4 eps) |b|.
     # b is the best iterate, c the other end of the bracket, a the previous b
+    rel = rtol if rtol > 4.0 * _EPS else 4.0 * _EPS
     c, fc = a, fa
     step = prev_step = b - a
     for iteration in range(_MAX_ITER + 1):
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
             step = prev_step = b - a
-        if abs(fc) < abs(fb):
+        if (fc if fc >= 0 else -fc) < (fb if fb >= 0 else -fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = max(0.5 * max(xtol, rtol * abs(b), 4.0 * _EPS * abs(b)), _TINY)
+        # tol = max(0.5 * max(xtol, rtol |b|, 4 eps |b|), _TINY)
+        tol = rel * (b if b >= 0 else -b)
+        tol = 0.5 * (tol if tol > xtol else xtol)
+        if _TINY > tol:
+            tol = _TINY
         half = 0.5 * (c - b)
-        if abs(half) <= tol:
+        if -tol <= half <= tol:
             return b, iteration
         if iteration == _MAX_ITER:
             break
-        if abs(prev_step) >= tol and abs(fa) > abs(fb):
+        if (prev_step >= tol or prev_step <= -tol) and (fa if fa >= 0 else -fa) > (fb if fb >= 0 else -fb):
             s = fb / fa
             if a == c:  # secant
                 p, q = 2.0 * half * s, 1.0 - s
@@ -78,17 +89,25 @@ def brentq(
                 q = (q - 1.0) * (r - 1.0) * (s - 1.0)
             if p > 0:
                 q = -q
-            p = abs(p)
+            else:
+                p = -p
             # accept the step only if it stays well inside the bracket and
-            # shrinks faster than bisection would over two steps
-            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(prev_step * q)):
+            # shrinks faster than bisection would over two steps:
+            # 2 p < min(3 half q - |tol q|, |prev_step q|)
+            tol_q, prev_q = tol * q, prev_step * q
+            bound = 3.0 * half * q - (tol_q if tol_q >= 0 else -tol_q)
+            if prev_q < 0:
+                prev_q = -prev_q
+            if prev_q < bound:
+                bound = prev_q
+            if 2.0 * p < bound:
                 prev_step, step = step, p / q
             else:
                 prev_step = step = half
         else:
             prev_step = step = half
         a, fa = b, fb
-        b += step if abs(step) > tol else math.copysign(tol, half)
+        b += step if step > tol or step < -tol else math.copysign(tol, half)
         fb = f(b)
         if fb == 0.0:
             return b, iteration + 1

@@ -12,7 +12,9 @@ log-singular envelope switching branch at r = 1.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -59,8 +61,12 @@ class RadialWaveFunction:
     def radial_F_many(self, rs: Sequence[float]) -> list[float]:
         """``radial_F`` at each of ``rs``, with one phase call for the points in the support."""
         r1, r2, r0 = self.tp.r1, self.tp.r2, self.tp.r0
-        q = iter(self.phase.many([r for r in rs if r1 <= r <= r2]))
         A, K, wave, exp = self.amplitude, self.K, _WAVES[self.parity], math.exp
+        # one support test for the whole list; min and max pass over a nan
+        # that is not first, and the sum, nan then, tells
+        if rs and r1 <= min(rs) and max(rs) <= r2 and not math.isnan(sum(rs)):
+            return [A * wave(K * (r - r0)) * exp(-q) for r, q in zip(rs, self.phase.many(rs))]
+        q = iter(self.phase.many([r for r in rs if r1 <= r <= r2]))
         return [A * wave(K * (r - r0)) * exp(-next(q)) if r1 <= r <= r2 else 0.0 for r in rs]
 
 
@@ -124,13 +130,15 @@ def normalize(wf: RadialWaveFunction) -> RadialWaveFunction:
     """Rescale the amplitude so that the L2 norm of F over [r1, r2] is 1."""
     if isinstance(wf, FreeParticleWave):
         raise NotNormalizableError("free-particle amplitude is indefinite")
-    base = replace(wf, amplitude=1.0)
+    base = wf if wf.amplitude == 1.0 else replace(wf, amplitude=1.0)
     # s times the integral of F(s x)^2 over [r_ref / s, r2 / s]: a power of 2 near the
     # length scale rescales exactly and puts the integral near 1, where the loop's
     # stopping floor tol * max(1, |I|) is relative at any scale
     s = 2.0 ** min(round(math.log2(wf.potential.length_scale)), 1023)
+    # F ** 2, not F * F: libm's pow(x, 2) is not always the correctly rounded
+    # x * x, and the two differ often enough to move the last bit of an amplitude
     norm_sq, _ = adaptive_integral_many(
-        lambda xs: [F ** 2 for F in base.radial_F_many([s * x for x in xs])],
+        lambda xs: [F ** 2 for F in base.radial_F_many(xs if s == 1.0 else [s * x for x in xs])],
         _support_anchor(wf.tp) / s, wf.tp.r2 / s, tol=1e-10,
     )
     norm_sq *= s
@@ -229,4 +237,7 @@ def sample_wavefunction(
         r1 = math.sqrt(wf.l * (wf.l + 1)) / wf.K
         values = [complex(free_particle_radial(wf, r)) for r in grid]
         return [SamplePoint(r, v.real, v.imag, r < r1) for r, v in zip(grid, values)]
-    return [SamplePoint(r, F / r) for r, F in zip(grid, wf.radial_F_many(grid))]
+    # tuple.__new__ builds each SamplePoint(r, F / r) without a Python call per point
+    R = map(operator.truediv, wf.radial_F_many(grid), grid)
+    fields = zip(grid, R, itertools.repeat(0.0), itertools.repeat(None))
+    return list(map(tuple.__new__, itertools.repeat(SamplePoint), fields))

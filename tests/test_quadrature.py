@@ -18,6 +18,7 @@ from radialsolve.potentials import (
     InfiniteSphericalWell,
     IsotropicHO,
     Parabolic,
+    UnitSystem,
     eval_effective,
 )
 from radialsolve.quadrature import (
@@ -31,6 +32,7 @@ from radialsolve.quadrature import (
     make_phase,
     phase_Q,
 )
+from radialsolve.spectrum import Symmetric, closed_form_energy
 from radialsolve.turning_points import TurningPoints, turning_points
 
 
@@ -512,8 +514,25 @@ def test_closed_phase_steps_aside_where_r_squared_underflows(l):
     U = EffectivePotential(IsotropicHO(omega=1.0), l=l)
     assert _closed_phase(U, 1e-170) is None
     with pytest.raises(ValueError):
-        _closed_phase(U, 1.0)(1e-170)
+        _closed_phase(U, 1.0)([1e-170])
     with pytest.raises(IntegrationError):
         phase_Q(U, 1e-170, 1.0)
     with pytest.raises(IntegrationError):
         make_phase(U, 1e-170, 1.0)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_closed_phase_holds_at_any_length_scale(l):
+    # P is about b at the support, so b P, about b^2, leaves the normal floats
+    # beyond length scales of about 1e+-77: below them sqrt(b P) lost its
+    # digits, above them it overflowed to inf
+    off = []
+    for k in range(-150, 151):
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=l, units=UnitSystem(mass=10.0 ** (-2 * k)))
+        tp = turning_points(U, closed_form_energy(U, Symmetric(1)))
+        for r in (tp.r0, tp.r2):
+            closed = phase_Q(U, r, tp.r1)
+            numeric = phase_Q(U, r, tp.r1, method="numeric")
+            if closed.method != "closed_form" or not abs(closed.value - numeric.value) <= 1e-9 * abs(numeric.value):
+                off.append((k, r, closed, numeric.value))
+    assert off == []

@@ -89,6 +89,149 @@ class TestBrentq:
         assert -1e300 < info.value.last_iterate < 1e300
 
 
+# ------------------------------------------- the lean Brent against the textbook one
+
+
+def _textbook_brentq(f, a, b, xtol=0.0, rtol=0.0, fa=None, fb=None):
+    """``brentq`` as Brent wrote it, with abs, max and min: the reference of the lean loop."""
+    if fa is None:
+        fa = f(a)
+    if fb is None:
+        fb = f(b)
+    if fa == 0.0:
+        return a, 0
+    if fb == 0.0:
+        return b, 0
+    if math.isnan(fa) or math.isnan(fb) or (fa > 0) == (fb > 0):
+        raise DomainError(f"[{a!r}, {b!r}] does not bracket a root: f = {fa!r}, {fb!r}")
+    c, fc = a, fa
+    step = prev_step = b - a
+    for iteration in range(roots._MAX_ITER + 1):
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            step = prev_step = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = max(0.5 * max(xtol, rtol * abs(b), 4.0 * roots._EPS * abs(b)), roots._TINY)
+        half = 0.5 * (c - b)
+        if abs(half) <= tol:
+            return b, iteration
+        if iteration == roots._MAX_ITER:
+            break
+        if abs(prev_step) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(prev_step * q)):
+                prev_step, step = step, p / q
+            else:
+                prev_step = step = half
+        else:
+            prev_step = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = f(b)
+        if fb == 0.0:
+            return b, iteration + 1
+    raise ConvergenceError(
+        f"Brent's method did not converge in {roots._MAX_ITER} iterations",
+        last_iterate=b,
+        iterations=roots._MAX_ITER,
+    )
+
+
+def _test_function(kind: str, root: float, sign: float, width: float):
+    """One of the shapes the property draws: monotone, flat at the root, oscillating,
+    with three roots, a step, or a hard wall (+inf past the root)."""
+    if kind == "linear":
+        return lambda x: sign * (x - root)
+    if kind == "cubic":
+        return lambda x: sign * (x - root) * (x - root) * (x - root)
+    if kind == "sine":
+        return lambda x: sign * math.sin((x - root) / width)
+    if kind == "three_roots":
+        return lambda x: sign * (x - root) * (x - root - width) * (x - root + 0.5 * width)
+    if kind == "step":
+        return lambda x: sign if x > root else -sign
+    return lambda x: math.inf if x > root + width else sign * (x - root)
+
+
+def _brent_outcome(solve, f, a, b, **kwargs):
+    """The root's bits and the iteration count, or the error with its fields, and
+    every abscissa at which f was evaluated."""
+    calls = []
+
+    def logged(x):
+        calls.append(x.hex())
+        return f(x)
+
+    try:
+        x, iterations = solve(logged, a, b, **kwargs)
+        result = ("root", x.hex(), iterations)
+    except (DomainError, ConvergenceError) as exc:
+        last = getattr(exc, "last_iterate", None)
+        last = None if last is None else last.hex()
+        result = (type(exc).__name__, str(exc), last, getattr(exc, "iterations", None))
+    return result, calls
+
+
+TOLERANCES = st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-15, 1e-12, 1e-6, 0.1])
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "cubic", "sine", "three_roots", "step", "wall"]),
+    root=st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 1e-310, -3e-320, 1e300])),
+    sign=st.sampled_from([1.0, -1.0]),
+    width=st.floats(1e-3, 10.0),
+    below=st.one_of(st.floats(0.0, 20.0), st.sampled_from([1e-300, 1e300])),
+    above=st.one_of(st.floats(0.0, 20.0), st.sampled_from([1e-300, 1e300])),
+    reversed_bracket=st.booleans(),
+    xtol=TOLERANCES,
+    rtol=TOLERANCES,
+    hand_ends=st.sampled_from(["none", "fa", "fb", "both"]),
+)
+def test_lean_brent_is_the_textbook_one(
+    kind, root, sign, width, below, above, reversed_bracket, xtol, rtol, hand_ends
+):
+    # below or above = 0 puts an exact zero at that end; equal signs at both ends
+    # (non-monotone shapes) and nan or inf values test the raised errors
+    f = _test_function(kind, root, sign, width)
+    a, b = root - below, root + above
+    if reversed_bracket:
+        a, b = b, a
+    kwargs = {"xtol": xtol, "rtol": rtol}
+    if hand_ends in ("fa", "both"):
+        kwargs["fa"] = f(a)
+    if hand_ends in ("fb", "both"):
+        kwargs["fb"] = f(b)
+    assert _brent_outcome(brentq, f, a, b, **kwargs) == _brent_outcome(_textbook_brentq, f, a, b, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, kwargs",
+    [
+        # closing [-1e300, 1e300] down to the least subnormal by bisection
+        (lambda x: 1.0 if x > 0 else -1.0, -1e300, 1e300, {}),
+        (lambda x: 1.0 if x > 0 else -1.0, 1e300, -1e300, {"xtol": 5e-324}),
+        (lambda x: math.nan, -1.0, 2.0, {}),
+        (lambda x: math.nan if x > 0 else -1.0, -1.0, 2.0, {"fb": 1.0}),
+        (lambda x: x * x - 2.0, 0.0, 2.0, {"xtol": 1e-320, "rtol": 1e-320}),
+        (lambda x: 1.0 / x if x else -1.0, -1.0, 1.0, {}),
+    ],
+)
+def test_lean_brent_is_the_textbook_one_at_the_edges(f, a, b, kwargs):
+    assert _brent_outcome(brentq, f, a, b, **kwargs) == _brent_outcome(_textbook_brentq, f, a, b, **kwargs)
+
+
 def _branch(kind: int, n: int):
     return (Ground(), Symmetric(n), Antisymmetric(n), General(n))[kind]
 

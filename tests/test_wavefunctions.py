@@ -138,7 +138,7 @@ class TestNormalize:
 SCALED_STATES = st.one_of(
     st.tuples(st.just("well"), st.integers(-150, 150), st.integers(0, 2)),
     st.tuples(st.just("ho"), st.integers(-150, 150), st.just(0)),
-    st.tuples(st.just("ho"), st.integers(-75, 75), st.integers(1, 2)),
+    st.tuples(st.just("ho"), st.integers(-150, 150), st.integers(1, 3)),
 )
 
 
@@ -504,11 +504,18 @@ class TestSampling:
 def test_radial_F_many_is_the_pointwise_product(U, parity):
     # amplitude * carrier(r) * exp(-Q(r)) in this order, 0 outside [r1, r2]
     wf = normalize(build_bound_state(U, 2, parity)[0])
-    rs = [float(r) for r in np.linspace(wf.tp.r1 * 0.5 or wf.tp.r2 * 1e-3, wf.tp.r2 * 1.2, 97)]
-    rs += [wf.tp.r1 or wf.tp.r2 * 1e-12, wf.tp.r0, wf.tp.r2]
-    expected = [
-        wf.amplitude * wf.carrier(r) * math.exp(-wf.phase(r)) if wf.tp.r1 <= r <= wf.tp.r2 else 0.0
-        for r in rs
-    ]
-    # repr tells the signs of zero apart
-    assert [repr(F) for F in wf.radial_F_many(rs)] == [repr(F) for F in expected]
+    r1, r2 = wf.tp.r1, wf.tp.r2
+    inside = [float(r) for r in np.linspace(r1 or r2 * 1e-12, r2, 97)] + [wf.tp.r0]
+    past_both_ends = [float(r) for r in np.linspace(-r2 * 1e-3 if r1 == 0.0 else r1 * 0.5, r2 * 1.2, 97)]
+    past_both_ends += [r1 or r2 * 1e-12, wf.tp.r0, r2]
+    with_nan = inside[:40] + [math.nan] + inside[40:]
+    for rs in (inside, past_both_ends, with_nan, [math.nan] + inside):
+        expected = [
+            wf.amplitude * wf.carrier(r) * math.exp(-wf.phase(r)) if r1 <= r <= r2 else 0.0 for r in rs
+        ]
+        # repr tells the signs of zero apart
+        assert [repr(F) for F in wf.radial_F_many(rs)] == [repr(F) for F in expected]
+    grid = inside[:-1]
+    samples = sample_wavefunction(wf, grid)
+    assert all(type(p) is SamplePoint for p in samples)
+    assert repr(samples) == repr([SamplePoint(r, F / r) for r, F in zip(grid, wf.radial_F_many(grid))])
