@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 
+# parsing needs only these; each verb imports the modules it runs
 from .errors import DomainError, RadialSolveError
 from .potentials import (
     UNIT_PRESETS,
@@ -24,18 +25,6 @@ from .potentials import (
     IsotropicHO,
     Parabolic,
 )
-from .oracles import bessel_zero, ho_oracle_energy, numerov_bound_state, well_oracle_energy
-from .report import TABLE_IDS, ComparisonRow, render, render_samples, reproduce_table
-from .spectrum import (
-    Antisymmetric,
-    General,
-    Ground,
-    Symmetric,
-    closed_form_energy,
-    self_consistent_energy,
-)
-from .turning_points import turning_points
-from .wavefunctions import build_bound_state, normalize, sample_wavefunction
 
 
 class UsageError(Exception):
@@ -93,6 +82,8 @@ def _none(kwargs):
 
 
 def parse_branch(name: str, n: int):
+    from .spectrum import Antisymmetric, General, Ground, Symmetric
+
     if name == "ground":
         return Ground()
     if name == "symmetric":
@@ -107,12 +98,14 @@ def parse_branch(name: str, n: int):
 def parse_n_range(text: str) -> list[int]:
     """Parse a single ``n`` or an inclusive range ``lo:hi``."""
     try:
-        if ":" in text:
-            lo, hi = text.split(":", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+        if ":" not in text:
+            return [int(text)]
+        lo, hi = (int(x) for x in text.split(":", 1))
     except ValueError as exc:
         raise UsageError(f"bad n {text!r}; expected an integer or lo:hi") from exc
+    if hi < lo:
+        raise UsageError(f"bad n {text!r}; the range lo:hi needs hi >= lo")
+    return list(range(lo, hi + 1))
 
 
 def parse_bracket(text: str) -> tuple[float, float]:
@@ -202,6 +195,8 @@ def sample_grid(start: float, stop: float, num: int) -> list[float]:
 
 
 def cmd_tables(args) -> None:
+    from .report import render, reproduce_table
+
     units = _units_for(args)
     rows = reproduce_table(args.which, units)
     # the hydrogen table is always evaluated in eV / nm units
@@ -210,6 +205,9 @@ def cmd_tables(args) -> None:
 
 
 def cmd_spectrum(args) -> None:
+    from .report import ComparisonRow, render
+    from .spectrum import closed_form_energy, self_consistent_energy
+
     U = _effective_potential(args)
     rows = []
     for n in parse_n_range(args.n):
@@ -228,6 +226,8 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_turning_points(args) -> None:
+    from .turning_points import turning_points
+
     tp = turning_points(_effective_potential(args), args.energy)
     text = (
         f"r1={tp.r1!r}\nr2={tp.r2!r}\nr0={tp.r0!r}\nd={tp.d!r}\n"
@@ -237,6 +237,9 @@ def cmd_turning_points(args) -> None:
 
 
 def cmd_wavefunction(args) -> None:
+    from .report import render_samples
+    from .wavefunctions import build_bound_state, normalize, sample_wavefunction
+
     U = _effective_potential(args)
     wf, level = build_bound_state(U, args.n, args.parity)
     wf = normalize(wf)
@@ -254,6 +257,8 @@ def cmd_wavefunction(args) -> None:
 
 
 def cmd_oracle(args) -> None:
+    from .oracles import bessel_zero, ho_oracle_energy, numerov_bound_state, well_oracle_energy
+
     units = _units_for(args)
     if args.oracle_kind == "bessel-zeros":
         lines = [f"{args.l} {n} {bessel_zero(args.l, n)!r}" for n in parse_n_range(args.n)]
@@ -271,6 +276,8 @@ def cmd_oracle(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .report import TABLE_IDS
+
     parser = argparse.ArgumentParser(prog="radialsolve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

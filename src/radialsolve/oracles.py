@@ -13,7 +13,6 @@ own level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import ConvergenceError, DomainError
@@ -21,9 +20,11 @@ from .potentials import (
     INFINITE,
     NATURAL,
     EffectivePotential,
+    Frozen,
     InfiniteSphericalWell,
     UnitSystem,
     _normal,
+    _set_field,
     eval_effective,
     eval_effective_array,
     validate_jls,
@@ -33,13 +34,19 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class OracleEnergy:
-    source: str  # bessel_well | analytic_ho | perturbed_ho_so | bohr | numerov
-    value: float
-    n: int
-    l: int
-    sweeps: Optional[int] = None  # Numerov integrations spent; None for closed forms
+class OracleEnergy(Frozen):
+    """One reference level and the oracle that gave it."""
+
+    __match_args__ = _fields = ("source", "value", "n", "l", "sweeps")
+
+    def __init__(self, source: str, value: float, n: int, l: int, sweeps: Optional[int] = None):
+        # source: bessel_well | analytic_ho | perturbed_ho_so | bohr | numerov
+        # sweeps: Numerov integrations spent; None for closed forms
+        _set_field(self, "source", source)
+        _set_field(self, "value", value)
+        _set_field(self, "n", n)
+        _set_field(self, "l", l)
+        _set_field(self, "sweeps", sweeps)
 
 
 def spherical_bessel(l: int, x: float) -> float:
@@ -264,6 +271,8 @@ def numerov_bound_state(
     the centrifugal term leaves 1 + x/12 >= 1/2, as the half grid does at
     step 2h. Truncating the decay tail shifts a level by at most about 1e-8.
     """
+    if node_target < 0:
+        raise DomainError(f"node_target must be >= 0, got {node_target}")
     import numpy as np
 
     units = U.units

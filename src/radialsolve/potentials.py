@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
 from .errors import DomainError
@@ -45,20 +44,64 @@ FINE_STRUCTURE = 1.0 / 137.035999
 E_CHARGE_EV_NM = math.sqrt(FINE_STRUCTURE * HBARC_EV_NM)
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+#: stores a field of a ``Frozen`` value past its ``__setattr__``, as a frozen
+#: dataclass's ``__init__`` does. A write to ``self.__dict__`` would also do,
+#: but CPython would then give up the instance's inline attribute values,
+#: and every later read of a field would be slower.
+_set_field = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable value classes, with no generated code.
+
+    A subclass names its fields in ``_fields``, and its constructor's
+    parameters in ``__match_args__`` (the same names, unless ``_fields``
+    adds computed ones); its ``__init__`` checks the values and stores each
+    with ``_set_field``. ``==`` and ``hash`` go by exact type and field
+    values, ``repr`` has the dataclass format, and assignment raises
+    AttributeError. ``copy`` and ``pickle`` restore ``__dict__`` directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class UnitSystem(Frozen):
     """Unit constants: hbar, particle mass and (for spin-orbit) light speed."""
 
-    hbar: float = 1.0
-    mass: float = 1.0
-    light_speed: float = 137.035999
-    label: str = "natural"
+    __match_args__ = _fields = ("hbar", "mass", "light_speed", "label")
 
-    def __post_init__(self):
-        for name in ("hbar", "mass", "light_speed"):
-            value = getattr(self, name)
+    def __init__(
+        self, hbar: float = 1.0, mass: float = 1.0, light_speed: float = 137.035999, label: str = "natural"
+    ):
+        for name, value in (("hbar", hbar), ("mass", mass), ("light_speed", light_speed)):
             if not (value > 0 and math.isfinite(value)):
                 raise DomainError(f"{name} must be finite and positive, got {value}")
+        _set_field(self, "hbar", hbar)
+        _set_field(self, "mass", mass)
+        _set_field(self, "light_speed", light_speed)
+        _set_field(self, "label", label)
 
     @property
     def m1(self) -> float:
@@ -77,81 +120,80 @@ EV_NM = UnitSystem(hbar=HBARC_EV_NM, mass=ELECTRON_MASS_EV, light_speed=1.0, lab
 UNIT_PRESETS = {"natural": NATURAL, "eV-nm": EV_NM}
 
 
-@dataclass(frozen=True)
-class HydrogenLike:
+class HydrogenLike(Frozen):
     """V(r) = -Z e^2 / r."""
 
-    Z: int = 1
-    e_charge: float = 1.0
+    __match_args__ = _fields = ("Z", "e_charge")
 
-    def __post_init__(self):
-        if not (1 <= self.Z < INFINITE and int(self.Z) == self.Z):
-            raise DomainError(f"Z must be a positive integer, got {self.Z}")
-        if not self.e_charge > 0:
+    def __init__(self, Z: int = 1, e_charge: float = 1.0):
+        if not (1 <= Z < INFINITE and int(Z) == Z):
+            raise DomainError(f"Z must be a positive integer, got {Z}")
+        if not e_charge > 0:
             raise DomainError("e_charge must be positive")
+        _set_field(self, "Z", Z)
+        _set_field(self, "e_charge", e_charge)
 
 
-@dataclass(frozen=True)
-class InfiniteSphericalWell:
+class InfiniteSphericalWell(Frozen):
     """V = 0 for 0 < r < L, infinite outside."""
 
-    L: float
+    __match_args__ = _fields = ("L",)
 
-    def __post_init__(self):
-        if not self.L > 0:
-            raise DomainError(f"well radius L must be positive, got {self.L}")
+    def __init__(self, L: float):
+        if not L > 0:
+            raise DomainError(f"well radius L must be positive, got {L}")
+        _set_field(self, "L", L)
 
 
-@dataclass(frozen=True)
-class IsotropicHO:
+class IsotropicHO(Frozen):
     """V(r) = (1/2) m omega^2 r^2."""
 
-    omega: float
+    __match_args__ = _fields = ("omega",)
 
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
+    def __init__(self, omega: float):
+        if not omega > 0:
+            raise DomainError(f"omega must be positive, got {omega}")
+        _set_field(self, "omega", omega)
 
 
-@dataclass(frozen=True)
-class HOSpinOrbit:
+class HOSpinOrbit(Frozen):
     """Isotropic oscillator shifted by the constant spin-orbit term -C_lsj.
 
     ``c0`` parameterizes the coupling strength in energy units; ``c0=None``
     selects the relativistic prefactor hbar^2 omega^2 / (2 m c^2) instead.
     """
 
-    omega: float
-    j: float
-    s: float = 0.5
-    c0: float | None = None
+    __match_args__ = _fields = ("omega", "j", "s", "c0")
 
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
-        if not (0.5 <= self.j < INFINITE and round(2 * self.j) == 2 * self.j):
-            raise DomainError(f"j must be a half-integer >= 1/2, got {self.j}")
-        if not (math.isfinite(self.s) and round(2 * self.s) == 2 * self.s):
-            raise DomainError(f"s must be a half-integer, got {self.s}")
-        if self.c0 is not None and self.c0 < 0:
+    def __init__(self, omega: float, j: float, s: float = 0.5, c0: float | None = None):
+        if not omega > 0:
+            raise DomainError(f"omega must be positive, got {omega}")
+        if not (0.5 <= j < INFINITE and round(2 * j) == 2 * j):
+            raise DomainError(f"j must be a half-integer >= 1/2, got {j}")
+        if not (math.isfinite(s) and round(2 * s) == 2 * s):
+            raise DomainError(f"s must be a half-integer, got {s}")
+        if c0 is not None and c0 < 0:
             raise DomainError("c0 must be non-negative")
+        _set_field(self, "omega", omega)
+        _set_field(self, "j", j)
+        _set_field(self, "s", s)
+        _set_field(self, "c0", c0)
 
 
-@dataclass(frozen=True)
-class Parabolic:
+class Parabolic(Frozen):
     """V(r) = a r^2 + b r + c with positive coefficients."""
 
-    a: float
-    b: float
-    c: float
+    __match_args__ = _fields = ("a", "b", "c")
 
-    def __post_init__(self):
-        if not all(0 < x < INFINITE for x in (self.a, self.b, self.c)):
+    def __init__(self, a: float, b: float, c: float):
+        if not all(0 < x < INFINITE for x in (a, b, c)):
             raise DomainError("parabolic coefficients a, b, c must all be finite and positive")
+        _set_field(self, "a", a)
+        _set_field(self, "b", b)
+        _set_field(self, "c", c)
 
 
-@dataclass(frozen=True)
-class FreeParticle:
+class FreeParticle(Frozen):
     """V = 0 everywhere."""
 
 
@@ -173,8 +215,7 @@ def validate_jls(j: float, l: int, s: float) -> None:
         raise DomainError(f"invalid angular momentum coupling: j={j}, l={l}, s={s}")
 
 
-@dataclass(frozen=True)
-class EffectivePotential:
+class EffectivePotential(Frozen):
     """A potential spec combined with an angular momentum quantum number.
 
     Construction computes, once, the fields every solver reads:
@@ -194,22 +235,14 @@ class EffectivePotential:
     checks a scale again.
     """
 
-    spec: PotentialSpec
-    l: int = 0
-    units: UnitSystem = NATURAL
-    centrifugal_coeff: float = field(init=False)
-    spin_orbit_shift: float = field(init=False)
-    length_scale: float = field(init=False)
-    energy_scale: float = field(init=False)
-    quadratic: float = field(init=False)
-    linear: float = field(init=False)
-    offset: float = field(init=False)
-    coulomb: float = field(init=False)
-    wall: float = field(init=False)
-    minimum: tuple[float, float] | None = field(init=False)
+    __match_args__ = ("spec", "l", "units")
+    _fields = __match_args__ + (
+        "centrifugal_coeff", "spin_orbit_shift", "length_scale", "energy_scale",
+        "quadratic", "linear", "offset", "coulomb", "wall", "minimum",
+    )
 
-    def __post_init__(self):
-        spec, l, u = self.spec, self.l, self.units
+    def __init__(self, spec: PotentialSpec, l: int = 0, units: UnitSystem = NATURAL):
+        u = units
         if l < 0 or int(l) != l:
             raise DomainError(f"l must be a non-negative integer, got {l}")
         shift = 0.0
@@ -250,13 +283,20 @@ class EffectivePotential:
         _normal(length, "length scale", spec)
         # divided twice: length * length alone underflows to 0 below about 1e-162
         energy = _normal(u.hbar2_over_m / length / length, "energy scale hbar^2 / (m length^2)", spec)
-        # frozen: the computed fields go past __setattr__
-        vars(self).update(
-            centrifugal_coeff=u.hbar**2 * l * (l + 1) / (2.0 * u.mass),
-            spin_orbit_shift=shift, length_scale=length, energy_scale=energy,
-            quadratic=quadratic, linear=linear, offset=offset, coulomb=coulomb, wall=wall,
-        )
-        vars(self)["minimum"] = _minimum(self)
+        _set_field(self, "spec", spec)
+        _set_field(self, "l", l)
+        _set_field(self, "units", units)
+        _set_field(self, "centrifugal_coeff", u.hbar**2 * l * (l + 1) / (2.0 * u.mass))
+        _set_field(self, "spin_orbit_shift", shift)
+        _set_field(self, "length_scale", length)
+        _set_field(self, "energy_scale", energy)
+        _set_field(self, "quadratic", quadratic)
+        _set_field(self, "linear", linear)
+        _set_field(self, "offset", offset)
+        _set_field(self, "coulomb", coulomb)
+        _set_field(self, "wall", wall)
+        # _minimum reads the fields above
+        _set_field(self, "minimum", _minimum(self))
 
     def eval_potential(self, r: float) -> float:
         """V(r) = a r^2 + b r + c - k / r inside the wall, ``INFINITE`` on and past it."""

@@ -29,11 +29,10 @@ import functools
 import heapq
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ComplexPhaseError, DomainError, IntegrationError
-from .potentials import INFINITE, EffectivePotential, eval_effective, eval_effective_array
+from .potentials import INFINITE, EffectivePotential, Frozen, _set_field, eval_effective, eval_effective_array
 from .turning_points import TurningPoints
 
 if TYPE_CHECKING:
@@ -206,13 +205,16 @@ def _adaptive_panels(
     return total_val, total_err, panels
 
 
-@dataclass(frozen=True)
-class PhaseResult:
+class PhaseResult(Frozen):
     """Value of S or Q with provenance and an error estimate."""
 
-    value: float
-    method: str  # "closed_form" | "numeric"
-    estimated_error: float
+    __match_args__ = _fields = ("value", "method", "estimated_error")
+
+    def __init__(self, value: float, method: str, estimated_error: float):
+        # method: "closed_form" | "numeric"
+        _set_field(self, "value", value)
+        _set_field(self, "method", method)
+        _set_field(self, "estimated_error", estimated_error)
 
 
 def area_S(U: EffectivePotential, tp: TurningPoints, method: str = "auto") -> PhaseResult:
@@ -390,11 +392,13 @@ def _phase_integrand(U: EffectivePotential) -> BatchIntegrand:
     return lambda xs: _root_u(U, np.array(xs)).tolist()
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(Frozen):
     """Q(r) of a state: ``phase(r)`` at one radius, ``phase.many(rs)`` at a list of radii."""
 
-    many: Callable[[Sequence[float]], list[float]]
+    __match_args__ = _fields = ("many",)
+
+    def __init__(self, many: Callable[[Sequence[float]], list[float]]):
+        _set_field(self, "many", many)
 
     def __call__(self, r: float) -> float:
         return self.many([r])[0]

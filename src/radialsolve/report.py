@@ -5,14 +5,16 @@ read from the coefficients of each row's U) and the independent oracles;
 nothing is hard-coded. Values are reported in the reduced unit of the
 corresponding table (hbar^2/2mL^2, hbar omega, or eV for hydrogen). Rendering is byte-deterministic: identical inputs yield
 identical bytes in all three formats.
+
+Each table builder imports the solvers and oracles it calls, and ``json``
+loads only for JSON output, so the CLI's parser reads ``TABLE_IDS`` without
+loading either.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
@@ -22,14 +24,14 @@ from .potentials import (
     E_CHARGE_EV_NM,
     NATURAL,
     EffectivePotential,
+    Frozen,
     HOSpinOrbit,
     HydrogenLike,
     InfiniteSphericalWell,
     IsotropicHO,
     UnitSystem,
+    _set_field,
 )
-from .oracles import bessel_zero, bohr_energy, ho_oracle_energy, ho_so_oracle_energy
-from .spectrum import General, Ground, branch_g, closed_form_energy, self_consistent_energy
 
 if TYPE_CHECKING:
     from .wavefunctions import SamplePoint
@@ -37,14 +39,22 @@ if TYPE_CHECKING:
 TABLE_IDS = ("part2_table1", "part2_table2", "part2_table3", "hydrogen")
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(Frozen):
     """One state: the oracle (None where there is none) and one or two method values."""
 
-    state_label: str
-    oracle: Optional[float]
-    method_primary: float
-    method_secondary: Optional[float] = None
+    __match_args__ = _fields = ("state_label", "oracle", "method_primary", "method_secondary")
+
+    def __init__(
+        self,
+        state_label: str,
+        oracle: Optional[float],
+        method_primary: float,
+        method_secondary: Optional[float] = None,
+    ):
+        _set_field(self, "state_label", state_label)
+        _set_field(self, "oracle", oracle)
+        _set_field(self, "method_primary", method_primary)
+        _set_field(self, "method_secondary", method_secondary)
 
     @property
     def abs_dev(self) -> Optional[float]:
@@ -89,6 +99,9 @@ def reproduce_table(table_id: str, units: UnitSystem = NATURAL) -> list[Comparis
 
 
 def _table_well(units: UnitSystem) -> list[ComparisonRow]:
+    from .oracles import bessel_zero
+    from .spectrum import General, branch_g, closed_form_energy
+
     L = 1.0
     unit = units.hbar**2 / (2.0 * units.mass * L * L)
     rows = []
@@ -106,6 +119,9 @@ def _table_well(units: UnitSystem) -> list[ComparisonRow]:
 
 
 def _table_ho(units: UnitSystem) -> list[ComparisonRow]:
+    from .oracles import ho_oracle_energy
+    from .spectrum import General, closed_form_energy
+
     omega = 1.0
     unit = units.hbar * omega
     rows = []
@@ -117,6 +133,9 @@ def _table_ho(units: UnitSystem) -> list[ComparisonRow]:
 
 
 def _table_ho_so(units: UnitSystem) -> list[ComparisonRow]:
+    from .oracles import ho_so_oracle_energy
+    from .spectrum import General, closed_form_energy
+
     omega = 1.0
     s = 0.5
     unit = units.hbar * omega
@@ -132,6 +151,9 @@ def _table_ho_so(units: UnitSystem) -> list[ComparisonRow]:
 
 
 def _table_hydrogen() -> list[ComparisonRow]:
+    from .oracles import bohr_energy
+    from .spectrum import Ground, closed_form_energy, self_consistent_energy
+
     units = EV_NM
     e = E_CHARGE_EV_NM
     oracle = bohr_energy(1, 1, units, e_charge=e).value
@@ -199,6 +221,8 @@ def _render_csv(rows: Sequence[ComparisonRow]) -> bytes:
 
 
 def _render_json(rows: Sequence[ComparisonRow], meta: Optional[dict]) -> bytes:
+    import json
+
     payload = {
         "meta": {"version": __version__, **(meta or {})},
         "rows": [dict(zip(_COLUMNS, _row_values(r))) for r in rows],
@@ -225,6 +249,8 @@ def render_samples(
             lines.append(",".join(cells))
         return ("\n".join(lines) + "\n").encode()
     if format == "json":
+        import json
+
         payload = {
             "meta": {"version": __version__, **(meta or {})},
             "samples": [

@@ -24,26 +24,27 @@ from .potentials import (
     INFINITE,
     NATURAL,
     EffectivePotential,
+    Frozen,
     HydrogenLike,
     UnitSystem,
     _coulomb_level,
+    _set_field,
 )
 from .roots import brentq
 from .turning_points import TurningPoints, turning_points
 
 
-@dataclass(frozen=True)
-class Ground:
+class Ground(Frozen):
     """K d = 2."""
 
 
-@dataclass(frozen=True)
-class _Numbered:
-    n: int
+class _Numbered(Frozen):
+    __match_args__ = _fields = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"quantum number n must be >= 1, got {self.n}")
+    def __init__(self, n: int):
+        if n < 1:
+            raise DomainError(f"quantum number n must be >= 1, got {n}")
+        _set_field(self, "n", n)
 
 
 class Symmetric(_Numbered):

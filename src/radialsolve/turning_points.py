@@ -14,30 +14,28 @@ forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, NoClassicalRegionError
-from .potentials import INFINITE, EffectivePotential, eval_effective
+from .potentials import INFINITE, EffectivePotential, Frozen, _set_field, eval_effective
 from .roots import brentq
 
 
-@dataclass(frozen=True)
-class TurningPoints:
+class TurningPoints(Frozen):
     """Inner/outer turning points with midpoint r0 and width d."""
 
-    r1: float
-    r2: float
-    energy: float
-    method: str  # "closed_form" | "numeric"
+    __match_args__ = _fields = ("r1", "r2", "energy", "method")
 
-    def __post_init__(self):
-        if not self.r2 > self.r1:
-            raise NoClassicalRegionError(
-                f"degenerate turning points r1={self.r1}, r2={self.r2}"
-            )
-        if self.r1 < 0:
-            raise DomainError(f"r1 must be >= 0, got {self.r1}")
+    def __init__(self, r1: float, r2: float, energy: float, method: str):
+        # method: "closed_form" | "numeric"
+        if not r2 > r1:
+            raise NoClassicalRegionError(f"degenerate turning points r1={r1}, r2={r2}")
+        if r1 < 0:
+            raise DomainError(f"r1 must be >= 0, got {r1}")
+        _set_field(self, "r1", r1)
+        _set_field(self, "r2", r2)
+        _set_field(self, "energy", energy)
+        _set_field(self, "method", method)
 
     @property
     def r0(self) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, NotNormalizableError
-from .potentials import EffectivePotential
+from .potentials import EffectivePotential, Frozen, _set_field
 from .quadrature import Phase, adaptive_integral, adaptive_integral_many, make_phase
 from .spectrum import Antisymmetric, EnergyLevel, Symmetric, branch_theta, self_consistent_energy
 from .turning_points import TurningPoints
@@ -70,22 +70,23 @@ class RadialWaveFunction:
         return [A * wave(K * (r - r0)) * exp(-next(q)) if r1 <= r <= r2 else 0.0 for r in rs]
 
 
-@dataclass(frozen=True)
-class FreeParticleWave:
+class FreeParticleWave(Frozen):
     """Piecewise free-particle solution with carrier f and envelope e^{-|Q|}."""
 
-    l: int
-    K: float
-    carrier: str  # "exp_plus" | "exp_minus" | "cos" | "sin"
-    amplitude: float = 1.0
+    __match_args__ = _fields = ("l", "K", "carrier", "amplitude")
 
-    def __post_init__(self):
-        if self.l < 0:
-            raise DomainError(f"l must be >= 0, got {self.l}")
-        if not self.K > 0:
-            raise DomainError(f"K must be positive, got {self.K}")
-        if self.carrier not in ("exp_plus", "exp_minus", "cos", "sin"):
-            raise DomainError(f"unknown carrier {self.carrier!r}")
+    def __init__(self, l: int, K: float, carrier: str, amplitude: float = 1.0):
+        # carrier: "exp_plus" | "exp_minus" | "cos" | "sin"
+        if l < 0:
+            raise DomainError(f"l must be >= 0, got {l}")
+        if not K > 0:
+            raise DomainError(f"K must be positive, got {K}")
+        if carrier not in ("exp_plus", "exp_minus", "cos", "sin"):
+            raise DomainError(f"unknown carrier {carrier!r}")
+        _set_field(self, "l", l)
+        _set_field(self, "K", K)
+        _set_field(self, "carrier", carrier)
+        _set_field(self, "amplitude", amplitude)
 
 
 def build_bound_state(

@@ -204,6 +204,30 @@ def test_grammar_errors_are_usage_errors(potential):
     assert err.startswith("usage error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--potential", "ho:omega=1", "--n", "3:1"],
+        ["oracle", "bessel-zeros", "--l", "1", "--n", "3:1"],
+        ["oracle", "well", "--L", "1", "--n", "3:1"],
+        ["oracle", "ho", "--n", "2:0"],
+    ],
+    ids=lambda a: " ".join(a[:2]),
+)
+def test_a_reversed_n_range_is_a_usage_error(argv):
+    assert run_main(argv) == (2, b"", f"usage error: bad n {argv[-1]!r}; the range lo:hi needs hi >= lo\n")
+
+
+def test_a_one_level_n_range_is_not_reversed():
+    code, out, err = run_main(["oracle", "bessel-zeros", "--l", "0", "--n", "2:2"])
+    assert (code, err) == (0, "") and out.decode().count("\n") == 1
+
+
+def test_a_negative_node_count_is_a_domain_error_naming_it():
+    argv = ["oracle", "numerov", "--potential", "ho:omega=1", "--nodes", "-1", "--bracket", "1:2"]
+    assert run_main(argv) == (1, b"", "error: node_target must be >= 0, got -1\n")
+
+
 @pytest.mark.parametrize("omega", ["0", "-1", "inf", "nan", "1e308", "1e-320"])
 def test_oracle_ho_rejects_a_frequency_out_of_range(omega):
     code, _, err = run_main(["oracle", "ho", f"--omega={omega}"])
@@ -436,18 +460,28 @@ sys.stdout = io.TextIOWrapper(io.BytesIO())
 code = radialsolve.cli.main(sys.argv[1:])
 sys.stdout = sys.__stdout__
 print(loaded, code, 'numpy' in sys.modules)
+print(*sorted(m for m in sys.modules if m.startswith('radialsolve.') or m in ('dataclasses', 'json')))
 """
 
 
-def _probe(argv):
-    """(numpy loaded after import, exit code, numpy loaded after main) in a fresh interpreter."""
+def _run_probe(argv):
+    """(numpy loaded after import, exit code, numpy loaded after main, modules loaded after main)
+    in a fresh interpreter; the modules are radialsolve's, without the prefix, and
+    ``dataclasses`` and ``json``."""
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
         capture_output=True, text=True, timeout=60, check=True,
         env=dict(os.environ, PYTHONPATH=SRC),
     )
-    loaded, code, after = proc.stdout.split()
-    return loaded == "True", int(code), after == "True"
+    numpy_line, modules_line = proc.stdout.splitlines()
+    loaded, code, after = numpy_line.split()
+    modules = {m.removeprefix("radialsolve.") for m in modules_line.split()}
+    return loaded == "True", int(code), after == "True", modules
+
+
+def _probe(argv):
+    """(numpy loaded after import, exit code, numpy loaded after main) in a fresh interpreter."""
+    return _run_probe(argv)[:3]
 
 
 @pytest.mark.parametrize("argv", NO_ARRAY_VERBS, ids=lambda a: " ".join(a[:3]))
@@ -479,3 +513,34 @@ def test_library_calls_without_arrays_never_import_numpy(call):
         env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert proc.stdout.split() == ["False"]
+
+
+# each verb loads only the modules it runs: the ones it must not load
+UNLOADED = {
+    "turning-points": {"dataclasses", "json", "quadrature", "spectrum", "wavefunctions", "oracles"},
+    "oracle": {"dataclasses", "json", "quadrature", "spectrum", "wavefunctions"},
+    "spectrum": {"quadrature", "wavefunctions", "oracles"},
+    "tables": {"quadrature", "wavefunctions"},
+    "wavefunction": {"oracles"},
+}
+IMPORT_SETS = [
+    ["turning-points", "--potential", "ho:omega=1", "--l", "1", "--energy", "3"],
+    ["turning-points", "--potential", "parabolic:a=1,b=1,c=1", "--l", "1", "--energy", "6"],
+    ["oracle", "bessel-zeros", "--l", "2", "--n", "1:3"],
+    ["oracle", "well", "--L", "1", "--l", "1", "--n", "1:2"],
+    ["oracle", "ho", "--l", "1", "--n", "0:2"],
+    ["spectrum", "--potential", "hoso:omega=1,j=2.5,c0=0.015", "--l", "2", "--n", "1:2", "--format", "json"],
+    ["spectrum", "--potential", "parabolic:a=1,b=1,c=1", "--l", "1", "--n", "1:2"],
+    ["tables", "--which", "part2_table1", "--format", "json"],
+    ["tables", "--which", "hydrogen", "--format", "csv"],
+    ["wavefunction", "--potential", "ho:omega=1", "--l", "1", "--samples", "64", "--format", "json"],
+    ["wavefunction", "--potential", "well:L=1", "--l", "0", "--samples", "64"],
+]
+
+
+@pytest.mark.parametrize("argv", IMPORT_SETS, ids=lambda a: " ".join(a[:3]))
+def test_each_verb_loads_only_the_modules_it_runs(argv):
+    _, code, _, modules = _run_probe(argv)
+    assert code == 0
+    assert {"cli", "errors", "potentials"} <= modules
+    assert modules & UNLOADED[argv[0]] == set()

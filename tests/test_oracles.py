@@ -168,6 +168,13 @@ class TestNumerov:
         with pytest.raises(DomainError):
             numerov_bound_state(U, 0, (0.1, 0.5))
 
+    @pytest.mark.parametrize("nodes", [-1, -7])
+    def test_rejects_a_negative_node_target_before_building_a_grid(self, nodes, sweep_log):
+        U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
+        with pytest.raises(DomainError, match=f"node_target must be >= 0, got {nodes}"):
+            numerov_bound_state(U, nodes, (1.0, 2.0))
+        assert sweep_log.sweeps == [] and sweep_log.radii is None
+
     def test_bracket_holding_two_levels_returns_target(self):
         # 1.5, 3.5 and 5.5 all lie in (1, 6): node bisection must isolate 3.5
         U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
