@@ -41,9 +41,6 @@ _LAZY = {
         "Ground",
         "Symmetric",
         "closed_form_energy",
-        "delta_model_energy",
-        "excited_energy_from_d",
-        "ground_energy_from_d",
         "self_consistent_energy",
     ),
     "wavefunctions": (
@@ -52,8 +49,6 @@ _LAZY = {
         "boundary_residuals",
         "build_bound_state",
         "delta_model_wavefunction",
-        "eval_radial",
-        "evanescent_eval",
         "free_particle_radial",
         "normalize",
         "sample_wavefunction",

@@ -31,6 +31,10 @@ class UsageError(Exception):
     pass
 
 
+#: most values a --n range or --samples may ask for: a larger count is refused before any list is built
+MAX_COUNT = 1_000_000
+
+
 def parse_potential(text: str):
     """Parse the ``name:key=value,...`` potential grammar."""
     name, _, rest = text.partition(":")
@@ -105,6 +109,8 @@ def parse_n_range(text: str) -> list[int]:
         raise UsageError(f"bad n {text!r}; expected an integer or lo:hi") from exc
     if hi < lo:
         raise UsageError(f"bad n {text!r}; the range lo:hi needs hi >= lo")
+    if hi - lo >= MAX_COUNT:
+        raise UsageError(f"bad n {text!r}; a range lo:hi holds at most {MAX_COUNT} values")
     return list(range(lo, hi + 1))
 
 
@@ -148,8 +154,9 @@ def _effective_potential(args) -> EffectivePotential:
     units = _units_for(args)
     spec = parse_potential(args.potential)
     # wavefunction's --samples: a usage error that outranks the domain errors of U
-    if getattr(args, "samples", 0) < 0:
-        raise UsageError(f"--samples must be non-negative, got {args.samples}")
+    if not 0 <= getattr(args, "samples", 0) <= MAX_COUNT:
+        bound = "non-negative" if args.samples < 0 else f"at most {MAX_COUNT}"
+        raise UsageError(f"--samples must be {bound}, got {args.samples}")
     return EffectivePotential(spec, l=args.l, units=units)
 
 

@@ -25,6 +25,7 @@ from .potentials import (
     UnitSystem,
     _normal,
     _set_field,
+    _within_float_range,
     eval_effective,
     eval_effective_array,
     validate_jls,
@@ -63,6 +64,8 @@ def spherical_bessel(l: int, x: float) -> float:
     j0 = math.sin(x) / x
     if l == 0:
         return j0
+    if x * x == 0.0:
+        raise DomainError(f"x * x underflows to 0.0 for x={x!r}")
     j1 = math.sin(x) / (x * x) - math.cos(x) / x
     if l == 1:
         return j1
@@ -125,6 +128,7 @@ def ho_oracle_energy(n: int, l: int, omega: float, units: UnitSystem = NATURAL) 
         raise DomainError(f"l must be >= 0, got {l}")
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
+    _within_float_range(2 * n + l, "the oscillator index 2n + l")
     value = _normal((2 * n + l + 1.5) * units.hbar * omega, "oscillator level", f"omega={omega!r}")
     return OracleEnergy(source="analytic_ho", value=value, n=n, l=l)
 
@@ -152,9 +156,12 @@ def bohr_energy(
     """Bohr levels -(m e^4 / 2 hbar^2) Z^2 / n^2."""
     if n_principal < 1:
         raise DomainError(f"n_principal must be >= 1, got {n_principal}")
-    rydberg = units.mass * e_charge**4 / (2.0 * units.hbar**2)
-    value = -rydberg * Z * Z / n_principal**2
-    return OracleEnergy(source="bohr", value=value, n=n_principal, l=0)
+    try:
+        rydberg = units.mass * e_charge**4 / (2.0 * units.hbar**2)
+        value = _normal(rydberg * Z * Z / n_principal**2, "Bohr level", f"Z={Z}, n={n_principal}")
+    except (OverflowError, ZeroDivisionError):  # e^4, Z or n^2 past the float range, or hbar^2 = 0
+        raise DomainError(f"Bohr level is past the float range for Z={Z}, n={n_principal}") from None
+    return OracleEnergy(source="bohr", value=-value, n=n_principal, l=0)
 
 
 # Largest grid the Numerov oracle builds: each array over it then takes 8 MB.

@@ -98,6 +98,10 @@ class UnitSystem(Frozen):
         for name, value in (("hbar", hbar), ("mass", mass), ("light_speed", light_speed)):
             if not (value > 0 and math.isfinite(value)):
                 raise DomainError(f"{name} must be finite and positive, got {value}")
+        try:
+            hbar**2  # every solver squares hbar: as pow, not hbar * hbar
+        except OverflowError:
+            raise DomainError(f"hbar^2 overflows for hbar={hbar!r}") from None
         _set_field(self, "hbar", hbar)
         _set_field(self, "mass", mass)
         _set_field(self, "light_speed", light_speed)
@@ -128,6 +132,7 @@ class HydrogenLike(Frozen):
     def __init__(self, Z: int = 1, e_charge: float = 1.0):
         if not (1 <= Z < INFINITE and int(Z) == Z):
             raise DomainError(f"Z must be a positive integer, got {Z}")
+        _within_float_range(Z, "Z")
         if not e_charge > 0:
             raise DomainError("e_charge must be positive")
         _set_field(self, "Z", Z)
@@ -210,6 +215,7 @@ def validate_jls(j: float, l: int, s: float) -> None:
     """Check j in {|l-s|, ..., l+s} in integer steps."""
     if l < 0 or int(l) != l:
         raise DomainError(f"l must be a non-negative integer, got {l}")
+    _within_float_range(l, "l")
     allowed = [abs(l - s) + k for k in range(int(l + s - abs(l - s)) + 1)]
     if not any(math.isclose(j, cand) for cand in allowed):
         raise DomainError(f"invalid angular momentum coupling: j={j}, l={l}, s={s}")
@@ -245,13 +251,17 @@ class EffectivePotential(Frozen):
         u = units
         if l < 0 or int(l) != l:
             raise DomainError(f"l must be a non-negative integer, got {l}")
+        _within_float_range(l, "l")
         shift = 0.0
         if isinstance(spec, HOSpinOrbit):
             validate_jls(spec.j, l, spec.s)
             bracket = _ls_bracket(spec.j, l, spec.s)
             if spec.c0 is None:
                 # omega * omega, not omega**2: a float power raises OverflowError instead of giving inf
-                prefactor = u.hbar**2 * (spec.omega * spec.omega) / (2.0 * u.mass * u.light_speed**2)
+                try:
+                    prefactor = u.hbar**2 * (spec.omega * spec.omega) / (2.0 * u.mass * u.light_speed**2)
+                except (OverflowError, ZeroDivisionError):  # c^2 overflows, or 2 m c^2 underflows to 0
+                    raise DomainError(f"spin-orbit prefactor is past the float range for {spec}") from None
                 shift = _normal(prefactor, "spin-orbit prefactor hbar^2 omega^2 / (2 m c^2)", spec) * bracket
             else:
                 shift = 0.5 * spec.c0 * bracket
@@ -329,6 +339,12 @@ def _normal(value: float, what: str, cause: object) -> float:
         kind = "overflows to" if value == INFINITE else "underflows to" if value >= 0 else "is"
         raise DomainError(f"{what} {kind} {value!r} for {cause}")
     return value
+
+
+def _within_float_range(value: int, what: str) -> None:
+    """DomainError naming ``what`` for an integer past the float range, where float arithmetic raises."""
+    if value > sys.float_info.max:
+        raise DomainError(f"{what} is past the float range (above {sys.float_info.max:.6g})")
 
 
 def eval_effective(U: EffectivePotential, r: float) -> float:

@@ -188,7 +188,7 @@ def render(
     if format == "csv":
         return _render_csv(rows)
     if format == "json":
-        return _render_json(rows, meta)
+        return _render_json("rows", [dict(zip(_COLUMNS, _row_values(r))) for r in rows], meta)
     raise DomainError(f"unknown format {format!r}")
 
 
@@ -220,12 +220,13 @@ def _render_csv(rows: Sequence[ComparisonRow]) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _render_json(rows: Sequence[ComparisonRow], meta: Optional[dict]) -> bytes:
+def _render_json(key: str, items: list[dict], meta: Optional[dict]) -> bytes:
+    """``items`` under ``key``, next to the version and ``meta``: compact JSON with sorted keys."""
     import json
 
     payload = {
         "meta": {"version": __version__, **(meta or {})},
-        "rows": [dict(zip(_COLUMNS, _row_values(r))) for r in rows],
+        key: items,
     }
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
@@ -236,36 +237,12 @@ def render_samples(
     meta: Optional[dict] = None,
 ) -> bytes:
     """Serialize wavefunction samples; full float precision for round-trips."""
-    flagged = any(s.in_inner_forbidden is not None for s in samples)
     if format == "csv":
-        header = ["r", "value"]
-        if flagged:
-            header += ["imag", "inner_forbidden"]
-        lines = [",".join(header)]
+        lines = ["r,value"]
         for s in samples:
-            cells = [repr(float(s.r)), repr(float(s.value))]
-            if flagged:
-                cells += [repr(float(s.imag)), "1" if s.in_inner_forbidden else "0"]
-            lines.append(",".join(cells))
+            lines.append(f"{float(s.r)!r},{float(s.value)!r}")
         return ("\n".join(lines) + "\n").encode()
     if format == "json":
-        import json
-
-        payload = {
-            "meta": {"version": __version__, **(meta or {})},
-            "samples": [
-                {
-                    "r": s.r,
-                    "value": s.value,
-                    **(
-                        {"imag": s.imag, "inner_forbidden": bool(s.in_inner_forbidden)}
-                        if flagged
-                        else {}
-                    ),
-                }
-                for s in samples
-            ],
-        }
-        return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        return _render_json("samples", [{"r": s.r, "value": s.value} for s in samples], meta)
     raise DomainError(f"unknown format {format!r}")
 

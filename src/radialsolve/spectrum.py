@@ -29,6 +29,7 @@ from .potentials import (
     UnitSystem,
     _coulomb_level,
     _set_field,
+    _within_float_range,
 )
 from .roots import brentq
 from .turning_points import TurningPoints, turning_points
@@ -44,6 +45,7 @@ class _Numbered(Frozen):
     def __init__(self, n: int):
         if n < 1:
             raise DomainError(f"quantum number n must be >= 1, got {n}")
+        _within_float_range(n, "quantum number n")
         _set_field(self, "n", n)
 
 
@@ -91,33 +93,10 @@ def branch_theta(branch: EnergyBranch) -> float:
 
 def branch_g(branch: EnergyBranch, units: UnitSystem = NATURAL) -> float:
     """Aggregate g = (1/2)(hbar^2/m) theta^2 with E = g / d^2 (energy * length^2)."""
-    return 0.5 * units.hbar2_over_m * branch_theta(branch) ** 2
-
-
-def ground_energy_from_d(d: float, units: UnitSystem = NATURAL, signed: bool = False) -> float:
-    """Ground-state energy 2 hbar^2 / (m d^2); negative when signed (bound)."""
-    magnitude = excited_energy_from_d(d, Ground(), units)
-    return -magnitude if signed else magnitude
-
-
-def excited_energy_from_d(d: float, branch: EnergyBranch, units: UnitSystem = NATURAL) -> float:
-    """Branch energy g(branch) / d^2."""
-    if not d > 0:
-        raise DomainError(f"width d must be positive, got {d}")
-    return branch_g(branch, units) / (d * d)
-
-
-def delta_model_energy(S: float, units: UnitSystem = NATURAL) -> tuple[float, float, float]:
-    """Bound state of the surrogate potential S * delta(r - r0).
-
-    Returns (k, E, |A|) with k = m |S| / hbar^2, E = -m S^2 / (2 hbar^2) and
-    the normalization |A| = sqrt(k).
-    """
-    if S == 0.0:
-        raise DomainError("S = 0 supports no bound state")
-    k = units.mass * abs(S) / units.hbar**2
-    E = -units.mass * S * S / (2.0 * units.hbar**2)
-    return k, E, math.sqrt(k)
+    try:
+        return 0.5 * units.hbar2_over_m * branch_theta(branch) ** 2
+    except OverflowError:  # theta^2, or the integer multiple of pi in theta, past the float range
+        raise DomainError(f"the branch angle of {branch!r} squared is past the float range") from None
 
 
 def closed_form_energy(U: EffectivePotential, branch: EnergyBranch) -> Optional[float]:

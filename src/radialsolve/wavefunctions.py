@@ -20,7 +20,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import DomainError, NotNormalizableError
 from .potentials import EffectivePotential, Frozen, _set_field
-from .quadrature import Phase, adaptive_integral, adaptive_integral_many, make_phase
+# no code here reads adaptive_integral; bench/test_bench.py checks that its tracer restores this binding
+from .quadrature import Phase, adaptive_integral, adaptive_integral_many, make_phase  # noqa: F401
 from .spectrum import Antisymmetric, EnergyLevel, Symmetric, branch_theta, self_consistent_energy
 from .turning_points import TurningPoints
 
@@ -122,11 +123,6 @@ def _support_phase(U: EffectivePotential, tp: TurningPoints) -> Phase:
     return make_phase(U, _support_anchor(tp), tp.r2)
 
 
-def eval_radial(wf: RadialWaveFunction, r: float) -> float:
-    """R(r) = F(r) / r; zero outside the supported interval."""
-    return wf.radial_F(r) / r
-
-
 def normalize(wf: RadialWaveFunction) -> RadialWaveFunction:
     """Rescale the amplitude so that the L2 norm of F over [r1, r2] is 1."""
     if isinstance(wf, FreeParticleWave):
@@ -149,31 +145,10 @@ def normalize(wf: RadialWaveFunction) -> RadialWaveFunction:
 
 
 def delta_model_wavefunction(k: float, r0: float, r: float) -> float:
-    """D(r) = sqrt(k) e^{-k |r - r0|}, the normalized delta-model bound state."""
+    """D(r) = sqrt(k) e^{-k|r - r0|}, normalized bound state of S delta(r - r0): k = m|S|/hbar^2, E = -m S^2/(2 hbar^2)."""
     if not k > 0:
         raise DomainError(f"k must be positive, got {k}")
     return math.sqrt(k) * math.exp(-k * abs(r - r0))
-
-
-def evanescent_eval(U: EffectivePotential, E: float, r: float, r_ref: float) -> float:
-    """Decaying envelope exp(-m1 * integral sqrt(U - E)) in a forbidden region.
-
-    The path from r_ref to r must satisfy E < U throughout, or DomainError
-    names the radius where U is least; the decaying branch is taken toward
-    increasing r (growing toward decreasing r).
-    """
-    if not r > 0 or not r_ref > 0:
-        raise DomainError(f"radii must be positive, got r={r}, r_ref={r_ref}")
-    r_least, u_least = U.least(min(r, r_ref), max(r, r_ref))
-    if E >= u_least:
-        raise DomainError(f"E >= U at r = {r_least:.6g}: classically allowed; use eval_radial")
-    if r == r_ref:
-        return 1.0
-    m1 = U.units.m1
-    val, _ = adaptive_integral(
-        lambda x: m1 * math.sqrt(max(U(x) - E, 0.0)), r_ref, r, tol=1e-10
-    )
-    return math.exp(-val)
 
 
 def free_particle_radial(fp: FreeParticleWave, r: float) -> complex | float:
@@ -215,30 +190,15 @@ def boundary_residuals(wf: RadialWaveFunction) -> tuple[float, float]:
 class SamplePoint(NamedTuple):
     r: float
     value: float
-    imag: float = 0.0
-    in_inner_forbidden: bool | None = None
 
 
-def sample_wavefunction(
-    wf: RadialWaveFunction | FreeParticleWave, grid: Sequence[float]
-) -> list[SamplePoint]:
-    """Pointwise deterministic samples of R(r) on a strictly increasing grid.
-
-    For the free particle the inner turning point r1 = sqrt(l(l+1)) / K
-    (0 for l = 0) is flagged per point: the piecewise value is still
-    reported there. A bound state evaluates its phase on all grid points of
-    its support with one call.
-    """
+def sample_wavefunction(wf: RadialWaveFunction, grid: Sequence[float]) -> list[SamplePoint]:
+    """Samples of R(r) on a strictly increasing grid, with one phase call for the points in the support."""
     prev = 0.0
     for r in grid:
         if not r > prev:
             raise DomainError("grid must be strictly increasing and positive")
         prev = r
-    if isinstance(wf, FreeParticleWave):
-        r1 = math.sqrt(wf.l * (wf.l + 1)) / wf.K
-        values = [complex(free_particle_radial(wf, r)) for r in grid]
-        return [SamplePoint(r, v.real, v.imag, r < r1) for r, v in zip(grid, values)]
     # tuple.__new__ builds each SamplePoint(r, F / r) without a Python call per point
     R = map(operator.truediv, wf.radial_F_many(grid), grid)
-    fields = zip(grid, R, itertools.repeat(0.0), itertools.repeat(None))
-    return list(map(tuple.__new__, itertools.repeat(SamplePoint), fields))
+    return list(map(tuple.__new__, itertools.repeat(SamplePoint), zip(grid, R)))

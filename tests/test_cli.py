@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from radialsolve import EffectivePotential, InfiniteSphericalWell, IsotropicHO
 from radialsolve import build_bound_state, normalize
-from radialsolve.cli import main, parse_branch, parse_potential, sample_grid
+from radialsolve.cli import MAX_COUNT, main, parse_branch, parse_potential, sample_grid
 from radialsolve.spectrum import closed_form_energy
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -226,6 +226,39 @@ def test_a_one_level_n_range_is_not_reversed():
 def test_a_negative_node_count_is_a_domain_error_naming_it():
     argv = ["oracle", "numerov", "--potential", "ho:omega=1", "--nodes", "-1", "--bracket", "1:2"]
     assert run_main(argv) == (1, b"", "error: node_target must be >= 0, got -1\n")
+
+
+#: an integer past the float range, and one past the C ssize_t of a list length
+PAST_FLOAT = "1" + "0" * 400
+PAST_SSIZE = "1" + "0" * 200
+OUT_OF_RANGE = [
+    # an integer that no float holds: a domain error where the value enters the API
+    (1, ["spectrum", "--potential", "ho:omega=1", "--l", PAST_FLOAT]),
+    (1, ["spectrum", "--potential", "ho:omega=1", "--n", PAST_FLOAT]),
+    (1, ["spectrum", "--potential", f"hydrogen:Z={PAST_FLOAT}"]),
+    (1, ["turning-points", "--potential", "ho:omega=1", "--l", PAST_FLOAT, "--energy", "1"]),
+    (1, ["wavefunction", "--potential", "well:L=1", "--n", PAST_FLOAT]),
+    (1, ["oracle", "ho", "--n", PAST_FLOAT]),
+    (1, ["oracle", "ho", "--l", PAST_FLOAT]),
+    (1, ["oracle", "numerov", "--potential", "ho:omega=1", "--l", PAST_FLOAT, "--bracket", "0:5"]),
+    # a count the CLI would turn into a list: a usage error before anything is allocated
+    (2, ["spectrum", "--potential", "ho:omega=1", "--n", f"1:{PAST_SSIZE}"]),
+    (2, ["wavefunction", "--potential", "well:L=1", "--samples", PAST_FLOAT]),
+    (2, ["spectrum", "--potential", "ho:omega=1", "--n", f"1:{MAX_COUNT + 1}"]),
+    (2, ["oracle", "bessel-zeros", "--l", "0", "--n", f"0:{MAX_COUNT}"]),
+    (2, ["wavefunction", "--potential", "well:L=1", "--samples", str(MAX_COUNT + 1)]),
+]
+
+
+@pytest.mark.parametrize(
+    "code, argv", OUT_OF_RANGE,
+    ids=[" ".join(a if len(a) < 40 else f"<{len(a)} chars>" for a in argv) for _, argv in OUT_OF_RANGE],
+)
+def test_an_integer_out_of_range_ends_in_a_one_line_error(code, argv):
+    got, out, err = run_main(argv)
+    assert (got, out) == (code, b"")
+    assert err.startswith("error: " if code == 1 else "usage error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("omega", ["0", "-1", "inf", "nan", "1e308", "1e-320"])
@@ -498,7 +531,6 @@ def test_array_verbs_load_numpy_on_first_use(argv):
 LIBRARY_CALLS = [
     "phase_Q(EffectivePotential(IsotropicHO(omega=1.0), l=1), 2.0, 1.0)",
     "phase_Q(EffectivePotential(InfiniteSphericalWell(L=1.0), l=2), 0.9, 0.5)",
-    "evanescent_eval(EffectivePotential(IsotropicHO(omega=1.0), l=1), 1.5, 3.0, 2.0)",
     "solve_turning_points(EffectivePotential(IsotropicHO(omega=1.0), l=1), 3.0)",
     "solve_turning_points(EffectivePotential(Parabolic(a=1.0, b=1.0, c=1.0), l=1), 6.0)",
 ]

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radialsolve.errors import DomainError, RadialSolveError
-from radialsolve.oracles import numerov_bound_state
+from radialsolve.oracles import bohr_energy, ho_so_oracle_energy, numerov_bound_state, spherical_bessel
 from radialsolve.potentials import (
     EV_NM,
     INFINITE,
@@ -30,7 +30,7 @@ from radialsolve.potentials import (
     validate_jls,
 )
 from radialsolve.quadrature import area_S, phase_Q
-from radialsolve.spectrum import Antisymmetric, General, Ground, Symmetric, self_consistent_energy
+from radialsolve.spectrum import Antisymmetric, General, Ground, Symmetric, branch_g, self_consistent_energy
 from radialsolve.turning_points import turning_points
 
 
@@ -574,3 +574,24 @@ def test_hydrogen_minimum_where_k_squared_overflows():
     U = EffectivePotential(HydrogenLike(Z=1, e_charge=1e80), l=1, units=UnitSystem(hbar=1e10, mass=1.0))
     assert U.minimum == pytest.approx((2e-140, -2.5e299), rel=1e-15)
     assert U.least(1e-140, 4e-140) == U.minimum
+
+
+# a float power of a caller value, a product or an integer past the float range:
+# each raised OverflowError or ZeroDivisionError, or returned -inf
+PAST_THE_FLOAT_RANGE = {
+    "hbar^2 overflows": lambda: EffectivePotential(IsotropicHO(1.0), 1, UnitSystem(hbar=1e200)),
+    "c^2 underflows": lambda: EffectivePotential(HOSpinOrbit(1.0, 2.5), 2, UnitSystem(light_speed=1e-200)),
+    "c^2 overflows": lambda: EffectivePotential(HOSpinOrbit(1.0, 2.5), 2, UnitSystem(light_speed=1e200)),
+    "e^4 overflows": lambda: bohr_energy(1, 1, e_charge=1e100),
+    "Z^2 overflows": lambda: bohr_energy(10**200, 1),
+    "n^2 past the float range": lambda: bohr_energy(1, 10**200),
+    "x * x underflows": lambda: spherical_bessel(3, 1e-200),
+    "theta^2 overflows": lambda: branch_g(General(10**300)),
+    "l past the float range": lambda: ho_so_oracle_energy(0, 10**400, 0.5, 0.5, 0.01, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", PAST_THE_FLOAT_RANGE.values(), ids=PAST_THE_FLOAT_RANGE)
+def test_a_value_past_the_float_range_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

@@ -28,85 +28,14 @@ from radialsolve.spectrum import (
     Symmetric,
     branch_g,
     branch_theta,
-    delta_model_energy,
-    excited_energy_from_d,
     closed_form_energy,
-    ground_energy_from_d,
     self_consistent_energy,
 )
 from radialsolve.report import reproduce_table
 from radialsolve.turning_points import turning_points
 
 
-class TestGroundEnergyFromD:
-    def test_unit_inputs(self):
-        assert ground_energy_from_d(1.0, NATURAL) == pytest.approx(2.0)
-
-    def test_signed(self):
-        assert ground_energy_from_d(2.0, NATURAL, signed=True) == pytest.approx(-0.5)
-
-    def test_quarter_scaling(self):
-        u = UnitSystem(hbar=3.0, mass=0.7)
-        assert ground_energy_from_d(2.0, u) == pytest.approx(0.25 * ground_energy_from_d(1.0, u))
-
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(DomainError):
-            ground_energy_from_d(0.0, NATURAL)
-
-
-class TestDeltaModel:
-    def test_unit_strength(self):
-        k, E, A = delta_model_energy(1.0, NATURAL)
-        assert k == pytest.approx(1.0)
-        assert E == pytest.approx(-0.5)
-        assert A == pytest.approx(1.0)
-
-    def test_strength_two(self):
-        _, E, _ = delta_model_energy(2.0, NATURAL)
-        assert E == pytest.approx(-2.0)
-
-    def test_zero_strength_rejected(self):
-        with pytest.raises(DomainError):
-            delta_model_energy(0.0, NATURAL)
-
-    def test_sign_of_s_irrelevant_for_energy(self):
-        assert delta_model_energy(-1.5, NATURAL)[1] == delta_model_energy(1.5, NATURAL)[1]
-
-    def test_hydrogen_consistency(self):
-        # at the bound fixed point E0 = -2 hbar^2/(m d^2), the product S = E0 d
-        # fed back through the delta model reproduces E0
-        U = EffectivePotential(HydrogenLike(Z=1, e_charge=1.0), l=0)
-        level = self_consistent_energy(U, Ground(), signed=True)
-        S = level.value * level.d_at_solution
-        _, E, _ = delta_model_energy(S, NATURAL)
-        assert E == pytest.approx(level.value, rel=1e-9)
-
-
 class TestExcitedEnergyFromD:
-    def test_general_2n_equals_antisymmetric_n(self):
-        for d in (0.5, 1.0, 3.0):
-            for n in range(1, 11):
-                assert excited_energy_from_d(d, General(2 * n), NATURAL) == pytest.approx(
-                    excited_energy_from_d(d, Antisymmetric(n), NATURAL), rel=1e-15
-                )
-
-    def test_general_odd_equals_symmetric(self):
-        for d in (0.5, 1.0, 3.0):
-            for n in range(1, 11):
-                assert excited_energy_from_d(d, General(2 * n - 1), NATURAL) == pytest.approx(
-                    excited_energy_from_d(d, Symmetric(n), NATURAL), rel=1e-15
-                )
-
-    def test_general_1_value(self):
-        assert excited_energy_from_d(1.0, General(1), NATURAL) == pytest.approx(math.pi**2 / 2)
-
-    def test_symmetric_1_value(self):
-        assert excited_energy_from_d(1.0, Symmetric(1), NATURAL) == pytest.approx(math.pi**2 / 2)
-
-    def test_monotone_in_n(self):
-        vals = [excited_energy_from_d(1.0, General(n), NATURAL) for n in range(1, 8)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
     def test_branch_validation(self):
         with pytest.raises(DomainError):
             General(0)

@@ -6,6 +6,7 @@ of both, the dataclass-style construction, ``repr``, ``==``, ``hash``,
 immutability, ``match``, copy and pickle included.
 """
 
+import ast
 import copy
 import os
 import pickle
@@ -39,11 +40,12 @@ from radialsolve import (
 from radialsolve.errors import DomainError, NoClassicalRegionError
 from radialsolve.quadrature import Phase
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 # ---------------------------------------------------------------- package exports
 
-#: the 52 exported names, by the submodule that defines each
+#: the 47 exported names, by the submodule that defines each
 EXPORTS = {
     "potentials": (
         "EV_NM", "INFINITE", "NATURAL", "EffectivePotential", "FreeParticle", "HOSpinOrbit",
@@ -54,12 +56,11 @@ EXPORTS = {
     "quadrature": ("PhaseResult", "adaptive_integral", "area_S", "phase_Q"),
     "spectrum": (
         "Antisymmetric", "EnergyLevel", "General", "Ground", "Symmetric", "closed_form_energy",
-        "delta_model_energy", "excited_energy_from_d", "ground_energy_from_d", "self_consistent_energy",
+        "self_consistent_energy",
     ),
     "wavefunctions": (
         "FreeParticleWave", "RadialWaveFunction", "boundary_residuals", "build_bound_state",
-        "delta_model_wavefunction", "eval_radial", "evanescent_eval", "free_particle_radial",
-        "normalize", "sample_wavefunction",
+        "delta_model_wavefunction", "free_particle_radial", "normalize", "sample_wavefunction",
     ),
     "oracles": (
         "OracleEnergy", "bessel_zero", "bohr_energy", "ho_oracle_energy", "ho_so_oracle_energy",
@@ -73,7 +74,7 @@ NAMES = [name for names in EXPORTS.values() for name in names]
 def test_all_lists_the_exports():
     # a package without __all__ exports its public names that are not submodules
     public = {name for name in dir(rs) if not name.startswith("_") and not isinstance(getattr(rs, name), type(rs))}
-    assert len(NAMES) == 52 and public == set(NAMES)
+    assert len(NAMES) == 47 and public == set(NAMES)
     assert sorted(getattr(rs, "__all__", NAMES)) == sorted(NAMES)
 
 
@@ -137,6 +138,69 @@ def test_unknown_attribute_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_export"):
         rs.no_such_export
     assert not hasattr(rs, "no_such_export")
+
+
+#: the code whose reads keep an export alive: the package itself, the paper's
+#: acceptance criteria and the benchmark
+READERS = [
+    *sorted((ROOT / "src" / "radialsolve").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+    *sorted((ROOT / "bench").glob("*.py")),
+]
+
+
+def _reads(path: Path) -> list[tuple[str, str | None]]:
+    """(name, top-level definition it is read in, None outside any) of every read in ``path``.
+
+    A read is a loaded ``Name``, an attribute of an imported radialsolve
+    module (``rs.normalize``), or, in ``bench/spans.py``, a name in the
+    tables through which its tracer looks functions up with ``getattr``.
+    Strings elsewhere (docstrings, messages) and import statements are no reads.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.partition(".")[0] == "radialsolve"
+    }
+    tables = {"SPANNED", "COUNTED"} if path.name == "spans.py" else set()
+    reads = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                base = node.value
+                while isinstance(base, ast.Attribute):
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in aliases:
+                    reads.append((node.attr, owner))
+        if isinstance(top, ast.Assign) and {getattr(t, "id", None) for t in top.targets} & tables:
+            reads += [(node.value, None) for node in ast.walk(top.value)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    return reads
+
+
+def test_every_export_has_a_reader():
+    # an export is read when some code reads it outside its own definition,
+    # and that code is not itself the definition of an export nothing reads
+    contexts = {name: set() for name in rs.__all__}
+    for path in READERS:
+        outside_src = path.parent.name != "radialsolve"
+        for name, owner in _reads(path):
+            if name in contexts and owner != name:
+                contexts[name].add(None if outside_src else owner)
+    read: set[str] = set()
+    while True:
+        more = {
+            name for name in contexts if name not in read
+            and any(owner is None or owner not in contexts or owner in read for owner in contexts[name])
+        }
+        if not more:
+            break
+        read |= more
+    assert sorted(contexts.keys() - read) == []
 
 
 # ---------------------------------------------------------------- value classes

@@ -13,7 +13,6 @@ from radialsolve.errors import DomainError, NotNormalizableError
 from radialsolve.potentials import (
     NATURAL,
     EffectivePotential,
-    FreeParticle,
     InfiniteSphericalWell,
     IsotropicHO,
     Parabolic,
@@ -30,8 +29,6 @@ from radialsolve.wavefunctions import (
     build_bound_state,
     delta_model_wavefunction,
     detuned_state,
-    eval_radial,
-    evanescent_eval,
     free_particle_radial,
     normalize,
     sample_wavefunction,
@@ -76,17 +73,12 @@ class TestBoundStates:
         assert wf.radial_F(wf.tp.r1 * 0.5) == 0.0
         assert wf.radial_F(wf.tp.r2 * 2.0) == 0.0
 
-    def test_eval_radial_is_F_over_r(self):
-        wf, _ = build_bound_state(HO1, 2, "symmetric")
-        r = wf.tp.r0 * 1.1
-        assert eval_radial(wf, r) == pytest.approx(wf.radial_F(r) / r, rel=1e-15)
-
     def test_rejects_nonpositive_radius(self):
         wf, _ = build_bound_state(HO1, 1, "symmetric")
         with pytest.raises(DomainError):
             wf.radial_F(0.0)
         with pytest.raises(DomainError):
-            eval_radial(wf, -1.0)
+            wf.radial_F(-1.0)
 
     def test_carrier_is_centred_on_r0(self):
         wf, _ = build_bound_state(HO1, 1, "symmetric")
@@ -198,7 +190,7 @@ class TestParabolicStates:
         wf, _ = build_bound_state(_parabolic(0), 1, "symmetric")
         assert wf.tp.r1 == 0.0
         for r in (wf.tp.r2 * 1e-13, wf.tp.r2 * 1e-15):
-            assert math.isfinite(eval_radial(wf, r))
+            assert math.isfinite(wf.radial_F(r) / r)
 
     def test_work_guard(self, u_count):
         # re-integrating Q from r_ref at each point took 165,139 U evaluations
@@ -251,7 +243,7 @@ class TestParabolicStates:
         wf = normalize(wf)
         # the grid reaches past both ends of the support
         grid = [float(r) for r in np.linspace(0.5 * wf.tp.r1, 1.1 * wf.tp.r2, 257)]
-        assert sample_wavefunction(wf, grid) == [SamplePoint(r, eval_radial(wf, r)) for r in grid]
+        assert sample_wavefunction(wf, grid) == [SamplePoint(r, wf.radial_F(r) / r) for r in grid]
 
     @pytest.mark.parametrize("l, n, parity", [s for s in PARABOLIC_STATES if s[0] >= 1])
     def test_amplitude_matches_scalar_norm_integral(self, l, n, parity):
@@ -334,44 +326,6 @@ class TestDeltaModel:
             delta_model_wavefunction(0.0, 1.0, 1.0)
 
 
-class TestEvanescent:
-    def test_unity_at_reference(self):
-        assert evanescent_eval(HO1, 0.5, 5.0, 5.0) == 1.0
-
-    def test_strictly_decreasing_outward(self):
-        U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
-        tp = turning_points(U, 1.0)
-        rs = np.linspace(tp.r2 * 1.01, tp.r2 * 2.0, 20)
-        vals = [evanescent_eval(U, 1.0, float(r), tp.r2 * 1.005) for r in rs]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-        assert all(0.0 < v <= 1.0 for v in vals)
-
-    def test_constant_barrier_unit_decay(self):
-        # U - E = hbar^2/2m over a unit length gives exactly e^{-1}
-        U = EffectivePotential(FreeParticle(), l=0)
-        val = evanescent_eval(U, -0.5, 3.0, 2.0)
-        assert val == pytest.approx(math.exp(-1.0), rel=1e-10)
-
-    def test_rejects_allowed_region(self):
-        U = EffectivePotential(IsotropicHO(omega=1.0), l=0)
-        with pytest.raises(DomainError):
-            evanescent_eval(U, 10.0, 1.0, 0.5)
-
-    def test_rejects_an_allowed_region_between_samples(self):
-        # E = u_min (1 + 1e-7) lies above U only on a 7e-4 wide interval
-        # around r_min = 3^(1/4), narrower than the step of a 129-point grid
-        U = EffectivePotential(IsotropicHO(omega=1.0), l=2)
-        r_min, u_min = U.minimum
-        with pytest.raises(DomainError, match=f"E >= U at r = {r_min:.6g}: classically allowed"):
-            evanescent_eval(U, u_min * (1.0 + 1e-7), 3.0, 0.5)
-
-    def test_reports_where_u_is_least(self):
-        # E = 1.5 lies above U = r^2/2 + 1/r^2 on (1, sqrt 2); U is least,
-        # sqrt 2, at r = 2^(1/4) = 1.18921
-        with pytest.raises(DomainError, match=r"E >= U at r = 1\.18921: classically allowed"):
-            evanescent_eval(HO1, 1.5, 3.0, 0.5)
-
-
 class TestFreeParticle:
     def test_l0_pieces_coincide(self):
         fp = FreeParticleWave(l=0, K=2.0, carrier="sin")
@@ -447,7 +401,7 @@ class TestSampling:
         pts = sample_wavefunction(wf, [r])
         assert len(pts) == 1
         assert pts[0].r == r
-        assert pts[0].value == pytest.approx(eval_radial(wf, r), rel=1e-15)
+        assert pts[0].value == pytest.approx(wf.radial_F(r) / r, rel=1e-15)
 
     def test_grid_must_increase(self):
         wf, _ = build_bound_state(HO1, 1, "symmetric")
@@ -455,12 +409,6 @@ class TestSampling:
             sample_wavefunction(wf, [1.0, 1.0])
         with pytest.raises(DomainError):
             sample_wavefunction(wf, [-1.0, 1.0])
-
-    def test_free_particle_inner_flag(self):
-        fp = FreeParticleWave(l=1, K=1.0, carrier="cos")
-        r1 = math.sqrt(2.0)  # sqrt(l(l+1))/K
-        pts = sample_wavefunction(fp, [0.5, r1 * 0.99, r1 * 1.01, 3.0])
-        assert [p.in_inner_forbidden for p in pts] == [True, True, False, False]
 
     def test_csv_round_trip_bit_identical(self):
         wf, _ = build_bound_state(HO1, 2, "antisymmetric")
@@ -471,28 +419,16 @@ class TestSampling:
         again = render_samples([SamplePoint(float(r), float(v)) for r, v in cells], format="csv")
         assert again == blob
 
-    def test_free_particle_csv_round_trip(self):
-        fp = FreeParticleWave(l=2, K=1.5, carrier="exp_plus")
-        pts = sample_wavefunction(fp, [0.5, 1.0, 2.0, 4.0])
-        header, *lines = render_samples(pts, format="csv").decode().splitlines()
-        assert header == "r,value,imag,inner_forbidden"
-        cells = [line.split(",") for line in lines]
-        assert [SamplePoint(float(r), float(v), float(i), flag == "1") for r, v, i, flag in cells] == pts
-
     def test_sample_point_is_immutable_and_hashable(self):
         p = SamplePoint(1.5, -0.25)
         with pytest.raises(AttributeError):
             p.value = 0.0
         assert hash(p) == hash(SamplePoint(1.5, -0.25))
-        assert len({p, SamplePoint(1.5, -0.25), SamplePoint(1.5, 0.25, 0.0, True)}) == 2
+        assert len({p, SamplePoint(1.5, -0.25), SamplePoint(1.5, 0.25)}) == 2
 
     def test_sample_point_repr(self):
-        assert repr(SamplePoint(1.5, -0.25)) == (
-            "SamplePoint(r=1.5, value=-0.25, imag=0.0, in_inner_forbidden=None)"
-        )
-        assert repr(SamplePoint(2.0, 1e-320, -0.0, True)) == (
-            "SamplePoint(r=2.0, value=1e-320, imag=-0.0, in_inner_forbidden=True)"
-        )
+        assert repr(SamplePoint(1.5, -0.25)) == "SamplePoint(r=1.5, value=-0.25)"
+        assert repr(SamplePoint(2.0, 1e-320)) == "SamplePoint(r=2.0, value=1e-320)"
 
 
 @pytest.mark.parametrize("parity", ["symmetric", "antisymmetric"])
