@@ -33,9 +33,109 @@ from radialsolve.spectrum import (
 )
 from radialsolve.report import reproduce_table
 from radialsolve.turning_points import turning_points
+from radialsolve.wavefunctions import delta_model_wavefunction
+
+
+class TestGroundEnergyFromD:
+    """The ground law E = g / d^2 = 2 hbar^2 / (m d^2), as branch_g and the solver apply it."""
+
+    def test_unit_inputs(self):
+        assert branch_g(Ground(), NATURAL) / 1.0**2 == pytest.approx(2.0)
+
+    def test_signed(self):
+        # the signed (bound Coulomb) solve ends at E = -g / d^2
+        U = EffectivePotential(HydrogenLike(Z=1, e_charge=1.0), l=0)
+        level = self_consistent_energy(U, Ground(), signed=True)
+        d = level.d_at_solution
+        assert level.value == pytest.approx(-branch_g(Ground(), NATURAL) / d**2, rel=1e-9)
+        assert -branch_g(Ground(), NATURAL) / 2.0**2 == pytest.approx(-0.5)
+
+    def test_quarter_scaling(self):
+        # a well twice as wide (d = L) has a quarter of the ground energy
+        u = UnitSystem(hbar=3.0, mass=0.7)
+        E1, E2 = (
+            self_consistent_energy(EffectivePotential(InfiniteSphericalWell(L=L), l=0, units=u), Ground()).value
+            for L in (1.0, 2.0)
+        )
+        assert E2 == pytest.approx(0.25 * E1)
+        assert E1 == pytest.approx(branch_g(Ground(), u))
+
+    def test_rejects_nonpositive_width(self):
+        with pytest.raises(DomainError):
+            InfiniteSphericalWell(L=0.0)
+
+
+def _delta_energy(S: float, r0: float, side: float, units: UnitSystem = NATURAL) -> float:
+    """E of the bound state of S delta(r - r0), read off D = delta_model_wavefunction.
+
+    k = m|S|/hbar^2, and away from r0 -(hbar^2 / 2m) D'' = E D, with D'' by a
+    central difference one decay length 1/k to the ``side`` (+1 or -1) of r0.
+    """
+    k = units.mass * abs(S) / units.hbar**2
+    r, h = r0 + side / k, 1e-4 / k
+    D = [delta_model_wavefunction(k, r0, x) for x in (r - h, r, r + h)]
+    return -0.5 * units.hbar2_over_m * (D[0] - 2.0 * D[1] + D[2]) / (h * h) / D[1]
+
+
+class TestDeltaModel:
+    """k = m|S|/hbar^2 and E = -m S^2 / (2 hbar^2) of the delta-model state D."""
+
+    def test_unit_strength(self):
+        assert delta_model_wavefunction(1.0, 3.0, 3.0) == 1.0  # |A| = sqrt(k) = 1
+        assert _delta_energy(1.0, 3.0, +1.0) == pytest.approx(-0.5, rel=1e-6)
+
+    def test_strength_two(self):
+        assert _delta_energy(2.0, 3.0, +1.0) == pytest.approx(-2.0, rel=1e-6)
+
+    def test_zero_strength_rejected(self):
+        # S = 0 gives k = 0, which supports no bound state
+        with pytest.raises(DomainError):
+            delta_model_wavefunction(NATURAL.mass * abs(0.0) / NATURAL.hbar**2, 3.0, 3.0)
+
+    def test_sign_of_s_irrelevant_for_energy(self):
+        assert _delta_energy(-1.5, 3.0, +1.0) == _delta_energy(1.5, 3.0, +1.0)
+        # D is even about r0, so either side gives the same E
+        assert _delta_energy(1.5, 3.0, -1.0) == pytest.approx(_delta_energy(1.5, 3.0, +1.0), rel=1e-9)
+
+    def test_hydrogen_consistency(self):
+        # at the bound fixed point E0 = -2 hbar^2/(m d^2), the product S = E0 d
+        # fed back through the delta model reproduces E0
+        U = EffectivePotential(HydrogenLike(Z=1, e_charge=1.0), l=0)
+        level = self_consistent_energy(U, Ground(), signed=True)
+        S = level.value * level.d_at_solution
+        assert _delta_energy(S, 10.0, +1.0) == pytest.approx(level.value, rel=1e-6)
 
 
 class TestExcitedEnergyFromD:
+    """Branch energies g(branch) / d^2, g from branch_g."""
+
+    def test_general_2n_equals_antisymmetric_n(self):
+        for d in (0.5, 1.0, 3.0):
+            for n in range(1, 11):
+                assert branch_g(General(2 * n), NATURAL) / (d * d) == pytest.approx(
+                    branch_g(Antisymmetric(n), NATURAL) / (d * d), rel=1e-15
+                )
+
+    def test_general_odd_equals_symmetric(self):
+        for d in (0.5, 1.0, 3.0):
+            for n in range(1, 11):
+                assert branch_g(General(2 * n - 1), NATURAL) / (d * d) == pytest.approx(
+                    branch_g(Symmetric(n), NATURAL) / (d * d), rel=1e-15
+                )
+
+    def test_general_1_value(self):
+        # in a well d = L, so the solver's level is g / L^2
+        U = EffectivePotential(InfiniteSphericalWell(L=1.0), l=0)
+        assert self_consistent_energy(U, General(1)).value == pytest.approx(math.pi**2 / 2)
+
+    def test_symmetric_1_value(self):
+        U = EffectivePotential(InfiniteSphericalWell(L=1.0), l=0)
+        assert self_consistent_energy(U, Symmetric(1)).value == pytest.approx(math.pi**2 / 2)
+
+    def test_monotone_in_n(self):
+        vals = [branch_g(General(n), NATURAL) for n in range(1, 8)]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+
     def test_branch_validation(self):
         with pytest.raises(DomainError):
             General(0)

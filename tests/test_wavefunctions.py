@@ -9,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radialsolve.errors import DomainError, NotNormalizableError
+from radialsolve.errors import ComplexPhaseError, DomainError, NotNormalizableError
 from radialsolve.potentials import (
     NATURAL,
     EffectivePotential,
+    FreeParticle,
+    HOSpinOrbit,
     InfiniteSphericalWell,
     IsotropicHO,
     Parabolic,
@@ -72,6 +74,13 @@ class TestBoundStates:
         wf, _ = build_bound_state(HO1, 1, "symmetric")
         assert wf.radial_F(wf.tp.r1 * 0.5) == 0.0
         assert wf.radial_F(wf.tp.r2 * 2.0) == 0.0
+
+    def test_eval_radial_is_F_over_r(self):
+        # R(r) = (A / r) cos[K (r - r0)] e^{-Q(r)}
+        wf, _ = build_bound_state(HO1, 2, "symmetric")
+        r = wf.tp.r0 * 1.1
+        expected = wf.amplitude * wf.carrier(r) * math.exp(-wf.phase(r)) / r
+        assert sample_wavefunction(wf, [r])[0].value == pytest.approx(expected, rel=1e-15)
 
     def test_rejects_nonpositive_radius(self):
         wf, _ = build_bound_state(HO1, 1, "symmetric")
@@ -326,6 +335,58 @@ class TestDeltaModel:
             delta_model_wavefunction(0.0, 1.0, 1.0)
 
 
+def _shifted_ho1(E: float) -> EffectivePotential:
+    """U - E for U = HO1, as the spin-orbit shift C = c0 / 2 of l = 1, j = 3/2."""
+    return EffectivePotential(HOSpinOrbit(omega=1.0, j=1.5, c0=2.0 * E), l=1)
+
+
+def _envelope(U: EffectivePotential, r: float, r_ref: float) -> float:
+    """The decaying envelope e^{-Q(r)} under the barrier U > 0, Q(r_ref) = 0."""
+    return math.exp(-phase_Q(U, r, r_ref).value)
+
+
+class TestEvanescent:
+    """The envelope e^{-Q} where U - E > 0, and the guard naming where it is not."""
+
+    def test_unity_at_reference(self):
+        assert _envelope(_shifted_ho1(0.5), 5.0, 5.0) == 1.0
+
+    def test_strictly_decreasing_outward(self):
+        U_E = _shifted_ho1(2.0)
+        tp = turning_points(HO1, 2.0)
+        assert U_E(tp.r2 * 1.5) == pytest.approx(HO1(tp.r2 * 1.5) - 2.0, rel=1e-15)
+        rs = np.linspace(tp.r2 * 1.01, tp.r2 * 2.0, 20)
+        vals = [_envelope(U_E, float(r), tp.r2 * 1.005) for r in rs]
+        assert all(b < a for a, b in zip(vals, vals[1:]))
+        assert all(0.0 < v <= 1.0 for v in vals)
+
+    def test_constant_barrier_unit_decay(self):
+        # m1 sqrt(U) = sqrt(2) / r under the l = 1 barrier U = 1/r^2, so Q = 1
+        # from r_ref to r_ref e^{1/sqrt 2}: exactly e^{-1}
+        U = EffectivePotential(FreeParticle(), l=1)
+        val = _envelope(U, 2.0 * math.exp(1.0 / math.sqrt(2.0)), 2.0)
+        assert val == pytest.approx(math.exp(-1.0), rel=1e-10)
+
+    def test_rejects_allowed_region(self):
+        with pytest.raises(ComplexPhaseError):
+            _envelope(_shifted_ho1(10.0), 1.0, 0.5)
+
+    def test_rejects_an_allowed_region_between_samples(self):
+        # E = u_min (1 + 1e-7) lies above U only on a 7e-4 wide interval
+        # around r_min = 3^(1/4), narrower than the step of a 129-point grid;
+        # l = 2, j = 5/2 shifts U by C = c0
+        r_min, u_min = EffectivePotential(IsotropicHO(omega=1.0), l=2).minimum
+        U_E = EffectivePotential(HOSpinOrbit(omega=1.0, j=2.5, c0=u_min * (1.0 + 1e-7)), l=2)
+        with pytest.raises(ComplexPhaseError, match=rf"U\({r_min:.6g}\) = "):
+            _envelope(U_E, 3.0, 0.5)
+
+    def test_reports_where_u_is_least(self):
+        # E = 1.5 lies above U = r^2/2 + 1/r^2 on (1, sqrt 2); U is least,
+        # sqrt 2, at r = 2^(1/4) = 1.18921
+        with pytest.raises(ComplexPhaseError, match=r"U\(1\.18921\) = "):
+            _envelope(_shifted_ho1(1.5), 3.0, 0.5)
+
+
 class TestFreeParticle:
     def test_l0_pieces_coincide(self):
         fp = FreeParticleWave(l=0, K=2.0, carrier="sin")
@@ -409,6 +470,23 @@ class TestSampling:
             sample_wavefunction(wf, [1.0, 1.0])
         with pytest.raises(DomainError):
             sample_wavefunction(wf, [-1.0, 1.0])
+
+    def test_free_particle_inner_flag(self):
+        # the inner turning point r1 = sqrt(l(l+1)) / K, E = hbar^2 K^2 / 2m:
+        # U > E below it, U < E above it
+        fp = FreeParticleWave(l=1, K=1.0, carrier="cos")
+        U, E = EffectivePotential(FreeParticle(), l=fp.l), 0.5 * fp.K**2
+        r1 = math.sqrt(2.0)  # sqrt(l(l+1))/K
+        assert U(r1) == pytest.approx(E, rel=1e-15)
+        assert [U(r) > E for r in [0.5, r1 * 0.99, r1 * 1.01, 3.0]] == [True, True, False, False]
+
+    def test_free_particle_csv_round_trip(self):
+        fp = FreeParticleWave(l=2, K=1.5, carrier="cos")
+        pts = [SamplePoint(r, free_particle_radial(fp, r)) for r in [0.5, 1.0, 2.0, 4.0]]
+        header, *lines = render_samples(pts, format="csv").decode().splitlines()
+        assert header == "r,value"
+        cells = [line.split(",") for line in lines]
+        assert [SamplePoint(float(r), float(v)) for r, v in cells] == pts
 
     def test_csv_round_trip_bit_identical(self):
         wf, _ = build_bound_state(HO1, 2, "antisymmetric")
