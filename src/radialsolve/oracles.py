@@ -178,9 +178,14 @@ _MAX_R_SCALES = 1e6
 # Sweeps one eigenvalue may take, on both grids; isolating and converging take
 # at most 12 on the tests' brackets.
 _MAX_SWEEPS = 200
-# Relative Newton step at which the search on the half grid hands over to the
-# full grid. It only has to land E in the full grid's Newton basin: the half
-# grid's own level sits about 16 times (2^4) further from the exact level.
+# Phase, in radians, that the fastest local wave advances per step of the
+# search grid: Numerov's error there, 0.1^4 / 240 ~ 4e-7 of a level, still
+# lands E in the full grid's Newton basin. It sets the search's stride, 8.
+_SEARCH_PHASE = 0.1
+_STRIDE = round(_SEARCH_PHASE / _PHASE_PER_STEP)
+# Relative Newton step at which the search hands over to the full grid. It
+# only has to land E in the full grid's Newton basin: the search grid's own
+# level sits up to about 8e-7 from the full grid's.
 _SEARCH_TOL = 1e-5
 
 
@@ -191,24 +196,30 @@ def _matched_sweep(x: np.ndarray, y0: float) -> tuple[int, float, float]:
     past the last point of ``x``, matched at m (see ``numerov_bound_state``).
     A ratio that is exactly 0 raises ZeroDivisionError.
     """
-    w = 1.0 + x / 12.0
-    a = 2.0 - x / w
-    last = len(x) - 1
-    if x[last] > 0.0:
-        m = max(0, last - round(0.5 * math.pi / math.sqrt(x[last])))
+    # a search sweep is some 100-200 points, so the fixed cost counts: w is
+    # made in place, and both loops read one memoryview of a
+    w = x / 12.0
+    w += 1.0
+    w0, w1 = w[:2].tolist()
+    a = memoryview(2.0 - x / w)
+    last = len(a) - 1
+    x_last = float(x[last])
+    if x_last > 0.0:
+        m = max(0, last - round(0.5 * math.pi / math.sqrt(x_last)))
     else:  # the last allowed point; with none, m = last: a plain outward sweep
-        m = last - int((x[::-1] > 0.0).argmax())
+        allowed = (x > 0.0).nonzero()[0]
+        m = int(allowed[-1]) if len(allowed) else last
     # outward R and S = sum_{j <= i} (u_j / u_i)^2, inward q = 1 / T_i and
     # S_in = sum_{j > i} (u_j / u_i)^2: each step takes one division
-    nodes, R, S = 0, float(w[1] / (y0 * w[0])), 1.0
-    for ai in memoryview(a[1 : m + 1]):
+    nodes, R, S = 0, w1 / (y0 * w0), 1.0
+    for ai in a[1 : m + 1]:
         if R < 0.0:
             nodes += 1
         p = 1.0 / R
         S = S * p * p + 1.0
         R = ai - p
     q, S_in = 0.0, 0.0
-    for ai in memoryview(a[:m:-1]):
+    for ai in a[:m:-1]:
         q = 1.0 / (ai - q)
         if q < 0.0:
             nodes += 1
@@ -253,20 +264,30 @@ def numerov_bound_state(
     0, next to a pole of D, where Newton's steps are tiny and only crawl.
     A lower edge below min U on the grid is raised to it.
 
-    The search runs on two grids. The half grid is every other point of
-    the full grid, back from r_N; it starts at the first such point where
-    the centrifugal term leaves 1 + x/12 >= 1/2 at step 2h, and takes its
-    start values from its own first two points. The edge sweeps, the
-    bisection and Newton run on it until the Newton step is at most
-    1e-5 max(eps, |E|) (``_SEARCH_TOL``). That can be loose: the search only
-    has to land E in the full grid's Newton basin, and the half grid's own
-    level sits about 16 times further from the exact level than the full
-    grid's, about 1.6e-9 of it at most. From E plus that step, Newton runs on
-    the full grid, in the caller's bracket cut at E by the full grid's
-    count, until its step is at most 1e-10 max(eps, |E|), with
-    eps = hbar^2 / (m scale^2) the problem's energy unit, and returns E plus
-    that step: the full grid's level, to 1e-10. ``sweeps`` on the result
-    counts the sweeps spent on both grids.
+    The search runs on two grids. The search grid is every 8th point of the
+    full grid, back from r_N: a step of 8h advances the fastest wave about
+    0.1 rad (``_SEARCH_PHASE``), where Numerov's error is about
+    0.1^4 / 240 ~ 4e-7 of a level. The full grid has N points with N - 1 a
+    multiple of 8, so that for l = 0 the search grid starts at r_min, where
+    its F ~ r start ratio holds (a stride-2 grid that started a step out put
+    its level up to 1.2e-6 off, against 1.3e-9 from r_min). For l > 0 it
+    starts at its first point where the centrifugal term leaves
+    1 + x/12 >= 1/2 at step 8h. Where that start leaves the F ~ r^{l+1}
+    start ratio unfit (a point before it classically allowed at e_hi, or
+    E - V adding more than 1/4 to x there), the stride halves, down to 2;
+    where even stride 2 leaves fewer than two points, the oracle raises
+    DomainError. Each grid takes its start values from its own first two
+    points. The edge sweeps, the bisection and Newton run on the search
+    grid until the Newton step is at most 1e-5 max(eps, |E|)
+    (``_SEARCH_TOL``). That can be loose: the search only has to land E in
+    the full grid's Newton basin. Over 4,000 draws of the tests'
+    oscillators and wells (l <= 3), the search grid's own level sat within
+    8.2e-7 of the full grid's (stride 2: 1.3e-9). From E plus that step,
+    Newton runs on the full grid, in the caller's bracket cut at E by the
+    full grid's count, until its step is at most 1e-10 max(eps, |E|), with
+    eps = hbar^2 / (m scale^2) the problem's energy unit, and returns E
+    plus that step: the full grid's level, to 1e-10. ``sweeps`` on the
+    result counts the sweeps spent on both grids.
 
     The step comes from an error budget. Numerov lowers a level by
     (k h)^4 / 240 of itself for the local wavenumber k, so h = c / k_top
@@ -275,8 +296,9 @@ def numerov_bound_state(
     largest wavenumber at the bracket's upper edge (min U over a 512-point
     sample). The grid has at least 512 points from 1e-6 scale to r_N. The
     full grid starts at its first point r >= h sqrt(l (l + 1) / 6), where
-    the centrifugal term leaves 1 + x/12 >= 1/2, as the half grid does at
-    step 2h. Truncating the decay tail shifts a level by at most about 1e-8.
+    the centrifugal term leaves 1 + x/12 >= 1/2, as the search grid does at
+    its own step. Truncating the decay tail shifts a level by at most about
+    1e-8.
     """
     if node_target < 0:
         raise DomainError(f"node_target must be >= 0, got {node_target}")
@@ -320,12 +342,30 @@ def numerov_bound_state(
             f"a step of {_PHASE_PER_STEP:.3g} / k_top needs {span:.3g} points, "
             f"above the cap of {MAX_GRID_POINTS}"
         )
-    r = np.linspace(r_min, r_max, max(int(span) + 1, _MIN_POINTS))
+    # N - 1 a multiple of the stride, so that the search grid, every
+    # _STRIDE-th point back from r_N, keeps r_min for l = 0
+    n = max(int(span) + 1, _MIN_POINTS)
+    r = np.linspace(r_min, r_max, n + (1 - n) % _STRIDE)
     h = float(r[1] - r[0])
-    # the full grid starts at the first point where the centrifugal term
-    # leaves 1 + x/12 >= 1/2 at step h, the half grid (below) at step 2h
+    # each grid starts at its first point where the centrifugal term leaves
+    # 1 + x/12 >= 1/2 at its own step: the full grid at step h, the search
+    # grid (below) at step stride * h
     barrier = math.sqrt(U.l * (U.l + 1) / 6.0)
     r = r[int(np.searchsorted(r, h * barrier)):]
+    last = len(r) - 1
+
+    def search_start(stride: int) -> int:
+        """First point of the search grid at ``stride``: every stride-th point
+        back from r_N, from the first where the centrifugal term leaves
+        1 + x/12 >= 1/2 at step stride * h."""
+        start = int(np.searchsorted(r, stride * h * barrier))
+        return start + (last - start) % stride
+
+    if last - search_start(2) < 4:
+        raise DomainError(
+            f"the centrifugal start r = {2.0 * h * barrier:.6g} of the Numerov search grid "
+            f"leaves it fewer than 2 points before r_max = {r_max:.6g}"
+        )
     # r_N = r_max carries u_N = 0 and is left out
     u_vals = eval_effective_array(U, r[:-1])
     if np.any(u_vals == INFINITE):
@@ -338,17 +378,28 @@ def numerov_bound_state(
     e_lo = max(e_lo, float(u_vals.min()))
     if not e_hi > e_lo:
         raise DomainError(below)
-    # the search's half grid: every other point back from r_N, from the first
-    # where the centrifugal term leaves 1 + x/12 >= 1/2 at step 2h
-    last = len(r) - 1
-    start = int(np.searchsorted(r, 2.0 * h * barrier))
-    start += (last - start) % 2
+    # the search runs at the coarsest stride, from _STRIDE down to 2, whose
+    # grid has two points or more and whose start suits the F ~ r^{l+1} start
+    # ratio at every energy searched: no point before it is classically
+    # allowed at e_hi, and E - V adds at most 1/4 to x there (its wave
+    # advances at most 0.5 rad a search step)
+    allowed = int((ku < k * e_hi).argmax())
+    stride = _STRIDE
+    start = search_start(stride)
+    while stride > 2 and not (
+        start <= allowed
+        and last - start >= 2 * stride
+        and stride * stride * k * (e_hi - U.eval_potential(float(r[start]))) <= 0.25
+    ):
+        stride //= 2
+        start = search_start(stride)
     # (k, k U on the grid, F_0 / F_1), with y_1 = 1 so that no power of a tiny r
-    # underflows; x on the half grid is 4 times x on the full grid
-    half = (4.0 * k, 4.0 * ku[start:last:2], (float(r[start]) / float(r[start + 2])) ** (U.l + 1))
+    # underflows; x on the search grid is stride^2 times x on the full grid
+    s2 = stride * stride
+    search = (s2 * k, s2 * ku[start:last:stride], (float(r[start]) / float(r[start + stride])) ** (U.l + 1))
     full = (k, ku, (float(r[0]) / float(r[1])) ** (U.l + 1))
     # w = 1 + x / 12 grows with E: positive at e_lo, it is positive in every sweep
-    for kg, kug, _ in (full, half):
+    for kg, kug, _ in (full, search):
         if not float((kg * e_lo - kug).min()) > -12.0:
             raise DomainError(f"the Numerov step leaves 1 + h^2 f / 12 <= 0 on the grid at E = {e_lo:.6g}")
     sweeps = 0
@@ -403,26 +454,26 @@ def numerov_bound_state(
         return 0.5 * (lo + hi)
 
     lo, hi = e_lo, e_hi
-    n_lo, step_lo = shoot(lo, half)
+    n_lo, step_lo = shoot(lo, search)
     if n_lo > node_target:
         raise DomainError(f"bracket lower edge already has more than {node_target} nodes")
-    n_hi, step_hi = shoot(hi, half)
+    n_hi, step_hi = shoot(hi, search)
     if n_hi <= node_target:
         raise DomainError(f"bracket contains no state with {node_target} nodes")
     # phase 1: bisect on the node count until only the target level is left
     while not (n_lo == node_target and n_hi == node_target + 1 or converged(lo, hi, _SEARCH_TOL)):
         mid = 0.5 * (lo + hi)
-        n_mid, step_mid = shoot(mid, half)
+        n_mid, step_mid = shoot(mid, search)
         if n_mid <= node_target:
             lo, n_lo, step_lo = mid, n_mid, step_mid
         else:
             hi, n_hi, step_hi = mid, n_mid, step_mid
-    # phase 2: Newton from the edge with the shorter step, on the half grid
+    # phase 2: Newton from the edge with the shorter step, on the search grid
     # and then on the full grid. The two grids' levels differ by up to about
-    # 1.5e-9, which can put the full grid's outside the half grid's bracket:
+    # 8e-7, which can put the full grid's outside the search grid's bracket:
     # the full grid keeps the caller's, cut at E by its own count.
     E, step = (lo, step_lo) if abs(step_lo) <= abs(step_hi) else (hi, step_hi)
-    E = newton(E, step, lo, hi, half, _SEARCH_TOL)
+    E = newton(E, step, lo, hi, search, _SEARCH_TOL)
     n, step = shoot(E, full)
     lo, hi = (E, e_hi) if n <= node_target else (e_lo, E)
     value = newton(E, step, lo, hi, full, _LEVEL_TOL)

@@ -237,8 +237,9 @@ class EffectivePotential(Frozen):
     It raises one DomainError, naming the quantity and the spec, when any of
     the scales, the oscillator strength m omega^2 / 2 or the relativistic
     spin-orbit prefactor is not a normal float (a shift of exactly 0 is
-    allowed), or when the spec is not a catalog potential. No consumer
-    checks a scale again.
+    allowed), or when the spec is not a catalog potential; and one naming
+    the centrifugal coefficient hbar^2 l (l + 1) / (2 m) when it overflows.
+    No consumer checks a scale again.
     """
 
     __match_args__ = ("spec", "l", "units")
@@ -291,12 +292,16 @@ class EffectivePotential(Frozen):
             # the denominator underflowed to 0
             length = INFINITE
         _normal(length, "length scale", spec)
+        # 0 for l = 0; past the float range from about l = 1.3e154 in natural units
+        centrifugal = u.hbar**2 * l * (l + 1) / (2.0 * u.mass)
+        if centrifugal == INFINITE:
+            raise DomainError(f"centrifugal coefficient hbar^2 l (l + 1) / (2 m) overflows to inf for l={l:.6g}")
         # divided twice: length * length alone underflows to 0 below about 1e-162
         energy = _normal(u.hbar2_over_m / length / length, "energy scale hbar^2 / (m length^2)", spec)
         _set_field(self, "spec", spec)
         _set_field(self, "l", l)
         _set_field(self, "units", units)
-        _set_field(self, "centrifugal_coeff", u.hbar**2 * l * (l + 1) / (2.0 * u.mass))
+        _set_field(self, "centrifugal_coeff", centrifugal)
         _set_field(self, "spin_orbit_shift", shift)
         _set_field(self, "length_scale", length)
         _set_field(self, "energy_scale", energy)

@@ -44,13 +44,15 @@ def u_count(monkeypatch) -> UCount:
 
 @dataclass
 class Sweep:
-    """One ``_matched_sweep`` call: its grid length, lowest 1 + x/12 and result."""
+    """One ``_matched_sweep`` call: its grid length, lowest 1 + x/12, result
+    and start ratio F_0 / F_1."""
 
     points: int
     lowest_w: float
     nodes: int
     D: float
     S: float
+    y0: float
 
 
 @dataclass
@@ -77,7 +79,7 @@ def sweep_log(monkeypatch) -> SweepLog:
 
     def logged_sweep(x, y0):
         result = sweep(x, y0)
-        log.sweeps.append(Sweep(len(x), 1.0 + float(x.min()) / 12.0, *result))
+        log.sweeps.append(Sweep(len(x), 1.0 + float(x.min()) / 12.0, *result, y0))
         return result
 
     def logged_array(U, r):

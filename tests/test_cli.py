@@ -261,6 +261,43 @@ def test_an_integer_out_of_range_ends_in_a_one_line_error(code, argv):
     assert "Traceback" not in err
 
 
+#: l = 10^300: its centrifugal coefficient hbar^2 l (l + 1) / (2 m) overflows
+L_OVERFLOWING = "1" + "0" * 300
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["turning-points", "--potential", "ho:omega=1", "--l", L_OVERFLOWING, "--energy", "1"],
+        ["spectrum", "--potential", "ho:omega=1", "--l", L_OVERFLOWING],
+    ],
+    ids=["turning-points", "spectrum"],
+)
+def test_an_overflowing_centrifugal_coefficient_is_refused_where_it_enters(argv):
+    assert run_main(argv) == (
+        1, b"", "error: centrifugal coefficient hbar^2 l (l + 1) / (2 m) overflows to inf for l=1e+300\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "l, bracket, message",
+    [
+        # the stride-8 and stride-4 starts lie past the allowed region: the
+        # search runs at stride 2 and finds the bracket empty
+        ("200", "200.3:200.6", "bracket contains no state with 0 nodes"),
+        # the stride-2 start lies past r_max, and at l = 5000 so does the
+        # full grid's
+        ("2000", "1:2000.55", "the centrifugal start r = 65.1379 of the Numerov search grid"),
+        ("5000", "1:5000.55", "the centrifugal start r = 177.067 of the Numerov search grid"),
+    ],
+)
+def test_a_short_numerov_grid_ends_in_a_domain_error(l, bracket, message):
+    argv = ["oracle", "numerov", "--potential", "ho:omega=1", "--l", l, "--nodes", "0", "--bracket", bracket]
+    code, out, err = run_main(argv)
+    assert (code, out) == (1, b"")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("omega", ["0", "-1", "inf", "nan", "1e308", "1e-320"])
 def test_oracle_ho_rejects_a_frequency_out_of_range(omega):
     code, _, err = run_main(["oracle", "ho", f"--omega={omega}"])

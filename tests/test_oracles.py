@@ -189,8 +189,8 @@ class TestNumerov:
     def test_ho_l3(self, spec, l, nodes, sweep_log):
         # the start rule keeps w = 1 + h^2 f / 12 >= 1/2 against the
         # centrifugal term, so u = w y has the sign of y on the whole grid and
-        # negative ratios count the nodes of y; the half grid starts where
-        # this holds at step 2h and, like the full grid, ends on the wall
+        # negative ratios count the nodes of y; the search grid starts where
+        # this holds at its own step and, like the full grid, ends on the wall
         U = EffectivePotential(spec, l=l)
         if isinstance(spec, IsotropicHO):
             exact = ho_oracle_energy(nodes, l, spec.omega).value
@@ -353,6 +353,32 @@ class TestNumerov:
         with pytest.raises(DomainError, match="below the potential minimum"):
             numerov_bound_state(U, 0, (-5.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "spec, nodes, exact",
+        [(IsotropicHO(omega=1.0), 1, 3.5), (IsotropicHO(omega=0.7), 0, 1.05)]
+        + [(InfiniteSphericalWell(L=L), n - 1, well_oracle_energy(L, 0, n).value) for L, n in ((1.0, 1), (1.7, 2))],
+    )
+    def test_l0_search_grid_starts_at_r_min(self, spec, nodes, exact, sweep_log, monkeypatch):
+        # N - 1 is a multiple of 8, so the search grid, every 8th point back
+        # from r_N, starts at r_min with the start ratio r_0 / r_8; converged
+        # on its own (a search stop rule of 1e-11), its level lies within 1e-6
+        # of the full grid's, which the first full-grid Newton step measures
+        monkeypatch.setattr(oracles, "_SEARCH_TOL", 1e-11)
+        U = EffectivePotential(spec, l=0)
+        res = numerov_bound_state(U, nodes, (exact - 0.5 * exact, exact + 0.5 * exact))
+        r = sweep_log.radii
+        full = len(r)
+        assert full % 8 == 0
+        search = [s for s in sweep_log.sweeps if s.points != full]
+        assert search and {s.points for s in search} == {full // 8}
+        assert {s.y0 for s in search} == {float(r[0]) / float(r[8])}
+        first_full = next(s for s in sweep_log.sweeps if s.points == full)
+        assert first_full.y0 == float(r[0]) / float(r[1])
+        h = float(r[1] - r[0])
+        step = first_full.D / (2.0 * U.units.mass / U.units.hbar**2 * h * h * first_full.S)
+        assert abs(step) <= 1e-6 * res.value
+        assert abs(res.value - exact) <= 1e-8 * exact
+
     def test_sweeps_recorded(self):
         U = EffectivePotential(IsotropicHO(omega=1.0), l=1)
         res = numerov_bound_state(U, 1, (3.6, 5.4))
@@ -428,10 +454,10 @@ def test_numerov_levels_match_the_closed_forms(family, size, l, nodes, below, ab
     # omega or L from [0.5, 2], and each half-width of the bracket drawn as the
     # benchmark's oracle workload draws it: omega * [0.3, 1.5] for the
     # oscillator, [0.5, 3] / L^2 for the well. Over 12,000 such draws a level
-    # took at most 11 sweeps of both grids (12 with every sweep on the full
-    # grid; Illinois on u(r_max) / max|u| took up to 21). The search on the
-    # half grid lands E in the full grid's Newton basin, so the full grid is
-    # swept at most twice, and its last step meets the stop rule
+    # took at most 11 sweeps of both grids (10 with every sweep on the full
+    # grid; Illinois on u(r_max) / max|u| took up to 21). The search on
+    # every 8th point lands E in the full grid's Newton basin, so the full
+    # grid is swept at most twice, and its last step meets the stop rule
     sweep_log.clear()
     if family == "ho":
         U = EffectivePotential(IsotropicHO(omega=size), l=l)
@@ -449,6 +475,8 @@ def test_numerov_levels_match_the_closed_forms(family, size, l, nodes, below, ab
     assert sum(s.points == full for s in sweep_log.sweeps) <= 2
     last = sweep_log.sweeps[-1]
     assert last.points == full
+    first_full = next(i for i, s in enumerate(sweep_log.sweeps) if s.points == full)
+    assert all(s.points <= math.ceil(full / 8) + 1 for s in sweep_log.sweeps[:first_full])
     h = float(sweep_log.radii[1] - sweep_log.radii[0])
     step = last.D / (2.0 * U.units.mass / U.units.hbar**2 * h * h * last.S)
     assert abs(step) <= 1e-10 * max(U.energy_scale, abs(res.value - step))
